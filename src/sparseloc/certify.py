@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import IO
 
 import numpy as np
 
@@ -571,18 +570,34 @@ class _TailRule:
             return math.exp(-gamma / 2.0)
         raise ValueError(self.kind)
 
+    def _finite_term_bound(self, n: int, gamma: float) -> float | None:
+        """term_bound, or None when it overflows or is not finite."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = self.term_bound(n, gamma)
+        except OverflowError:
+            return None
+        return value if math.isfinite(value) else None
+
     def tail_sum(self, n_from: int, gamma: float) -> tuple[float, int]:
-        """Bound on the sum over scales > n_from, with the geometric crossover."""
+        """Bound on the sum over scales > n_from, with the geometric crossover.
+
+        A term that overflows makes the bound inf, so it certifies nothing.
+        """
         limit = self.ratio_limit(gamma)
         if limit >= 1.0:
             return math.inf, n_from
         q_star = (1.0 + limit) / 2.0
         total = 0.0
         n = n_from + 1
-        prev = self.term_bound(n, gamma)
+        prev = self._finite_term_bound(n, gamma)
+        if prev is None:
+            return math.inf, n
         total += prev
         for _ in range(20_000):
-            nxt = self.term_bound(n + 1, gamma)
+            nxt = self._finite_term_bound(n + 1, gamma)
+            if nxt is None:
+                return math.inf, n + 1
             if prev > 0 and nxt / prev <= q_star:
                 return total + nxt / (1.0 - q_star), n + 1
             total += nxt
@@ -659,11 +674,6 @@ class DecompositionCertificate:
              else 0.0 for t in self.terms]
         )
 
-    def total_bound(self) -> float:
-        if self.tail is None:
-            return self.partial_sum
-        return self.partial_sum + self.tail.sum_bound
-
     def to_records(self) -> list[dict]:
         head = {
             "record": "certificate",
@@ -696,14 +706,6 @@ class DecompositionCertificate:
             for t in self.terms
         ]
         return [head] + rows
-
-    def write_csv(self, fp: IO[str]) -> None:
-        fp.write("scale,member,role,clearance,surface,term\n")
-        for t in self.terms:
-            clearance = "inf" if math.isinf(t.clearance) else repr(t.clearance)
-            fp.write(
-                f"{t.scale},{t.member},{t.role},{clearance},{t.surface!r},{t.value!r}\n"
-            )
 
 
 def _member_sigma(member: RegionSet) -> float:

@@ -17,7 +17,6 @@ import multiprocessing
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import click
@@ -307,15 +306,41 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
             fp.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _write_outputs(outdir: Path, files: dict) -> list[str]:
+    """Write each `{name: (header, rows) | records}` entry; returns the names."""
+    for name, data in files.items():
+        if name.endswith(".csv"):
+            _write_csv(outdir / name, *data)
+        else:
+            _write_jsonl(outdir / name, data)
+    return list(files)
+
+
 def _workers() -> int:
     return max(1, int(os.environ.get("SPARSELOC_WORKERS", "1")))
 
 
-def _parallel_map(fn, items: list) -> list:
-    if _workers() <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+class CellFailure(Exception):
+    """A pipeline cell raised; the message names its stage, seed and gamma."""
+
+
+def _call_cell(job: tuple) -> dict:
+    fn, stage, args = job
+    try:
+        return fn(args)
+    except Exception as exc:
+        where = f"{stage} seed={args['seed']}"
+        if "gamma" in args:
+            where += f" gamma={args['gamma']}"
+        raise CellFailure(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
+def _run_cells(stage: str, fn, cells: list[dict]) -> list:
+    jobs = [(fn, stage, cell) for cell in cells]
+    if _workers() <= 1 or len(jobs) <= 1:
+        return [_call_cell(job) for job in jobs]
     with multiprocessing.Pool(_workers()) as pool:
-        return pool.map(fn, items)
+        return pool.map(_call_cell, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +358,19 @@ def _certify_sparse_cell(args: dict) -> dict:
     model = model_from_dict(args["model"])
     seed, gamma = args["seed"], args["gamma"]
     cm = sample_couplings(model, seed, args.get("window"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if args["pipeline"] == "certify-quasi1d":
-            td = build_decomposition_quasi1d(
-                cm,
-                args["eps"],
-                gamma,
-                alpha=args.get("alpha", 2.0),
-                a=args["a"],
-                n_range=tuple(args["n_range"]),
-            )
-        else:
-            td = build_decomposition_sparse(
-                cm, args["eps"], gamma, n_range=tuple(args["n_range"])
-            )
+    if args["pipeline"] == "certify-quasi1d":
+        td = build_decomposition_quasi1d(
+            cm,
+            args["eps"],
+            gamma,
+            alpha=args.get("alpha", 2.0),
+            a=args["a"],
+            n_range=tuple(args["n_range"]),
+        )
+    else:
+        td = build_decomposition_sparse(
+            cm, args["eps"], gamma, n_range=tuple(args["n_range"])
+        )
     diff = difference_support(model, cm, args["eps"])
     cert = certify_ac(td, diff, gamma)
     head = cert.to_records()[0]
@@ -449,7 +472,7 @@ def _spectral_cell(args: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _stage_certify(cfg: dict, outdir: Path, pipeline: str) -> dict:
+def _stage_certify(cfg: dict, pipeline: str) -> dict:
     params = cfg["parameters"]
     cells = [
         {
@@ -466,39 +489,28 @@ def _stage_certify(cfg: dict, outdir: Path, pipeline: str) -> dict:
         for seed in cfg["seeds"]
         for gamma in params["gammas"]
     ]
-    results = _parallel_map(_certify_sparse_cell, cells)
-    name = "certify-quasi1d" if pipeline == "certify-quasi1d" else "certify-sparse"
-    outputs = []
-    _write_jsonl(outdir / "certificates.jsonl", [r["summary"] for r in results])
-    outputs.append("certificates.jsonl")
-    _write_jsonl(
-        outdir / "decompositions.jsonl",
-        [rec for r in results for rec in r["decomposition"]],
-    )
-    outputs.append("decompositions.jsonl")
-    _write_csv(
-        outdir / "certificate_terms.csv",
-        ["seed", "gamma", "scale", "member", "role", "clearance", "surface", "term"],
-        [row for r in results for row in r["terms"]],
-    )
-    outputs.append("certificate_terms.csv")
-    _write_csv(
-        outdir / "free_annuli.csv",
-        ["seed", "gamma", "scale", "found", "inner_radius", "degenerate"],
-        [row for r in results for row in r["free"]],
-    )
-    outputs.append("free_annuli.csv")
+    results = _run_cells(pipeline, _certify_sparse_cell, cells)
+    files = {
+        "certificates.jsonl": [r["summary"] for r in results],
+        "decompositions.jsonl": [rec for r in results for rec in r["decomposition"]],
+        "certificate_terms.csv": (
+            ["seed", "gamma", "scale", "member", "role", "clearance", "surface", "term"],
+            [row for r in results for row in r["terms"]],
+        ),
+        "free_annuli.csv": (
+            ["seed", "gamma", "scale", "found", "inner_radius", "degenerate"],
+            [row for r in results for row in r["free"]],
+        ),
+    }
     if pipeline == "certify-quasi1d":
-        _write_csv(
-            outdir / "member_counts.csv",
+        files["member_counts.csv"] = (
             ["seed", "scale", "sites_near", "distinct_caps", "raw_bound", "scaled_bound"],
             [row for r in results for row in r["cap_counts"]],
         )
-        outputs.append("member_counts.csv")
-    return {"name": name, "outputs": outputs}
+    return files
 
 
-def _stage_lemma(cfg: dict, outdir: Path) -> dict:
+def _stage_lemma(cfg: dict) -> dict:
     params = cfg["parameters"]
     cells = [
         {
@@ -511,21 +523,20 @@ def _stage_lemma(cfg: dict, outdir: Path) -> dict:
         }
         for seed in cfg["seeds"]
     ]
-    results = _parallel_map(_lemma_cell, cells)
-    _write_csv(
-        outdir / "an_rows.csv",
-        ["seed", "n", "exact", "estimate", "std_error", "bound", "eta",
-         "vacuous", "degenerate", "partial_sum"],
-        [row for r in results for row in r["rows"]],
-    )
-    _write_jsonl(
-        outdir / "an_verdicts.jsonl",
-        [{"record": "an_verdict", "seed": r["seed"], "verdict": r["verdict"]} for r in results],
-    )
-    return {"name": "lemma-mc", "outputs": ["an_rows.csv", "an_verdicts.jsonl"]}
+    results = _run_cells("lemma-mc", _lemma_cell, cells)
+    return {
+        "an_rows.csv": (
+            ["seed", "n", "exact", "estimate", "std_error", "bound", "eta",
+             "vacuous", "degenerate", "partial_sum"],
+            [row for r in results for row in r["rows"]],
+        ),
+        "an_verdicts.jsonl": [
+            {"record": "an_verdict", "seed": r["seed"], "verdict": r["verdict"]} for r in results
+        ],
+    }
 
 
-def _stage_spectral(cfg: dict, outdir: Path) -> dict:
+def _stage_spectral(cfg: dict) -> dict:
     params = cfg["parameters"]
     cells = [
         {
@@ -538,20 +549,17 @@ def _stage_spectral(cfg: dict, outdir: Path) -> dict:
         }
         for seed in cfg["seeds"]
     ]
-    results = _parallel_map(_spectral_cell, cells)
-    _write_csv(
-        outdir / "states.csv",
-        ["seed", "energy", "ipr", "decay_rate", "decay_quality", "center", "in_gap"],
-        [row for r in results for row in r["states"]],
-    )
-    _write_csv(
-        outdir / "resolvent_rates.csv",
-        ["seed", "energy", "gap_distance", "rate", "quality"],
-        [row for r in results for row in r["rates"]],
-    )
-    _write_jsonl(
-        outdir / "localization.jsonl",
-        [
+    results = _run_cells("spectral-probe", _spectral_cell, cells)
+    return {
+        "states.csv": (
+            ["seed", "energy", "ipr", "decay_rate", "decay_quality", "center", "in_gap"],
+            [row for r in results for row in r["states"]],
+        ),
+        "resolvent_rates.csv": (
+            ["seed", "energy", "gap_distance", "rate", "quality"],
+            [row for r in results for row in r["rates"]],
+        ),
+        "localization.jsonl": [
             {
                 "record": "localization",
                 "seed": r["seed"],
@@ -563,10 +571,6 @@ def _stage_spectral(cfg: dict, outdir: Path) -> dict:
             }
             for r in results
         ],
-    )
-    return {
-        "name": "spectral-probe",
-        "outputs": ["states.csv", "resolvent_rates.csv", "localization.jsonl"],
     }
 
 
@@ -582,22 +586,21 @@ def run(config: dict | str | Path, config_path: Path | None = None) -> dict:
     pipeline = config["pipeline"]
     stages: list[dict] = []
 
-    def run_stage(fn, *args):
+    def run_stage(name, fn, *args):
         t0 = time.monotonic()
-        stage = fn(*args)
-        stage["wall_s"] = time.monotonic() - t0
-        stages.append(stage)
+        outputs = _write_outputs(outdir, fn(config, *args))
+        stages.append({"name": name, "outputs": outputs, "wall_s": time.monotonic() - t0})
 
     if pipeline in ("certify-sparse", "certify-quasi1d"):
-        run_stage(_stage_certify, config, outdir, pipeline)
+        run_stage(pipeline, _stage_certify, pipeline)
     elif pipeline == "lemma-mc":
-        run_stage(_stage_lemma, config, outdir)
+        run_stage(pipeline, _stage_lemma)
     elif pipeline == "spectral-probe":
-        run_stage(_stage_spectral, config, outdir)
+        run_stage(pipeline, _stage_spectral)
     elif pipeline == "full-report":
-        run_stage(_stage_certify, config, outdir, "certify-sparse")
-        run_stage(_stage_lemma, config, outdir)
-        run_stage(_stage_spectral, config, outdir)
+        run_stage("certify-sparse", _stage_certify, "certify-sparse")
+        run_stage("lemma-mc", _stage_lemma)
+        run_stage("spectral-probe", _stage_spectral)
     manifest = {
         "record": "run_manifest",
         "tool_version": __version__,
@@ -605,15 +608,7 @@ def run(config: dict | str | Path, config_path: Path | None = None) -> dict:
         "config_hash": config_hash(config),
         "output_dir": str(outdir),
     }
-    records = [manifest] + [
-        {
-            "record": "stage",
-            "name": s["name"],
-            "outputs": s["outputs"],
-            "wall_s": s["wall_s"],
-        }
-        for s in stages
-    ]
+    records = [manifest] + [{"record": "stage", **s} for s in stages]
     _write_jsonl(outdir / "manifest.jsonl", records)
     manifest["stages"] = stages
     return manifest
@@ -624,80 +619,43 @@ def run(config: dict | str | Path, config_path: Path | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def emit_plotdata(manifest_path: str | Path) -> list[str]:
-    """Project stage outputs onto per-figure CSV series.
+# (stages that write the source, source csv, target csv, [(column, source column)])
+PLOT_SERIES = (
+    (("lemma-mc",), "an_rows.csv", "an_series.csv",
+     [("n", "n"), ("exact", "exact"), ("estimate", "estimate"), ("stderr", "std_error"),
+      ("bound", "bound")]),
+    (("certify-sparse", "certify-quasi1d"), "certificate_terms.csv", "terms_vs_n.csv",
+     [("seed", "seed"), ("gamma", "gamma"), ("n", "scale"), ("delta", "clearance"),
+      ("sigma", "surface"), ("term", "term")]),
+    (("spectral-probe",), "states.csv", "ipr_vs_energy.csv",
+     [("seed", "seed"), ("energy", "energy"), ("ipr", "ipr"), ("in_gap", "in_gap")]),
+    (("spectral-probe",), "resolvent_rates.csv", "rate_vs_gap_distance.csv",
+     [("energy", "energy"), ("gap_distance", "gap_distance"), ("rate", "rate"),
+      ("quality", "quality")]),
+)
 
-    an_series.csv:            n, exact, estimate, stderr, bound
-    terms_vs_n.csv:           seed, gamma, n, delta, sigma, term
-    ipr_vs_energy.csv:        seed, energy, ipr, in_gap
-    rate_vs_gap_distance.csv: energy, gap_distance, rate, quality
-    """
+
+def emit_plotdata(manifest_path: str | Path) -> list[str]:
+    """Project stage outputs onto the per-figure CSV series of PLOT_SERIES."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest {manifest_path} does not exist")
     outdir = manifest_path.parent
     records = [json.loads(line) for line in manifest_path.read_text().splitlines()]
-    stage_outputs = {
-        rec["name"]: rec["outputs"] for rec in records if rec.get("record") == "stage"
-    }
-    if not stage_outputs:
+    stage_names = {rec["name"] for rec in records if rec.get("record") == "stage"}
+    if not stage_names:
         raise ValueError("manifest lists no completed stages")
     written: list[str] = []
-
-    def read_rows(name: str) -> tuple[list[str], list[list[str]]]:
-        lines = (outdir / name).read_text().splitlines()
-        header = lines[0].split(",")
-        return header, [line.split(",") for line in lines[1:]]
-
-    if "lemma-mc" in stage_outputs:
-        header, rows = read_rows("an_rows.csv")
-        col = {name: i for i, name in enumerate(header)}
-        out = [
-            [r[col["n"]], r[col["exact"]], r[col["estimate"]], r[col["std_error"]], r[col["bound"]]]
-            for r in rows
-        ]
-        _write_raw_csv(outdir / "an_series.csv", ["n", "exact", "estimate", "stderr", "bound"], out)
-        written.append("an_series.csv")
-    if "certify-sparse" in stage_outputs or "certify-quasi1d" in stage_outputs:
-        header, rows = read_rows("certificate_terms.csv")
-        col = {name: i for i, name in enumerate(header)}
-        out = [
-            [r[col["seed"]], r[col["gamma"]], r[col["scale"]], r[col["clearance"]],
-             r[col["surface"]], r[col["term"]]]
-            for r in rows
-        ]
-        _write_raw_csv(
-            outdir / "terms_vs_n.csv", ["seed", "gamma", "n", "delta", "sigma", "term"], out
-        )
-        written.append("terms_vs_n.csv")
-    if "spectral-probe" in stage_outputs:
-        header, rows = read_rows("states.csv")
-        col = {name: i for i, name in enumerate(header)}
-        out = [
-            [r[col["seed"]], r[col["energy"]], r[col["ipr"]], r[col["in_gap"]]] for r in rows
-        ]
-        _write_raw_csv(outdir / "ipr_vs_energy.csv", ["seed", "energy", "ipr", "in_gap"], out)
-        written.append("ipr_vs_energy.csv")
-        header, rows = read_rows("resolvent_rates.csv")
-        col = {name: i for i, name in enumerate(header)}
-        out = [
-            [r[col["energy"]], r[col["gap_distance"]], r[col["rate"]], r[col["quality"]]]
-            for r in rows
-        ]
-        _write_raw_csv(
-            outdir / "rate_vs_gap_distance.csv",
-            ["energy", "gap_distance", "rate", "quality"],
-            out,
-        )
-        written.append("rate_vs_gap_distance.csv")
+    for stages, source, target, columns in PLOT_SERIES:
+        if stage_names.isdisjoint(stages):
+            continue
+        lines = (outdir / source).read_text().splitlines()
+        col = {name: i for i, name in enumerate(lines[0].split(","))}
+        picks = [col[src] for _, src in columns]
+        rows = [[fields[i] for i in picks] for fields in (line.split(",") for line in lines[1:])]
+        _write_csv(outdir / target, [out for out, _ in columns], rows)
+        written.append(target)
     return written
-
-
-def _write_raw_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w") as fp:
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import IO, Iterable
 
@@ -668,75 +668,50 @@ class RegionSet:
         return RegionSet(head["dimension"], shapes)
 
 
+_PRIMITIVE_KINDS = {
+    "point": Point,
+    "ball": Ball,
+    "sphere": Sphere,
+    "annulus": Annulus,
+    "cap": SphericalCap,
+    "punctured_sphere": PuncturedSphere,
+    "box": Box,
+}
+_KIND_OF = {cls: kind for kind, cls in _PRIMITIVE_KINDS.items()}
+
+
 def primitive_to_dict(shape: Primitive) -> dict:
-    if isinstance(shape, Point):
-        return {"record": "primitive", "kind": "point", "center": list(shape.center)}
-    if isinstance(shape, Ball):
-        return {
-            "record": "primitive",
-            "kind": "ball",
-            "center": list(shape.center),
-            "radius": shape.radius,
-        }
-    if isinstance(shape, Sphere):
-        return {
-            "record": "primitive",
-            "kind": "sphere",
-            "center": list(shape.center),
-            "radius": shape.radius,
-        }
-    if isinstance(shape, Annulus):
-        return {
-            "record": "primitive",
-            "kind": "annulus",
-            "dimension": shape.dimension_,
-            "inner": shape.inner,
-            "outer": shape.outer,
-        }
-    if isinstance(shape, SphericalCap):
-        return {
-            "record": "primitive",
-            "kind": "cap",
-            "sphere_radius": shape.sphere_radius,
-            "direction": list(shape.direction),
-            "ball_radius": shape.ball_radius,
-        }
-    if isinstance(shape, PuncturedSphere):
-        return {
-            "record": "primitive",
-            "kind": "punctured_sphere",
-            "dimension": shape.dimension_,
-            "radius": shape.radius,
-            "exclusions": [
-                {"direction": list(d), "ball_radius": b} for d, b in shape.exclusions
-            ],
-        }
-    if isinstance(shape, Box):
-        return {"record": "primitive", "kind": "box", "lo": list(shape.lo), "hi": list(shape.hi)}
-    raise TypeError(f"unknown primitive {shape!r}")
+    """JSON record of a primitive: its kind and its fields, tuples as lists.
+
+    Keys are the dataclass field names without a trailing underscore.
+    """
+    kind = _KIND_OF.get(type(shape))
+    if kind is None:
+        raise TypeError(f"unknown primitive {shape!r}")
+    rec = {"record": "primitive", "kind": kind}
+    for f in fields(shape):
+        value = getattr(shape, f.name)
+        if f.name == "exclusions":
+            value = [{"direction": list(d), "ball_radius": b} for d, b in value]
+        elif isinstance(value, tuple):
+            value = list(value)
+        rec[f.name.rstrip("_")] = value
+    return rec
 
 
 def primitive_from_dict(rec: dict) -> Primitive:
-    kind = rec["kind"]
-    if kind == "point":
-        return Point(tuple(rec["center"]))
-    if kind == "ball":
-        return Ball(tuple(rec["center"]), rec["radius"])
-    if kind == "sphere":
-        return Sphere(tuple(rec["center"]), rec["radius"])
-    if kind == "annulus":
-        return Annulus(rec["dimension"], rec["inner"], rec["outer"])
-    if kind == "cap":
-        return SphericalCap(rec["sphere_radius"], tuple(rec["direction"]), rec["ball_radius"])
-    if kind == "punctured_sphere":
-        return PuncturedSphere(
-            rec["dimension"],
-            rec["radius"],
-            tuple((tuple(e["direction"]), e["ball_radius"]) for e in rec["exclusions"]),
-        )
-    if kind == "box":
-        return Box(tuple(rec["lo"]), tuple(rec["hi"]))
-    raise ValueError(f"unknown primitive kind {kind!r}")
+    cls = _PRIMITIVE_KINDS.get(rec["kind"])
+    if cls is None:
+        raise ValueError(f"unknown primitive kind {rec['kind']!r}")
+    args = []
+    for f in fields(cls):
+        value = rec[f.name.rstrip("_")]
+        if f.name == "exclusions":
+            value = tuple((tuple(e["direction"]), e["ball_radius"]) for e in value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        args.append(value)
+    return cls(*args)
 
 
 def write_jsonl(records: Iterable[dict], fp: IO[str]) -> None:

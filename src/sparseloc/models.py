@@ -201,9 +201,6 @@ class CouplingLaw:
             out[seg] = xs[j - 1] + frac * (xs[j] - xs[j - 1])
         return out
 
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        return self.quantile(u)
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -484,18 +481,6 @@ class SingleSitePotential:
             description={"kind": "indicator", "amplitude": amp, "radius": rad},
         )
 
-    @staticmethod
-    def tabulated(radii, values, support_radius: float, sign: str = "indefinite") -> "SingleSitePotential":
-        radii = np.asarray(radii, dtype=float)
-        values = np.asarray(values, dtype=float)
-        return SingleSitePotential(
-            support_radius=float(support_radius),
-            profile=lambda r: np.interp(r, radii, values, left=values[0], right=0.0),
-            p_norm_bound=float(np.max(np.abs(values))) * 2.0 * support_radius + 1.0,
-            sign=sign,
-            description={"kind": "tabulated"},
-        )
-
     def evaluate(self, offsets: np.ndarray) -> np.ndarray:
         """f(x - site) for offset vectors, zero outside the support."""
         r = np.linalg.norm(np.atleast_2d(offsets), axis=1)
@@ -522,7 +507,6 @@ class BackgroundPotential:
     value: float = 0.0
     values: tuple[float, ...] = ()
     cell: float = 1.0
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     @staticmethod
     def zero() -> "BackgroundPotential":
@@ -537,10 +521,6 @@ class BackgroundPotential:
         """d=1 pattern repeating `values` on consecutive cells of width `cell`."""
         return BackgroundPotential("periodic_step", values=tuple(float(v) for v in values), cell=float(cell))
 
-    @staticmethod
-    def callable_potential(fn: Callable[[np.ndarray], np.ndarray]) -> "BackgroundPotential":
-        return BackgroundPotential("callable", fn=fn)
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "zero":
@@ -550,8 +530,6 @@ class BackgroundPotential:
         if self.kind == "periodic_step":
             idx = np.floor(pts[:, 0] / self.cell).astype(int) % len(self.values)
             return np.asarray(self.values)[idx]
-        if self.kind == "callable":
-            return np.asarray(self.fn(pts), dtype=float)
         raise ValueError(f"unknown background kind {self.kind!r}")
 
     def to_dict(self) -> dict:
@@ -561,7 +539,7 @@ class BackgroundPotential:
             return {"kind": "constant", "value": self.value}
         if self.kind == "periodic_step":
             return {"kind": "periodic_step", "values": list(self.values), "cell": self.cell}
-        raise ValueError("callable backgrounds are not serializable")
+        raise ValueError(f"unknown background kind {self.kind!r}")
 
     @staticmethod
     def from_dict(rec: dict) -> "BackgroundPotential":

@@ -475,14 +475,6 @@ class LocalizationReport:
     def gap_states(self) -> list[StateDiagnostics]:
         return [s for s in self.states if s.in_gap]
 
-    def write_csv(self, fp: IO[str]) -> None:
-        fp.write("energy,ipr,decay_rate,decay_quality,center,in_gap\n")
-        for s in self.states:
-            fp.write(
-                f"{s.energy!r},{s.ipr!r},{s.decay_rate!r},{s.decay_quality!r},"
-                f"{s.center},{int(s.in_gap)}\n"
-            )
-
 
 def localization_report(
     model: RandomPotentialModel,

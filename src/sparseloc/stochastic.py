@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO
 
 import numpy as np
 
@@ -285,39 +284,6 @@ class ANSeriesReport:
     rows: tuple[ANSeriesRow, ...]
     verdict: str  # summable | not-summable | inconclusive
     params: dict = field(default_factory=dict)
-
-    def write_csv(self, fp: IO[str]) -> None:
-        fp.write("n,exact,estimate,std_error,bound,eta,vacuous,partial_sum\n")
-        for r in self.rows:
-            exact = "" if r.exact is None else repr(r.exact)
-            fp.write(
-                f"{r.scale},{exact},{r.estimate!r},{r.std_error!r},{r.bound!r},"
-                f"{r.bound_eta!r},{int(r.bound_vacuous)},{r.partial_sum!r}\n"
-            )
-
-    def to_records(self) -> list[dict]:
-        head = {
-            "record": "an_series",
-            "verdict": self.verdict,
-            "params": self.params,
-            "row_count": len(self.rows),
-        }
-        rows = [
-            {
-                "record": "an_row",
-                "n": r.scale,
-                "exact": r.exact,
-                "estimate": r.estimate,
-                "std_error": r.std_error,
-                "bound": r.bound,
-                "eta": r.bound_eta,
-                "vacuous": r.bound_vacuous,
-                "degenerate": r.degenerate,
-                "partial_sum": r.partial_sum,
-            }
-            for r in self.rows
-        ]
-        return [head] + rows
 
 
 def _best_eta(a: float, n: int, grid: int = 99) -> tuple[float, float, bool]:

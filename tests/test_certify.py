@@ -1,11 +1,13 @@
 """Free-annulus scans against brute enumeration; certificate verdict logic."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from sparseloc import certify as c
+from sparseloc import cli
 from sparseloc import models as m
 from sparseloc.geometry import (
     PuncturedSphere,
@@ -430,6 +432,14 @@ class TestCertifyAC:
             assert cert.tail is not None
             assert cert.tail.ratio_limit < 1.0
 
+    def test_overflowing_tail_is_infinite_not_an_error(self):
+        # cap-cheese with small gamma: a ** (n + 1) overflows before the
+        # term ratios settle below q*
+        rule = c._TailRule("cap-cheese", dimension=1, a=1.5, rho=0.0, alpha=1.2)
+        sum_bound, crossover = rule.tail_sum(3, 0.05)
+        assert sum_bound == math.inf
+        assert crossover > 3
+
 
 class TestCertifyPP:
     def test_empty_support_superexponential(self):
@@ -473,11 +483,12 @@ class TestCertificateIO:
         recs = cert.to_records()
         assert recs[0]["record"] == "certificate"
         assert len(recs) == 1 + len(cert.terms)
-        with open(tmp_path / "cert.csv", "w") as fp:
-            cert.write_csv(fp)
-        text = (tmp_path / "cert.csv").read_text().splitlines()
-        assert text[0] == "scale,member,role,clearance,surface,term"
-        assert len(text) == 1 + len(cert.terms)
+        # the CLI's JSONL writer is the one path to a file; the infinite
+        # clearances against the empty set must come out as null
+        cli._write_jsonl(tmp_path / "cert.jsonl", recs)
+        lines = (tmp_path / "cert.jsonl").read_text().splitlines()
+        assert [json.loads(line)["record"] for line in lines] == [r["record"] for r in recs]
+        assert "Infinity" not in "".join(lines[1:])
 
 
 class TestSmallestIntegerAbove:

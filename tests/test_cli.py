@@ -199,6 +199,75 @@ class TestRunPipelines:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestFailuresAndWarnings:
+    def test_overflowing_tail_ends_in_a_verdict(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {
+            "pipeline": "certify-quasi1d",
+            "model": {
+                "dimension": 1,
+                "sites": {"generator": "lattice", "radius": 12.0},
+                "law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
+            },
+            "seeds": [1],
+            "output_dir": str(out),
+            "parameters": {"eps": 0.95, "gammas": [0.05], "n_range": [1, 3], "a": 1.5,
+                           "alpha": 1.2},
+        }
+        path = write_config(tmp_path, cfg)
+        result = CliRunner().invoke(cli.main, ["run", str(path)])
+        assert result.exit_code == 0, result.output
+        cert = json.loads((out / "certificates.jsonl").read_text())
+        assert cert["verdict"] in ("certified", "not-certified", "inconclusive")
+        assert cert["tail"]["sum_bound"] == math.inf
+
+    def test_failing_cell_named(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setenv("SPARSELOC_WORKERS", "1")
+        monkeypatch.setattr(cli, "certify_ac", boom)
+        path = write_config(tmp_path, certify_cfg(tmp_path / "out"))
+        result = CliRunner().invoke(cli.main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert "stage failure: certify-sparse seed=1 gamma=0.5: RuntimeError: boom" in result.output
+
+    def test_failing_lemma_cell_has_no_gamma(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("bad")
+
+        monkeypatch.setenv("SPARSELOC_WORKERS", "1")
+        monkeypatch.setattr(cli, "borel_cantelli_report", boom)
+        cfg = {
+            "pipeline": "lemma-mc",
+            "model": lattice_model_cfg(d=1, radius=40.0),
+            "seeds": [7],
+            "output_dir": str(tmp_path / "out"),
+            "parameters": {"eps": 0.5, "a": 2.0, "n_range": [2, 4], "trials": 10},
+        }
+        result = CliRunner().invoke(cli.main, ["run", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 1
+        assert "stage failure: lemma-mc seed=7: ValueError: bad" in result.output
+
+    def test_quasi1d_threshold_warning_reaches_caller(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPARSELOC_WORKERS", "1")
+        cfg = {
+            "pipeline": "certify-quasi1d",
+            "model": {
+                "dimension": 2,
+                "sites": {"generator": "tube", "radius": 20.0},
+                "law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
+            },
+            "seeds": [1],
+            "output_dir": str(tmp_path / "out"),
+            "parameters": {"eps": 0.5, "gammas": [1.0], "n_range": [1, 3], "a": 2.0},
+        }
+        with pytest.warns(UserWarning, match="free-annulus threshold"):
+            cli.run(cfg)
+
+
 class TestPlotData:
     def test_lemma_plotdata(self, tmp_path):
         out = tmp_path / "out"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sparseloc import cli
 from sparseloc import models as m
 from sparseloc import spectral as sp
 
@@ -272,8 +273,13 @@ class TestLocalizationReport:
         n_side = int(round(2 * box / h)) - 1
         free = sp.GridOperator.free(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, free)
-        with open(tmp_path / "states.csv", "w") as fp:
-            report.write_csv(fp)
+        cli.run({
+            "pipeline": "spectral-probe",
+            "model": m.model_to_dict(model),
+            "seeds": [0],
+            "output_dir": str(tmp_path),
+            "parameters": {"eps": 0.5, "box": box, "h": h},
+        })
         lines = (tmp_path / "states.csv").read_text().splitlines()
-        assert lines[0] == "energy,ipr,decay_rate,decay_quality,center,in_gap"
+        assert lines[0] == "seed,energy,ipr,decay_rate,decay_quality,center,in_gap"
         assert len(lines) == 1 + len(report.states)

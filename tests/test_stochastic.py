@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sparseloc import cli
 from sparseloc import models as m
 from sparseloc import stochastic as st
 from sparseloc.geometry import make_annulus
@@ -242,12 +243,20 @@ class TestBorelCantelliReport:
     def test_csv_shape(self, tmp_path):
         model = bernoulli_lattice(d=1, radius=70.0, p=0.2)
         report = st.borel_cantelli_report(model, 0.5, 2.0, (2, 4), trials=100, seed=2)
-        path = tmp_path / "an.csv"
-        with open(path, "w") as fp:
-            report.write_csv(fp)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,exact,estimate,std_error,bound,eta,vacuous,partial_sum"
+        cli.run({
+            "pipeline": "lemma-mc",
+            "model": m.model_to_dict(model),
+            "seeds": [2],
+            "output_dir": str(tmp_path),
+            "parameters": {"eps": 0.5, "a": 2.0, "n_range": [2, 4], "trials": 100},
+        })
+        lines = (tmp_path / "an_rows.csv").read_text().splitlines()
+        assert lines[0] == (
+            "seed,n,exact,estimate,std_error,bound,eta,vacuous,degenerate,partial_sum"
+        )
         assert len(lines) == 1 + len(report.rows)
+        degenerate = [line.split(",")[8] for line in lines[1:]]
+        assert degenerate == [str(int(r.degenerate)) for r in report.rows]
 
     def test_free_annulus_success_tends_to_one(self):
         # p_i -> 0: the per-scale success frequency 1 - a_n climbs to 1
