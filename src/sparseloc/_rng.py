@@ -5,6 +5,13 @@ Every random quantity in the package is drawn from a stream keyed by a
 a trial block, a pipeline cell).  Streams with distinct keys are
 independent by construction, so results never depend on iteration order
 or on how work is split across workers.
+
+Stream (seed, i) is Philox4x64-10 (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11) with key (seed, i): counter block
+b+1 gives the uint64 words of columns 4b..4b+3, and column t is
+u = (x >> 11) * 2^-53.  This is the stream of
+``np.random.Generator(np.random.Philox(key=[seed, i])).random()``, bit
+for bit, computed for all sites and columns at once.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ from collections.abc import Iterator
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_LO32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
 
 def derive_seed(seed: int, *tags: int) -> int:
@@ -22,24 +32,45 @@ def derive_seed(seed: int, *tags: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def site_generator(seed: int, index: int) -> np.random.Generator:
-    """Philox generator for stream `index` under experiment `seed`."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _LO32, m >> np.uint64(32)
+    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
+    t = m_lo * x_hi + ((m_lo * x_lo) >> np.uint64(32))
+    w = (t & _LO32) + m_hi * x_lo
+    return m_hi * x_hi + (t >> np.uint64(32)) + (w >> np.uint64(32)), m * x
 
 
-def site_uniforms(seed: int, indices: np.ndarray, trials: int = 1) -> np.ndarray:
+def _philox_uniforms(seed: int, indices: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of every site's stream, shape (len(indices), stop-start)."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if stop <= start or indices.size == 0:
+        return np.empty((indices.size, max(stop - start, 0)))
+    first, last = start // 4, (stop - 1) // 4
+    # Words broadcast over (sites, counter blocks); all have the full shape from round 3.
+    k0 = np.full((1, 1), seed & _MASK64, dtype=np.uint64)
+    k1 = indices.astype(np.uint64).reshape(-1, 1)
+    c0 = np.arange(first + 1, last + 2, dtype=np.uint64).reshape(1, -1)
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(indices.size, -1)
+    words = words[:, start - 4 * first : stop - 4 * first]
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def site_uniforms(seed: int, indices: np.ndarray, trials: int = 1, start: int = 0) -> np.ndarray:
     """Uniform[0,1) draws, shape (len(indices), trials).
 
-    Row i holds the first `trials` values of the stream keyed by
+    Row i holds columns start..start+trials-1 of the stream keyed by
     (seed, indices[i]); column t is reproducible independently of which
     other sites or trials are requested.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.empty((indices.size, trials))
-    for row, idx in enumerate(indices):
-        out[row] = site_generator(seed, int(idx)).random(trials)
-    return out
+    return _philox_uniforms(seed, indices, start, start + trials)
 
 
 def site_uniform_batches(
@@ -51,13 +82,5 @@ def site_uniform_batches(
     (len(indices), <=batch) and concatenating the blocks reproduces the
     full matrix exactly.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    gens = [site_generator(seed, int(i)) for i in indices]
-    done = 0
-    while done < trials:
-        width = min(batch, trials - done)
-        block = np.empty((indices.size, width))
-        for row, gen in enumerate(gens):
-            block[row] = gen.random(width)
-        yield done, block
-        done += width
+    for done in range(0, trials, batch):
+        yield done, _philox_uniforms(seed, indices, done, min(done + batch, trials))

@@ -451,12 +451,8 @@ def build_decomposition_quasi1d(
             # a site at the origin has no direction; the scale is unusable
             gaps.append(n)
             continue
-        directions: list[tuple[float, ...]] = []
-        for p, nn in zip(neighbors, neighbor_norms):
-            u = tuple(p / nn)
-            if u not in directions:
-                directions.append(u)
-        n_caps = 0
+        # distinct directions, in order of first appearance
+        directions = list(dict.fromkeys(tuple(p / nn) for p, nn in zip(neighbors, neighbor_norms)))
         for u in directions:
             cap = spherical_cap(radius, u, reach)
             members.append(cap)
@@ -468,7 +464,6 @@ def build_decomposition_quasi1d(
                     site=u,
                 )
             )
-            n_caps += 1
         exclusions = tuple((u, reach) for u in directions)
         if exclusions:
             cheese = RegionSet(d, (PuncturedSphere(d, radius, exclusions),))
@@ -481,7 +476,7 @@ def build_decomposition_quasi1d(
             {
                 "scale": n,
                 "sites_near": int(np.count_nonzero(near)),
-                "distinct_caps": n_caps,
+                "distinct_caps": len(directions),
                 "raw_bound": 2.0 * reach + 2.0,
                 "scaled_bound": 2.0 * c_quasi * (reach + 1.0),
             }

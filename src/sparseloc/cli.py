@@ -17,6 +17,7 @@ import multiprocessing
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import click
@@ -320,8 +321,16 @@ def _workers() -> int:
     return max(1, int(os.environ.get("SPARSELOC_WORKERS", "1")))
 
 
+def _innermost_frame(exc: BaseException) -> str:
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{frame.filename}:{frame.lineno} in {frame.name}"
+
+
 class CellFailure(Exception):
-    """A pipeline cell raised; the message names its stage, seed and gamma."""
+    """A pipeline cell raised; the message names its stage, seed and gamma.
+
+    `at` names the cell's failing frame as text: worker tracebacks are not pickled.
+    """
 
 
 def _call_cell(job: tuple) -> dict:
@@ -332,7 +341,9 @@ def _call_cell(job: tuple) -> dict:
         where = f"{stage} seed={args['seed']}"
         if "gamma" in args:
             where += f" gamma={args['gamma']}"
-        raise CellFailure(f"{where}: {type(exc).__name__}: {exc}") from exc
+        failure = CellFailure(f"{where}: {type(exc).__name__}: {exc}")
+        failure.at = _innermost_frame(exc)
+        raise failure from exc
 
 
 def _run_cells(stage: str, fn, cells: list[dict]) -> list:
@@ -683,6 +694,8 @@ def cmd_run(config: str) -> None:
         manifest = run(cfg, config_path=Path(config))
     except Exception as exc:  # stage failure
         click.echo(f"stage failure: {exc}", err=True)
+        at = exc.at if isinstance(exc, CellFailure) else _innermost_frame(exc)
+        click.echo(f"  at {at}", err=True)
         sys.exit(1)
     click.echo(json.dumps({k: v for k, v in manifest.items() if k != "stages"}))
     sys.exit(0)

@@ -86,15 +86,22 @@ def _norm(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Point:
-    """A single point."""
-
-    center: tuple[float, ...]
+class _Centered:
+    """Methods shared by the shapes placed at a `center`: point, ball, sphere."""
 
     @property
     def dimension(self) -> int:
         return len(self.center)
+
+    def max_norm(self) -> float:
+        return self.circumradius()
+
+
+@dataclass(frozen=True)
+class Point(_Centered):
+    """A single point."""
+
+    center: tuple[float, ...]
 
     def point_distance(self, points: np.ndarray) -> np.ndarray:
         return _norm(points - np.asarray(self.center))
@@ -103,9 +110,6 @@ class Point:
         return float(np.linalg.norm(self.center))
 
     def min_norm(self) -> float:
-        return self.circumradius()
-
-    def max_norm(self) -> float:
         return self.circumradius()
 
     def diameter(self) -> float:
@@ -119,7 +123,7 @@ class Point:
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Centered):
     """Closed solid ball B(center, radius)."""
 
     center: tuple[float, ...]
@@ -129,10 +133,6 @@ class Ball:
         if self.radius < 0:
             raise ValueError("ball radius must be >= 0")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.center)
-
     def point_distance(self, points: np.ndarray) -> np.ndarray:
         return np.maximum(_norm(points - np.asarray(self.center)) - self.radius, 0.0)
 
@@ -141,9 +141,6 @@ class Ball:
 
     def min_norm(self) -> float:
         return max(0.0, float(np.linalg.norm(self.center)) - self.radius)
-
-    def max_norm(self) -> float:
-        return self.circumradius()
 
     def diameter(self) -> float:
         return 2.0 * self.radius
@@ -156,7 +153,7 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Centered):
     """Sphere = boundary of B(center, radius)."""
 
     center: tuple[float, ...]
@@ -166,10 +163,6 @@ class Sphere:
         if self.radius < 0:
             raise ValueError("sphere radius must be >= 0")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.center)
-
     def point_distance(self, points: np.ndarray) -> np.ndarray:
         return np.abs(_norm(points - np.asarray(self.center)) - self.radius)
 
@@ -178,9 +171,6 @@ class Sphere:
 
     def min_norm(self) -> float:
         return abs(float(np.linalg.norm(self.center)) - self.radius)
-
-    def max_norm(self) -> float:
-        return self.circumradius()
 
     def diameter(self) -> float:
         return 2.0 * self.radius
@@ -730,8 +720,6 @@ def read_jsonl(fp: IO[str]) -> list[dict]:
 
 def make_annulus(inner: float, outer: float, dimension: int) -> RegionSet:
     """Solid origin-centered annulus with exact volume accessor."""
-    if inner < 0 or outer < inner:
-        raise ValueError(f"invalid annulus radii inner={inner}, outer={outer}")
     return RegionSet(dimension, (Annulus(dimension, float(inner), float(outer)),))
 
 
@@ -804,18 +792,12 @@ def _iter_grid_blocks(region: RegionSet, extent: float, resolution: float):
         pts = axis[:, None]
         yield np.sort(region.distance(pts))
         return
+    if d > 3:
+        raise ValueError("grid quadrature supports d in {1, 2, 3}")
     rows_per_block = max(1, _BLOCK_CELLS // (n ** (d - 1)))
     for start in range(0, n, rows_per_block):
-        lead = axis[start : start + rows_per_block]
-        if d == 2:
-            xx, yy = np.meshgrid(lead, axis, indexing="ij")
-            pts = np.column_stack([xx.ravel(), yy.ravel()])
-        elif d == 3:
-            xx, yy, zz = np.meshgrid(lead, axis, axis, indexing="ij")
-            pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-        else:
-            raise ValueError("grid quadrature supports d in {1, 2, 3}")
-        yield np.sort(region.distance(pts))
+        grids = np.meshgrid(axis[start : start + rows_per_block], *[axis] * (d - 1), indexing="ij")
+        yield np.sort(region.distance(np.column_stack([g.ravel() for g in grids])))
 
 
 def _shell_counts(
@@ -828,16 +810,14 @@ def _shell_counts(
     hi = r_values + 1.0
     counts = np.zeros(r_values.size, dtype=np.int64)
     fuzz = np.zeros(r_values.size, dtype=np.int64)
+
+    def between(block, a, b):  # sorted values in [a, b]
+        return np.searchsorted(block, b, side="right") - np.searchsorted(block, a, side="left")
+
     for block in _iter_grid_blocks(region, extent, resolution):
-        counts += np.searchsorted(block, hi, side="right") - np.searchsorted(
-            block, lo, side="left"
-        )
-        fuzz += np.searchsorted(block, lo + delta, side="right") - np.searchsorted(
-            block, lo - delta, side="left"
-        )
-        fuzz += np.searchsorted(block, hi + delta, side="right") - np.searchsorted(
-            block, hi - delta, side="left"
-        )
+        counts += between(block, lo, hi)
+        fuzz += between(block, lo - delta, lo + delta)
+        fuzz += between(block, hi - delta, hi + delta)
     return counts, fuzz
 
 
@@ -899,32 +879,42 @@ def generalized_surface_area(
 # ---------------------------------------------------------------------------
 
 
-def closed_form_shell_measure(shape: Primitive, r: float) -> float:
-    """Exact |{x : r <= dist(x, shape) <= r+1}| for point/sphere/ball/annulus."""
-    d = shape.dimension
+def closed_form_shell_measure(shape: Primitive, r):
+    """Exact |{x : r <= dist(x, shape) <= r+1}| for point/sphere/ball/annulus.
+
+    `r` may be an array of distances; a scalar `r` gives a float.  Each
+    shape is an outer radius, an inner radius (0 when solid) and the
+    volume it adds at r = 0.
+    """
     if isinstance(shape, Point):
-        return ball_volume(r + 1.0, d) - ball_volume(r, d)
-    if isinstance(shape, Sphere):
-        R = shape.radius
-        outer = ball_volume(R + r + 1.0, d) - ball_volume(R + r, d)
-        inner = ball_volume(max(R - r, 0.0), d) - ball_volume(max(R - r - 1.0, 0.0), d)
-        return outer + inner
-    if isinstance(shape, Ball):
-        R = shape.radius
-        outer = ball_volume(R + r + 1.0, d) - ball_volume(R + r, d)
-        return outer + (ball_volume(R, d) if r == 0.0 else 0.0)
-    if isinstance(shape, Annulus):
-        r0, R0 = shape.inner, shape.outer
-        outer = ball_volume(R0 + r + 1.0, d) - ball_volume(R0 + r, d)
-        inner = ball_volume(max(r0 - r, 0.0), d) - ball_volume(max(r0 - r - 1.0, 0.0), d)
-        body = shape.volume() if r == 0.0 else 0.0
-        return outer + inner + body
-    raise TypeError(f"no closed-form shell measure for {type(shape).__name__}")
+        outer, inner, body = 0.0, 0.0, 0.0
+    elif isinstance(shape, Sphere):
+        outer, inner, body = shape.radius, shape.radius, 0.0
+    elif isinstance(shape, Ball):
+        outer, inner, body = shape.radius, 0.0, shape.volume()
+    elif isinstance(shape, Annulus):
+        outer, inner, body = shape.outer, shape.inner, shape.volume()
+    else:
+        raise TypeError(f"no closed-form shell measure for {type(shape).__name__}")
+    d, r = shape.dimension, np.asarray(r, dtype=float)
+
+    def vol(radius):  # ball_volume, elementwise
+        return unit_ball_volume(d) * np.maximum(radius, 0.0) ** d
+
+    out = (vol(outer + r + 1.0) - vol(outer + r)) + (vol(inner - r) - vol(inner - r - 1.0))
+    out = out + np.where(r == 0.0, body, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+# r-values per block of the closed-form sigma scan (bounds its memory).
+_SIGMA_BLOCK = 1 << 16
 
 
 def closed_form_sigma(region: RegionSet, grid: float = 1e-3) -> float | None:
-    """Exact-up-to-r-grid generalized surface area for single basic primitives.
+    """Generalized surface area of a single basic primitive, maximized on an r-grid.
 
+    The maximum over r = 0, grid, 2 grid, ... can fall short of the
+    supremum by the variation of the ratio within one grid step.
     Returns None when the region is not a single point/sphere/ball/annulus;
     callers fall back to grid quadrature or a volume bound.
     """
@@ -935,9 +925,14 @@ def closed_form_sigma(region: RegionSet, grid: float = 1e-3) -> float | None:
         return None
     d = region.dimension
     r_max = shape.diameter() + d + 2.0
-    r_values = np.arange(0.0, r_max + grid / 2.0, grid)
-    vals = np.array([closed_form_shell_measure(shape, float(r)) for r in r_values])
-    return float(np.max(vals / (r_values**d + 1.0)))
+    # the length of np.arange(0.0, r_max + grid / 2.0, grid), whose i-th value is i * grid
+    count = math.ceil((r_max + grid / 2.0) / grid)
+    peaks = []
+    for lo in range(0, count, _SIGMA_BLOCK):
+        r_values = np.arange(lo, min(lo + _SIGMA_BLOCK, count)) * grid
+        vals = closed_form_shell_measure(shape, r_values)
+        peaks.append(np.max(vals / (r_values**d + 1.0)))
+    return float(np.max(peaks))
 
 
 def surface_volume_bound(diameter: float, dimension: int) -> float:
@@ -945,12 +940,17 @@ def surface_volume_bound(diameter: float, dimension: int) -> float:
 
     The shell at distance r fits inside B(x0, diam + r + 1) minus B(x0, r)
     for any x0 in the set, so sigma <= sup_r w_d((D+r+1)^d - r^d)/(r^d+1).
+    The bound is inf when that volume term overflows.
     """
     d = dimension
     D = max(float(diameter), 0.0)
-    r = np.linspace(0.0, D + d + 2.0, 4001)
-    num = ball_volume(1.0, d) * ((D + r + 1.0) ** d - r**d)
-    return float(np.max(num / (r**d + 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.linspace(0.0, D + d + 2.0, 4001)
+        num = ball_volume(1.0, d) * ((D + r + 1.0) ** d - r**d)
+        ratio = num / (r**d + 1.0)
+    if not np.all(np.isfinite(num)):
+        return math.inf
+    return float(np.max(ratio))
 
 
 def sanity_bound(region: RegionSet) -> float:
@@ -1101,11 +1101,7 @@ class TotalDecomposition:
 
     def scales(self) -> list[int]:
         if self.member_info:
-            seen: list[int] = []
-            for info in self.member_info:
-                if info.scale not in seen:
-                    seen.append(info.scale)
-            return seen
+            return list(dict.fromkeys(info.scale for info in self.member_info))
         return list(range(len(self.members)))
 
     def validate(self, sample_resolution: float = 0.05) -> list[str]:
@@ -1132,9 +1128,7 @@ class TotalDecomposition:
         else:
             # weaker sampled check for arbitrary families
             for i, m in enumerate(self.members):
-                if m.is_empty():
-                    continue
-                if m.is_surface():
+                if m.is_empty() or m.is_surface():
                     continue
                 est = shell_measure(m, 0.0, sample_resolution)
                 body = m.volume()

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _rng
-from .geometry import RegionSet
+from .geometry import RegionSet, ball_volume
 
 __all__ = [
     "CouplingLaw",
@@ -321,23 +321,16 @@ class LawAssignment:
         if kind == "per_site":
             return LawAssignment.per_site_laws(CouplingLaw.from_dict(l) for l in rec["laws"])
         # friendly shorthand kinds used by model description files
-        if kind == "bernoulli":
-            return LawAssignment.shared_law(CouplingLaw.bernoulli(rec["p"]))
-        if kind == "uniform":
-            return LawAssignment.shared_law(
-                CouplingLaw.uniform(rec.get("lo", 0.0), rec.get("hi", 1.0))
-            )
-        if kind == "bernoulli_times_uniform":
-            return LawAssignment.shared_law(
-                CouplingLaw.bernoulli_times_uniform(
-                    rec["p"], rec.get("lo", 0.0), rec.get("hi", 1.0)
-                )
-            )
-        if kind == "point_masses":
-            return LawAssignment.shared_law(
-                CouplingLaw.point_masses([(x, w) for x, w in rec["atoms"]])
-            )
-        raise ValueError(f"unknown law assignment kind {kind!r}")
+        lo, hi = rec.get("lo", 0.0), rec.get("hi", 1.0)
+        shorthand = {
+            "bernoulli": lambda: CouplingLaw.bernoulli(rec["p"]),
+            "uniform": lambda: CouplingLaw.uniform(lo, hi),
+            "bernoulli_times_uniform": lambda: CouplingLaw.bernoulli_times_uniform(rec["p"], lo, hi),
+            "point_masses": lambda: CouplingLaw.point_masses([(x, w) for x, w in rec["atoms"]]),
+        }
+        if kind not in shorthand:
+            raise ValueError(f"unknown law assignment kind {kind!r}")
+        return LawAssignment.shared_law(shorthand[kind]())
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +653,7 @@ def sample_couplings(
                 f"requested window {window_radius} exceeds site window {sites.window_radius}"
             )
         indices = np.where(sites.norms <= window_radius)[0]
-    u = _rng.site_uniforms(seed, indices, trials=trial + 1)[:, trial:]
+    u = _rng.site_uniforms(seed, indices, start=trial)
     values = model.laws.transform(sites.points[indices], indices, u)[:, 0]
     return CouplingMap(model, indices, values, seed, window_radius)
 
@@ -917,8 +910,6 @@ def _background_local_norm(model: RandomPotentialModel, p: float) -> float:
     if bg.kind == "zero":
         return 0.0
     if bg.kind == "constant":
-        from .geometry import ball_volume
-
         return abs(bg.value) * ball_volume(1.0, model.dimension) ** (1.0 / p)
     # sampled sup over a coarse center grid
     d = model.dimension

@@ -131,8 +131,7 @@ class GridOperator:
                     f"{self.n_unknowns} unknowns exceed the dense limit "
                     f"{DENSE_LIMIT}; probe gaps on a smaller box"
                 )
-            vals = scipy.linalg.eigvalsh(self.matrix().toarray())
-            self._eigen_cache = (vals,)
+            self._eigen_cache = (scipy.linalg.eigvalsh(self.matrix().toarray()),)
         return self._eigen_cache[0]
 
     def boundary_mask(self) -> np.ndarray:
@@ -247,8 +246,7 @@ def _sparse_window_eigs(a: sp.csr_matrix, n: int, window) -> tuple[np.ndarray, n
             f"full spectrum of {n} unknowns is a dense-only query; pass a window"
         )
     if isinstance(window, int):
-        vals, vecs = spla.eigsh(a, k=window, which="SA")
-        return vals, vecs
+        return spla.eigsh(a, k=window, which="SA")
     lo, hi = window
     sigma = 0.5 * (lo + hi)
     k = min(64, n - 2)
@@ -387,17 +385,11 @@ def resolvent_decay(
     elif isinstance(sources, int):
         sources = [sources]
     lu = spla.splu((op.matrix() - energy * sp.identity(n, format="csr")).tocsc())
-    if op.dimension == 1:
-        grid_idx = np.arange(n)[:, None]
-        interior = np.ones(n, dtype=bool)
-        margin = int(boundary_margin * op.shape[0])
-        interior &= (grid_idx[:, 0] >= margin) & (grid_idx[:, 0] < n - margin)
-    else:
-        grid_idx = np.array(np.unravel_index(np.arange(n), op.shape)).T
-        interior = np.ones(n, dtype=bool)
-        for k in range(2):
-            margin = int(boundary_margin * op.shape[k])
-            interior &= (grid_idx[:, k] >= margin) & (grid_idx[:, k] < op.shape[k] - margin)
+    grid_idx = np.array(np.unravel_index(np.arange(n), op.shape)).T
+    interior = np.ones(n, dtype=bool)
+    for k in range(op.dimension):
+        margin = int(boundary_margin * op.shape[k])
+        interior &= (grid_idx[:, k] >= margin) & (grid_idx[:, k] < op.shape[k] - margin)
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     for source in sources:

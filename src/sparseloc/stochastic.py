@@ -34,7 +34,9 @@ __all__ = [
 ]
 
 ENUMERATION_SITE_BUDGET = 24
-_TRIAL_BATCH = 256
+# Trial columns per block of coupling draws: at least 256, and more while the
+# block holds under 2^16 draws, so the Philox kernel works on large arrays.
+_TRIAL_BATCH, _BLOCK_DRAWS = 256, 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -82,7 +84,8 @@ def estimate_free_probability(
         return EstimateRecord(1.0, trials, 0.0, seed, 1.0)
     points = model.sites.points[indices]
     hits = 0
-    for _offset, block in _rng.site_uniform_batches(seed, indices, trials, _TRIAL_BATCH):
+    batch = max(_TRIAL_BATCH, _BLOCK_DRAWS // indices.size)
+    for _offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
         values = model.laws.transform(points, indices, block)
         hits += int(np.count_nonzero(np.all(values <= eps, axis=0)))
     return _binomial_record(hits, trials, seed, exact)
@@ -93,11 +96,6 @@ def _relevant_site_indices(model: RandomPotentialModel, a: float, n: int) -> np.
     norms = model.sites.norms
     lo, hi = a**n, max(a ** (n + 1), a**n + n)
     return np.where((norms >= lo) & (norms <= hi))[0]
-
-
-def _scan_blocked(bad_norms: np.ndarray, lo: float, hi: float, width: float) -> bool:
-    """True when no free inner radius exists in [lo, hi]."""
-    return not free_intervals(bad_norms, lo, hi, width)
 
 
 def estimate_a_n(
@@ -132,11 +130,12 @@ def estimate_a_n(
     points = model.sites.points[indices]
     norms = model.sites.norms[indices]
     hits = 0
-    for _offset, block in _rng.site_uniform_batches(seed, indices, trials, _TRIAL_BATCH):
+    batch = max(_TRIAL_BATCH, _BLOCK_DRAWS // indices.size)
+    for _offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
         values = model.laws.transform(points, indices, block)
         bad = values > eps
         for t in range(block.shape[1]):
-            if _scan_blocked(norms[bad[:, t]], lo, hi, float(n)):
+            if not free_intervals(norms[bad[:, t]], lo, hi, float(n)):
                 hits += 1
     return _binomial_record(hits, trials, seed, None)
 
@@ -160,8 +159,7 @@ def brute_force_a_n(
     norms = model.sites.norms[indices]
     p = model.tail_masses(indices, eps)
     always_bad = norms[p >= 1.0]
-    undecided = p < 1.0
-    undecided &= p > 0.0
+    undecided = (p < 1.0) & (p > 0.0)
     norms_u = norms[undecided]
     p_u = p[undecided]
     m = norms_u.size
@@ -171,22 +169,16 @@ def brute_force_a_n(
             f"{ENUMERATION_SITE_BUDGET}"
         )
     if m == 0:
-        return 1.0 if _scan_blocked(always_bad, lo, hi, float(n)) else 0.0
+        return 0.0 if free_intervals(always_bad, lo, hi, float(n)) else 1.0
     patterns = np.arange(2**m, dtype=np.uint32)
     weights = np.ones(2**m)
     for j in range(m):
         bit = (patterns >> j) & 1
         weights *= np.where(bit == 1, p_u[j], 1.0 - p_u[j])
-    total = 0.0
     # order sites by norm so per-pattern coverage can be swept in one pass
     order = np.argsort(norms_u, kind="stable")
-    norms_sorted = norms_u[order]
-    bits_sorted = order
-    blocked = _coverage_sweep(
-        patterns, bits_sorted, norms_sorted, always_bad, lo, hi, float(n)
-    )
-    total = float(np.sum(weights[blocked]))
-    return total
+    blocked = _coverage_sweep(patterns, order, norms_u[order], always_bad, lo, hi, float(n))
+    return float(np.sum(weights[blocked]))
 
 
 def _coverage_sweep(

@@ -232,6 +232,21 @@ class TestFailuresAndWarnings:
         result = CliRunner().invoke(cli.main, ["run", str(path)])
         assert result.exit_code == 1
         assert "stage failure: certify-sparse seed=1 gamma=0.5: RuntimeError: boom" in result.output
+        raise_line = boom.__code__.co_firstlineno + 1
+        assert f"\n  at {__file__}:{raise_line} in boom\n" in result.output
+
+    def test_failing_worker_cell_names_its_line(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setenv("SPARSELOC_WORKERS", "2")
+        monkeypatch.setattr(cli, "certify_ac", boom)
+        with pytest.raises(cli.CellFailure) as info:
+            cli.run(certify_cfg(tmp_path / "out"))
+        # which failing cell a pool reports first depends on scheduling
+        assert str(info.value).startswith("certify-sparse seed=")
+        assert str(info.value).endswith(": RuntimeError: boom")
+        assert info.value.at == f"{__file__}:{boom.__code__.co_firstlineno + 1} in boom"
 
     def test_failing_lemma_cell_has_no_gamma(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,116 @@ class TestGeneralizedSurfaceArea:
         assert g.closed_form_sigma(g.RegionSet.point([0.0, 0.0])) == pytest.approx(
             PHI * math.pi, rel=1e-4
         )
+
+
+def scalar_shell_measure(shape, r):
+    """closed_form_shell_measure as it was before it took arrays: one float r."""
+    d = shape.dimension
+    if isinstance(shape, g.Point):
+        return g.ball_volume(r + 1.0, d) - g.ball_volume(r, d)
+    if isinstance(shape, g.Sphere):
+        R = shape.radius
+        outer = g.ball_volume(R + r + 1.0, d) - g.ball_volume(R + r, d)
+        inner = g.ball_volume(max(R - r, 0.0), d) - g.ball_volume(max(R - r - 1.0, 0.0), d)
+        return outer + inner
+    if isinstance(shape, g.Ball):
+        R = shape.radius
+        outer = g.ball_volume(R + r + 1.0, d) - g.ball_volume(R + r, d)
+        return outer + (g.ball_volume(R, d) if r == 0.0 else 0.0)
+    r0, R0 = shape.inner, shape.outer
+    outer = g.ball_volume(R0 + r + 1.0, d) - g.ball_volume(R0 + r, d)
+    inner = g.ball_volume(max(r0 - r, 0.0), d) - g.ball_volume(max(r0 - r - 1.0, 0.0), d)
+    return outer + inner + (shape.volume() if r == 0.0 else 0.0)
+
+
+def scalar_sigma(shape, grid=1e-3):
+    """The per-r loop that the array scan of closed_form_sigma replaced."""
+    d = shape.dimension
+    r_values = np.arange(0.0, shape.diameter() + d + 2.0 + grid / 2.0, grid)
+    vals = np.array([scalar_shell_measure(shape, float(r)) for r in r_values])
+    return float(np.max(vals / (r_values**d + 1.0)))
+
+
+# Radii of the sphere members that the benchmark workloads certify, plus
+# small and odd ones.
+MEMBER_RADII = [0.3, 1.0, 1.7, 1.8333333333333333, 2.5, 3.2279999999999998,
+                5.985983999999999, 9.5, 14.390625, 18.0]
+
+
+def basic_shapes(d, radii):
+    center = tuple([0.0] * d)
+    shapes = [g.Point(center), g.Point(tuple([0.3] * d))]
+    for R in radii:
+        shapes += [g.Sphere(center, R), g.Ball(tuple([1.5] * d), R)]
+    return shapes
+
+
+class TestClosedFormSigmaScan:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bitwise_equal_to_scalar_loop(self, d):
+        for shape in basic_shapes(d, MEMBER_RADII):
+            region = g.RegionSet(d, (shape,))
+            assert g.closed_form_sigma(region) == scalar_sigma(shape), shape
+
+    def test_d3_and_annulus_within_1e_14(self):
+        # numpy's SIMD power can differ from the scalar pow by about 1 ulp
+        shapes = basic_shapes(3, [0.5, 2.0, 4.75])
+        shapes += [g.Annulus(d, r0, r0 + w) for d in (1, 2, 3) for r0, w in ((0.5, 1.0), (3.0, 2.5))]
+        for shape in shapes:
+            exact = scalar_sigma(shape)
+            got = g.closed_form_sigma(g.RegionSet(shape.dimension, (shape,)))
+            assert abs(got - exact) <= 1e-14 * exact, shape
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scalar_r_gives_the_scalar_float(self, d):
+        for shape in basic_shapes(d, [0.5, 3.0]) + [g.Annulus(d, 1.0, 2.0)]:
+            for r in (0.0, 0.25, 0.5, 1.0, 3.7):
+                got = g.closed_form_shell_measure(shape, r)
+                assert type(got) is float
+                assert got == scalar_shell_measure(shape, r)
+
+    def test_array_r_matches_scalar_calls(self):
+        shape = g.Sphere((0.0, 0.0), 2.5)
+        r = np.linspace(0.0, 6.0, 61)
+        got = g.closed_form_shell_measure(shape, r)
+        assert np.array_equal(got, [scalar_shell_measure(shape, float(x)) for x in r])
+
+    @pytest.mark.parametrize("block", [7, 1000, 1 << 16])
+    def test_blocks_cover_the_arange_grid(self, monkeypatch, block):
+        seen = []
+        measure = g.closed_form_shell_measure
+
+        def record(shape, r):
+            seen.append(np.array(r))
+            return measure(shape, r)
+
+        monkeypatch.setattr(g, "_SIGMA_BLOCK", block)
+        monkeypatch.setattr(g, "closed_form_shell_measure", record)
+        for R, grid in ((2.5, 1e-3), (9.5, 1e-3), (1.0, 0.07), (0.3, 0.01)):
+            seen.clear()
+            region = g.RegionSet.sphere([0.0], R)
+            sigma = g.closed_form_sigma(region, grid=grid)
+            r_max = region.shapes[0].diameter() + 3.0
+            assert np.array_equal(np.concatenate(seen), np.arange(0.0, r_max + grid / 2.0, grid))
+            assert all(len(r) <= block for r in seen)
+            assert sigma == scalar_sigma(region.shapes[0], grid)
+
+
+class TestSurfaceVolumeBound:
+    def test_overflow_gives_inf_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.surface_volume_bound(1e200, 2) == math.inf
+            assert g.surface_volume_bound(1e300, 3) == math.inf
+            assert g.surface_volume_bound(math.inf, 1) == math.inf
+            assert g.sanity_bound(g.RegionSet.sphere([0.0, 0.0], 1e200)) == math.inf
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_finite_values_unchanged(self, d):
+        for D in (0.0, 1.0, 7.25, 300.0, 1e6):
+            r = np.linspace(0.0, D + d + 2.0, 4001)
+            num = g.ball_volume(1.0, d) * ((D + r + 1.0) ** d - r**d)
+            assert g.surface_volume_bound(D, d) == float(np.max(num / (r**d + 1.0)))
 
 
 class TestSphericalCap:
