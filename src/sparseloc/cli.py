@@ -351,7 +351,8 @@ def _run_cells(stage: str, fn, cells: list[dict]) -> list:
     if _workers() <= 1 or len(jobs) <= 1:
         return [_call_cell(job) for job in jobs]
     with multiprocessing.Pool(_workers()) as pool:
-        return pool.map(_call_cell, jobs)
+        # imap yields in cell order, so the first failing cell is reported
+        return list(pool.imap(_call_cell, jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
-from .certify import free_intervals
 from .geometry import RegionSet
 from .models import RandomPotentialModel
 
@@ -34,8 +33,10 @@ __all__ = [
 ]
 
 ENUMERATION_SITE_BUDGET = 24
-# Trial columns per block of coupling draws: at least 256, and more while the
-# block holds under 2^16 draws, so the Philox kernel works on large arrays.
+# Columns per block of a sites x columns matrix: at least 256, and more while
+# the block holds under 2^16 entries.  This sizes both the Philox blocks of
+# coupling draws (so the kernel works on large arrays) and the pattern blocks
+# of the 2^m enumeration.
 _TRIAL_BATCH, _BLOCK_DRAWS = 256, 1 << 16
 
 
@@ -127,16 +128,15 @@ def estimate_a_n(
     indices = _relevant_site_indices(model, a, n)
     if indices.size == 0:
         return EstimateRecord(0.0, trials, 0.0, seed, 0.0)
+    # rows in norm order, as the coverage sweep needs; draws are keyed by site
+    indices = indices[np.argsort(model.sites.norms[indices], kind="stable")]
     points = model.sites.points[indices]
     norms = model.sites.norms[indices]
     hits = 0
     batch = max(_TRIAL_BATCH, _BLOCK_DRAWS // indices.size)
     for _offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
-        values = model.laws.transform(points, indices, block)
-        bad = values > eps
-        for t in range(block.shape[1]):
-            if not free_intervals(norms[bad[:, t]], lo, hi, float(n)):
-                hits += 1
+        bad = model.laws.transform(points, indices, block) > eps
+        hits += int(np.count_nonzero(_coverage_sweep(norms, bad, lo, hi, float(n))))
     return _binomial_record(hits, trials, seed, None)
 
 
@@ -168,65 +168,48 @@ def brute_force_a_n(
             f"{m} undecided sites exceed the enumeration budget of "
             f"{ENUMERATION_SITE_BUDGET}"
         )
-    if m == 0:
-        return 0.0 if free_intervals(always_bad, lo, hi, float(n)) else 1.0
-    patterns = np.arange(2**m, dtype=np.uint32)
-    weights = np.ones(2**m)
-    for j in range(m):
-        bit = (patterns >> j) & 1
-        weights *= np.where(bit == 1, p_u[j], 1.0 - p_u[j])
-    # order sites by norm so per-pattern coverage can be swept in one pass
-    order = np.argsort(norms_u, kind="stable")
-    blocked = _coverage_sweep(patterns, order, norms_u[order], always_bad, lo, hi, float(n))
+    # rows of the activity matrix in norm order; always-bad sites are all ones
+    row_norms = np.concatenate([norms_u, always_bad])
+    order = np.argsort(row_norms, kind="stable")
+    row_norms, rank = row_norms[order], np.argsort(order)  # rank: row of each site
+    # weight of pattern P: the product over bits j = 0..m-1, taken in that order
+    weights = np.ones(1)
+    for q in p_u:
+        weights = np.concatenate([weights * (1.0 - q), weights * q])
+    n_patterns = weights.size
+    cols = max(_TRIAL_BATCH, _BLOCK_DRAWS // max(row_norms.size, 1))
+    blocked = np.empty(n_patterns, dtype=bool)
+    for first in range(0, n_patterns, cols):
+        patterns = np.arange(first, min(first + cols, n_patterns), dtype=np.uint32)
+        active = np.ones((row_norms.size, patterns.size), dtype=bool)
+        active[rank[:m]] = (patterns >> np.arange(m, dtype=np.uint32)[:, None]) & 1 == 1
+        blocked[first : first + cols] = _coverage_sweep(row_norms, active, lo, hi, float(n))
     return float(np.sum(weights[blocked]))
 
 
 def _coverage_sweep(
-    patterns: np.ndarray,
-    bit_positions: np.ndarray,
-    norms_sorted: np.ndarray,
-    always_bad: np.ndarray,
-    lo: float,
-    hi: float,
-    width: float,
+    norms_sorted: np.ndarray, active: np.ndarray, lo: float, hi: float, width: float
 ) -> np.ndarray:
-    """Vectorized over patterns: is [lo, hi] fully covered by active blockers?
+    """Per column of `active` (sites x columns, rows in norm order): is
+    [lo, hi] fully covered by the blockers [v - width, v] of its active sites?
 
-    A site at norm v blocks [v - width, v]; blockers are swept in norm
-    order, so their left endpoints are nondecreasing and any gap left
-    behind can never be filled later.
+    The rule is that of ``not free_intervals(...)`` for hi >= lo.  Blockers
+    are swept in norm order, so their left endpoints are nondecreasing and a
+    gap left behind (touching blockers leave none) can never be filled later.
     """
-    ordering = np.argsort(np.concatenate([norms_sorted, always_bad]), kind="stable")
-    merged = np.concatenate([norms_sorted, always_bad])[ordering]
-    src = np.concatenate(
-        [np.arange(norms_sorted.size), np.full(always_bad.size, -1, dtype=np.int64)]
-    )[ordering]
-
-    n_patterns = patterns.size
-    covered_to = np.full(n_patterns, -np.inf)
-    started = np.zeros(n_patterns, dtype=bool)
-    dead = np.zeros(n_patterns, dtype=bool)
-    for v, j in zip(merged, src):
+    covered_to = np.full(active.shape[1], -np.inf)
+    dead = np.zeros(active.shape[1], dtype=bool)
+    for v, row in zip(norms_sorted, active):
         if v < lo:
             continue
         start = v - width
         if start > hi:
             break
-        if j < 0:
-            active = ~dead
-        else:
-            active = (((patterns >> np.uint32(bit_positions[j])) & 1) == 1) & ~dead
-        if start <= lo:
-            started |= active
-            np.maximum(covered_to, np.where(active, v, -np.inf), out=covered_to)
-        else:
-            # start > lo: patterns that never covered lo are free at lo
-            dead |= active & ~started
-            gap = active & started & (start > covered_to)
-            dead |= gap
-            extend = active & started & ~gap
-            np.maximum(covered_to, np.where(extend, v, -np.inf), out=covered_to)
-    return started & ~dead & (covered_to >= hi)
+        if start > lo:
+            # a column not yet covering lo is -inf here, so it is free at lo
+            dead |= row & (covered_to < start)
+        covered_to = np.where(row, v, covered_to)
+    return (covered_to >= hi) & ~dead
 
 
 def a_n_bound(a: float, eta: float, n: int) -> tuple[float, bool]:

@@ -243,9 +243,7 @@ class TestFailuresAndWarnings:
         monkeypatch.setattr(cli, "certify_ac", boom)
         with pytest.raises(cli.CellFailure) as info:
             cli.run(certify_cfg(tmp_path / "out"))
-        # which failing cell a pool reports first depends on scheduling
-        assert str(info.value).startswith("certify-sparse seed=")
-        assert str(info.value).endswith(": RuntimeError: boom")
+        assert str(info.value) == "certify-sparse seed=1 gamma=0.5: RuntimeError: boom"
         assert info.value.at == f"{__file__}:{boom.__code__.co_firstlineno + 1} in boom"
 
     def test_failing_lemma_cell_has_no_gamma(self, tmp_path, monkeypatch):

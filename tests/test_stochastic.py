@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
-from sparseloc import cli
+from sparseloc import _rng, cli
 from sparseloc import models as m
 from sparseloc import stochastic as st
+from sparseloc.certify import free_intervals
 from sparseloc.geometry import make_annulus
 
 
@@ -17,6 +21,15 @@ def bernoulli_lattice(d=1, radius=16.0, p=0.5):
         sites=m.SiteSet.lattice(d, radius),
         potential=m.SingleSitePotential.indicator(1.0, 1.0),
         laws=m.LawAssignment.shared_law(m.CouplingLaw.bernoulli(p)),
+    )
+
+
+def lemma_mc_d1_model():
+    """The lemma-mc benchmark model: d=1 lattice, radial Bernoulli tau=0.5."""
+    return m.RandomPotentialModel(
+        sites=m.SiteSet.lattice(1, 64.0),
+        potential=m.SingleSitePotential.indicator(1.0, 1.0),
+        laws=m.LawAssignment.radial_bernoulli(0.5),
     )
 
 
@@ -88,6 +101,72 @@ class TestFreeProbability:
         assert hits >= 99
 
 
+def blocked_by_free_intervals(norms, active, lo, hi, width):
+    return [not free_intervals(norms[active[:, t]], lo, hi, width) for t in range(active.shape[1])]
+
+
+# multiples of 1/2: blockers touch, and norms land on lo and hi + width
+halves = hs.integers(0, 24).map(lambda k: k / 2.0)
+
+
+class TestCoverageSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        norms=hs.lists(halves, max_size=12),
+        lo=halves,
+        span=hs.integers(0, 8).map(lambda k: k / 2.0),
+        width=hs.integers(0, 8).map(lambda k: k / 2.0),
+        n_cols=hs.integers(0, 8),
+        data=hs.data(),
+    )
+    def test_matches_free_intervals(self, norms, lo, span, width, n_cols, data):
+        norms = np.sort(np.array(norms, dtype=float))
+        active = data.draw(hnp.arrays(bool, (norms.size, n_cols)))
+        hi = lo + span
+        got = st._coverage_sweep(norms, active, lo, hi, width)
+        assert got.shape == (n_cols,)
+        assert got.tolist() == blocked_by_free_intervals(norms, active, lo, hi, width)
+
+    @pytest.mark.parametrize(
+        "norms, lo, hi, columns, want",
+        [
+            # blockers [3, 5] and [5, 7] touch and cover [4, 7]; [3, 5] and [7, 9] leave a gap
+            ([5.0, 7.0, 9.0], 4.0, 7.0, [[1, 1, 0], [1, 0, 1], [0, 1, 1]], [True, False, False]),
+            # norms at lo (3) and at hi + width (6): [1, 3] and [4, 6] leave a gap
+            ([3.0, 4.0, 6.0], 3.0, 4.0, [[1, 0, 0], [0, 1, 1], [1, 0, 1], [0, 0, 1]],
+             [False, True, False, False]),
+            # duplicate norms, as for the +-x sites in d=1
+            ([4.0, 4.0, 6.0, 6.0], 4.0, 6.0, [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]],
+             [True, True, False]),
+            # hi == lo, covered by a norm at lo or at hi + width; an all-inactive column
+            ([3.0, 5.0], 3.0, 3.0, [[1, 0], [0, 1], [0, 0]], [True, True, False]),
+            # zero columns
+            ([4.0, 5.0], 4.0, 5.0, [], []),
+        ],
+    )
+    def test_edge_cases(self, norms, lo, hi, columns, want):
+        norms = np.array(norms)
+        active = np.array(columns, dtype=bool).reshape(-1, norms.size).T
+        got = st._coverage_sweep(norms, active, lo, hi, 2.0)
+        assert got.tolist() == want
+        assert want == blocked_by_free_intervals(norms, active, lo, hi, 2.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lemma_mc_trials_match_free_intervals(self, n):
+        model = lemma_mc_d1_model()
+        eps, a, trials, seed = 0.5, 2.0, 400, 11
+        lo, hi = a**n, a ** (n + 1) - n
+        indices = st._relevant_site_indices(model, a, n)
+        indices = indices[np.argsort(model.sites.norms[indices], kind="stable")]
+        norms = model.sites.norms[indices]
+        u = _rng.site_uniforms(seed, indices, trials)
+        bad = model.laws.transform(model.sites.points[indices], indices, u) > eps
+        got = st._coverage_sweep(norms, bad, lo, hi, float(n))
+        assert got.tolist() == blocked_by_free_intervals(norms, bad, lo, hi, float(n))
+        rec = st.estimate_a_n(model, eps, a, n, trials, seed)
+        assert rec.value == np.count_nonzero(got) / trials
+
+
 class TestBruteForceAN:
     def test_all_p_zero(self):
         model = bernoulli_lattice(p=0.0)
@@ -106,15 +185,11 @@ class TestBruteForceAN:
         assert got == pytest.approx(want, abs=1e-12)
         assert 0.0 < got < 1.0
 
-    def test_matches_enumeration_uneven_probs(self):
+    @staticmethod
+    def check_explicit_sites(probs):
         sites = [[4.0], [-5.0], [5.5], [6.0], [-7.0], [8.0]]
-        laws = [
-            m.CouplingLaw.bernoulli(p) for p in [0.2, 0.5, 0.9, 0.3, 0.6, 0.05]
-        ]
+        laws = [m.CouplingLaw.bernoulli(p) for p in probs]
         site_set = m.SiteSet.explicit(sites, r_sigma=0.5)
-        # canonical order sorts sites; align laws with that order
-        order = np.lexsort(site_set.points.T[::-1])
-        del order  # explicit() already sorted; map laws by matching coordinates
         law_by_site = {tuple(s): l for s, l in zip(sites, laws)}
         per_site = [law_by_site[tuple(p)] for p in site_set.points.tolist()]
         model = m.RandomPotentialModel(
@@ -127,6 +202,22 @@ class TestBruteForceAN:
         probs = [l.tail_mass(0.5) for l in per_site]
         want = enumerate_a_n_oracle(norms, probs, 4.0, 6.0, 2.0)
         assert got == pytest.approx(want, abs=1e-12)
+        return got
+
+    def test_matches_enumeration_uneven_probs(self):
+        self.check_explicit_sites([0.2, 0.5, 0.9, 0.3, 0.6, 0.05])
+
+    def test_matches_enumeration_with_always_bad_sites(self):
+        # p = 1 sites become all-ones rows between the undecided ones; p = 0 drop out
+        got = self.check_explicit_sites([1.0, 0.5, 0.9, 0.0, 0.6, 1.0])
+        assert 0.0 < got < 1.0
+
+    def test_pattern_blocks(self, monkeypatch):
+        # m = 18 undecided sites: 2^18 patterns span many pattern blocks
+        model = lemma_mc_d1_model()
+        assert st.brute_force_a_n(model, 0.5, a=2.0, n=3) == 0.6247075422930087
+        monkeypatch.setattr(st, "_BLOCK_DRAWS", 1 << 10)
+        assert st.brute_force_a_n(model, 0.5, a=2.0, n=3) == 0.6247075422930087
 
     def test_budget(self):
         model = bernoulli_lattice(d=2, radius=40.0, p=0.5)
