@@ -12,6 +12,7 @@ appearing at every larger scale).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .geometry import (
     spherical_cap,
     surface_volume_bound,
 )
-from .models import CouplingMap, RandomPotentialModel, quasi_dimension_bound
+from .models import CouplingMap, RandomPotentialModel, WindowTooSmallError, quasi_dimension_bound
 
 __all__ = [
     "FreeAnnulusRecord",
@@ -53,6 +54,9 @@ __all__ = [
     "certify_pp",
     "certify_series",
     "smallest_integer_above",
+    "growth_ratio",
+    "scale_window",
+    "require_scale_window",
     "sphere_sigma_bound",
     "quasi1d_clearance_threshold",
 ]
@@ -155,6 +159,29 @@ class FreeAnnulusRecord:
         }
 
 
+def scale_window(a: float, n: int) -> tuple[float, float, float]:
+    """The scale-n rule: (lo, hi, reach) = (a^n, a^(n+1) - n, max(a^(n+1), a^n + n)).
+
+    An eps-free annulus of width n at scale n has its inner radius in
+    [lo, hi] (empty when hi < lo), so the sites out to `reach` decide it.
+    """
+    if a <= 1.0:
+        raise ValueError("growth ratio a must be > 1")
+    lo, top = a**n, a ** (n + 1)
+    return lo, top - n, max(top, lo + n)
+
+
+def require_scale_window(window_radius: float, a: float, n: int) -> tuple[float, float, float]:
+    """scale_window(a, n), or WindowTooSmallError when the window falls short of its reach."""
+    lo, hi, reach = scale_window(a, n)
+    if window_radius + 1e-9 < reach:
+        raise WindowTooSmallError(
+            f"window radius {window_radius:.3f} does not cover radius {reach:.3f} "
+            f"needed at scale n={n}"
+        )
+    return lo, hi, reach
+
+
 def find_free_subannulus(
     couplings: CouplingMap, eps: float, a: float, n: int
 ) -> FreeAnnulusRecord:
@@ -169,21 +196,13 @@ def find_free_subannulus(
     constructions can use every scale, and marks the record degenerate
     for the probability-side semantics.
     """
-    if a <= 1.0:
-        raise ValueError("growth ratio a must be > 1")
     if n < 1:
         raise ValueError("width n must be >= 1")
-    host = (a**n, a ** (n + 1))
-    lo = host[0]
-    hi = max(host[1] - n, lo)
-    degenerate = host[1] - n < lo
-    if couplings.window_radius + 1e-9 < hi + n:
-        raise ValueError(
-            f"window radius {couplings.window_radius:.3f} does not cover the "
-            f"scan up to radius {hi + n:.3f}"
-        )
+    lo, hi, _ = require_scale_window(couplings.window_radius, a, n)
+    host = (lo, a ** (n + 1))
+    degenerate = hi < lo
     bad = couplings.norms[couplings.values > eps]
-    pieces = free_intervals(bad, lo, hi, float(n))
+    pieces = free_intervals(bad, lo, max(hi, lo), float(n))
     if not pieces:
         return FreeAnnulusRecord(n, math.nan, float(n), host, False, None, degenerate)
     first = pieces[0]
@@ -232,21 +251,33 @@ def smallest_integer_above(x: float) -> int:
     return int(math.floor(x)) + 1
 
 
-def _scale_range(
-    couplings: CouplingMap, a: float, n_range: tuple[int, int] | None
-) -> range:
+def growth_ratio(power: int, gamma: float) -> tuple[int, float]:
+    """(ell, a = 1 + 1/ell) with ell the smallest integer above 2 power / gamma.
+
+    Then a^power loses to exp(-gamma/2) per scale: power d-1 for sphere
+    surfaces, d for annular volumes.
+    """
+    ell = smallest_integer_above(2.0 * power / gamma)
+    return ell, 1.0 + 1.0 / ell
+
+
+def _free_scan(
+    couplings: CouplingMap, eps: float, a: float, n_range: tuple[int, int] | None
+) -> list[FreeAnnulusRecord]:
+    """find_free_subannulus at every scale, in scale order.
+
+    Without `n_range` the scales are those whose reach the window covers
+    (1..12 for an unbounded window).
+    """
     if n_range is not None:
-        return range(n_range[0], n_range[1] + 1)
-    if not math.isfinite(couplings.window_radius):
-        return range(1, 13)
-    w = couplings.window_radius
-    n_max = 0
-    for n in range(1, 200):
-        if max(a ** (n + 1), a**n + n) <= w:
-            n_max = n
-        else:
-            break
-    return range(1, n_max + 1)
+        scales = range(n_range[0], n_range[1] + 1)
+    elif not math.isfinite(couplings.window_radius):
+        scales = range(1, 13)
+    else:
+        scales = itertools.takewhile(
+            lambda n: scale_window(a, n)[2] <= couplings.window_radius, range(1, 200)
+        )
+    return [find_free_subannulus(couplings, eps, a, n) for n in scales]
 
 
 def build_decomposition_sparse(
@@ -266,17 +297,15 @@ def build_decomposition_sparse(
     d = model.dimension
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    ell = smallest_integer_above(2.0 * (d - 1) / gamma)
-    a = 1.0 + 1.0 / ell
+    ell, a = growth_ratio(d - 1, gamma)
     rho = model.max_support_radius()
     members: list[RegionSet] = []
     info: list[MemberInfo] = []
-    records: list[FreeAnnulusRecord] = []
     gaps: list[int] = []
     origin = tuple(np.zeros(d))
-    for n in _scale_range(couplings, a, n_range):
-        rec = find_free_subannulus(couplings, eps, a, n)
-        records.append(rec)
+    records = _free_scan(couplings, eps, a, n_range)
+    for rec in records:
+        n = rec.scale
         if not rec.free:
             gaps.append(n)
             continue
@@ -318,8 +347,7 @@ def build_shell_sequence_pp(
     d = model.dimension
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    ell = smallest_integer_above(2.0 * d / gamma)
-    a = 1.0 + 1.0 / ell
+    ell, a = growth_ratio(d, gamma)
     rho = model.max_support_radius()
     if excluded_site is None:
         excluded_site = model.distinguished_site
@@ -337,15 +365,13 @@ def build_shell_sequence_pp(
     radii: list[float] = []
     scales: list[int] = []
     gaps: list[int] = []
-    records: list[FreeAnnulusRecord] = []
-    for n in _scale_range(couplings, a, n_range):
-        rec = find_free_subannulus(scan, eps, a, n)
-        records.append(rec)
+    records = _free_scan(scan, eps, a, n_range)
+    for rec in records:
         if not rec.free:
-            gaps.append(n)
+            gaps.append(rec.scale)
             continue
-        radii.append(rec.inner_radius + n / 2.0)
-        scales.append(n)
+        radii.append(rec.inner_radius + rec.scale / 2.0)
+        scales.append(rec.scale)
     return ShellSequence(
         dimension=d,
         radii=tuple(radii),
@@ -429,12 +455,11 @@ def build_decomposition_quasi1d(
     norms = couplings.norms
     members: list[RegionSet] = []
     info: list[MemberInfo] = []
-    records: list[FreeAnnulusRecord] = []
     gaps: list[int] = []
     cap_counts: list[dict] = []
-    for n in _scale_range(couplings, a, n_range):
-        rec = find_free_subannulus(couplings, eps, a, n)
-        records.append(rec)
+    records = _free_scan(couplings, eps, a, n_range)
+    for rec in records:
+        n = rec.scale
         if not rec.free:
             gaps.append(n)
             continue

@@ -29,10 +29,13 @@ from .certify import (
     build_decomposition_sparse,
     certify_ac,
     difference_support,
-    smallest_integer_above,
+    growth_ratio,
+    require_scale_window,
+    scale_window,
 )
 from .models import (
     CouplingMap,
+    WindowTooSmallError,
     model_from_dict,
     sample_couplings,
 )
@@ -208,10 +211,6 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _required_radius_for_scales(a: float, n_hi: int) -> float:
-    return max(a ** (n_hi + 1), a**n_hi + n_hi)
-
-
 def _semantic_errors(cfg: dict, base_dir: Path) -> list[str]:
     errors: list[str] = []
     if ("model" in cfg) == ("model_file" in cfg):
@@ -238,33 +237,33 @@ def _semantic_errors(cfg: dict, base_dir: Path) -> list[str]:
         return errors
 
     model_cfg = cfg["model"]
-    window = model_cfg.get("sites", {}).get("radius", math.inf)
     d = model_cfg.get("dimension", 1)
-    if pipeline in ("certify-sparse", "full-report") and "gammas" in params:
-        n_hi = params["n_range"][1]
+    # lemma-mc reads the whole site window; certify and spectral cells sample `window`
+    sites = model_cfg["sites"]
+    radius_key = "window_radius" if sites["generator"] == "explicit" else "radius"
+    site_radius = sites.get(radius_key, math.inf)
+    window = params.get("window", site_radius)
+    if window > site_radius:
+        return [f"$.parameters.window: window radius {window:.2f} > site radius {site_radius:.2f}"]
+    scale_checks = []  # (radius the cells read, growth ratio, what sets the ratio)
+    if pipeline in ("certify-sparse", "full-report"):
         for gamma in params["gammas"]:
-            ell = smallest_integer_above(2.0 * (d - 1) / gamma)
-            a = 1.0 + 1.0 / ell
-            needed = _required_radius_for_scales(a, n_hi)
-            if needed > window:
-                errors.append(
-                    f"$.parameters.n_range: scale {n_hi} at gamma={gamma} needs window "
-                    f"radius {needed:.2f} > site radius {window:.2f}"
-                )
-    if pipeline in ("certify-quasi1d", "lemma-mc", "full-report") and "a" in params:
-        needed = _required_radius_for_scales(params["a"], params["n_range"][1])
+            scale_checks.append((window, growth_ratio(d - 1, gamma)[1], f"gamma={gamma}"))
+    if pipeline == "certify-quasi1d":
+        scale_checks.append((window, params["a"], f"a={params['a']}"))
+    if pipeline in ("lemma-mc", "full-report"):
+        scale_checks.append((site_radius, params["a"], f"a={params['a']}"))
+    for radius, a, label in scale_checks:
+        try:
+            require_scale_window(radius, a, params["n_range"][1])
+        except WindowTooSmallError as exc:
+            errors.append(f"$.parameters.n_range: at {label}: {exc}")
+    if pipeline in ("spectral-probe", "full-report"):
+        needed = params["box"] * math.sqrt(d) + model_cfg["potential"]["radius"]
         if needed > window:
             errors.append(
-                f"$.parameters.n_range: scale {params['n_range'][1]} at a={params['a']} "
-                f"needs window radius {needed:.2f} > site radius {window:.2f}"
-            )
-    if pipeline in ("spectral-probe", "full-report") and "box" in params:
-        rho = model_cfg.get("potential", {}).get("radius", 1.0)
-        needed = params["box"] * math.sqrt(d) + rho
-        if needed > window:
-            errors.append(
-                f"$.parameters.box: box needs window radius {needed:.2f} "
-                f"> site radius {window:.2f}"
+                f"$.parameters.box: box corner plus support needs radius {needed:.2f} "
+                f"> window radius {window:.2f}"
             )
     return errors
 
@@ -334,20 +333,19 @@ class CellFailure(Exception):
 
 
 def _call_cell(job: tuple) -> dict:
-    fn, stage, args = job
+    fn, cfg, stage, seed, gamma = job
     try:
-        return fn(args)
+        return fn(cfg, stage, seed, gamma)
     except Exception as exc:
-        where = f"{stage} seed={args['seed']}"
-        if "gamma" in args:
-            where += f" gamma={args['gamma']}"
+        where = f"{stage} seed={seed}" if gamma is None else f"{stage} seed={seed} gamma={gamma}"
         failure = CellFailure(f"{where}: {type(exc).__name__}: {exc}")
         failure.at = _innermost_frame(exc)
         raise failure from exc
 
 
-def _run_cells(stage: str, fn, cells: list[dict]) -> list:
-    jobs = [(fn, stage, cell) for cell in cells]
+def _run_cells(fn, cfg: dict, stage: str, cells: list[tuple]) -> list:
+    """fn(cfg, stage, seed, gamma) for each (seed, gamma) cell, in cell order."""
+    jobs = [(fn, cfg, stage, seed, gamma) for seed, gamma in cells]
     if _workers() <= 1 or len(jobs) <= 1:
         return [_call_cell(job) for job in jobs]
     with multiprocessing.Pool(_workers()) as pool:
@@ -366,24 +364,18 @@ def _zero_couplings(model, window):
     return CouplingMap(model, indices, np.zeros(len(indices)), None, radius, "zero")
 
 
-def _certify_sparse_cell(args: dict) -> dict:
-    model = model_from_dict(args["model"])
-    seed, gamma = args["seed"], args["gamma"]
-    cm = sample_couplings(model, seed, args.get("window"))
-    if args["pipeline"] == "certify-quasi1d":
+def _certify_cell(cfg: dict, stage: str, seed: int, gamma: float) -> dict:
+    params = cfg["parameters"]
+    model = model_from_dict(cfg["model"])
+    cm = sample_couplings(model, seed, params.get("window"))
+    eps, n_range = params["eps"], tuple(params["n_range"])
+    if stage == "certify-quasi1d":
         td = build_decomposition_quasi1d(
-            cm,
-            args["eps"],
-            gamma,
-            alpha=args.get("alpha", 2.0),
-            a=args["a"],
-            n_range=tuple(args["n_range"]),
+            cm, eps, gamma, alpha=params.get("alpha", 2.0), a=params["a"], n_range=n_range
         )
     else:
-        td = build_decomposition_sparse(
-            cm, args["eps"], gamma, n_range=tuple(args["n_range"])
-        )
-    diff = difference_support(model, cm, args["eps"])
+        td = build_decomposition_sparse(cm, eps, gamma, n_range=n_range)
+    diff = difference_support(model, cm, eps)
     cert = certify_ac(td, diff, gamma)
     head = cert.to_records()[0]
     head.update({"seed": seed, "gamma": gamma})
@@ -417,22 +409,18 @@ def _certify_sparse_cell(args: dict) -> dict:
     }
 
 
-def _lemma_cell(args: dict) -> dict:
-    model = model_from_dict(args["model"])
+def _lemma_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
+    params = cfg["parameters"]
+    model = model_from_dict(cfg["model"])
     report = borel_cantelli_report(
-        model,
-        args["eps"],
-        args["a"],
-        tuple(args["n_range"]),
-        args["trials"],
-        args["seed"],
+        model, params["eps"], params["a"], tuple(params["n_range"]), params["trials"], seed
     )
     return {
-        "seed": args["seed"],
+        "seed": seed,
         "verdict": report.verdict,
         "rows": [
             [
-                args["seed"],
+                seed,
                 r.scale,
                 r.exact,
                 r.estimate,
@@ -448,15 +436,15 @@ def _lemma_cell(args: dict) -> dict:
     }
 
 
-def _spectral_cell(args: dict) -> dict:
-    model = model_from_dict(args["model"])
-    seed = args["seed"]
-    cm = sample_couplings(model, seed, args.get("window"))
-    box, h = args["box"], args["h"]
-    reference = discretize(model, _zero_couplings(model, args.get("window")), box, h)
+def _spectral_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
+    params = cfg["parameters"]
+    model = model_from_dict(cfg["model"])
+    cm = sample_couplings(model, seed, params.get("window"))
+    box, h = params["box"], params["h"]
+    reference = discretize(model, _zero_couplings(model, params.get("window")), box, h)
     report = localization_report(model, cm, box, h, reference)
     rate_rows = []
-    for energy in args.get("energies", []):
+    for energy in params.get("energies", []):
         try:
             fit = resolvent_decay(reference, float(energy))
         except ValueError:
@@ -485,23 +473,8 @@ def _spectral_cell(args: dict) -> dict:
 
 
 def _stage_certify(cfg: dict, pipeline: str) -> dict:
-    params = cfg["parameters"]
-    cells = [
-        {
-            "model": cfg["model"],
-            "pipeline": pipeline,
-            "seed": seed,
-            "gamma": gamma,
-            "eps": params["eps"],
-            "n_range": params["n_range"],
-            "a": params.get("a"),
-            "alpha": params.get("alpha", 2.0),
-            "window": params.get("window"),
-        }
-        for seed in cfg["seeds"]
-        for gamma in params["gammas"]
-    ]
-    results = _run_cells(pipeline, _certify_sparse_cell, cells)
+    cells = [(seed, gamma) for seed in cfg["seeds"] for gamma in cfg["parameters"]["gammas"]]
+    results = _run_cells(_certify_cell, cfg, pipeline, cells)
     files = {
         "certificates.jsonl": [r["summary"] for r in results],
         "decompositions.jsonl": [rec for r in results for rec in r["decomposition"]],
@@ -523,19 +496,7 @@ def _stage_certify(cfg: dict, pipeline: str) -> dict:
 
 
 def _stage_lemma(cfg: dict) -> dict:
-    params = cfg["parameters"]
-    cells = [
-        {
-            "model": cfg["model"],
-            "seed": seed,
-            "eps": params["eps"],
-            "a": params["a"],
-            "n_range": params["n_range"],
-            "trials": params["trials"],
-        }
-        for seed in cfg["seeds"]
-    ]
-    results = _run_cells("lemma-mc", _lemma_cell, cells)
+    results = _run_cells(_lemma_cell, cfg, "lemma-mc", [(seed, None) for seed in cfg["seeds"]])
     return {
         "an_rows.csv": (
             ["seed", "n", "exact", "estimate", "std_error", "bound", "eta",
@@ -549,19 +510,8 @@ def _stage_lemma(cfg: dict) -> dict:
 
 
 def _stage_spectral(cfg: dict) -> dict:
-    params = cfg["parameters"]
-    cells = [
-        {
-            "model": cfg["model"],
-            "seed": seed,
-            "box": params["box"],
-            "h": params["h"],
-            "window": params.get("window"),
-            "energies": params.get("energies", []),
-        }
-        for seed in cfg["seeds"]
-    ]
-    results = _run_cells("spectral-probe", _spectral_cell, cells)
+    cells = [(seed, None) for seed in cfg["seeds"]]
+    results = _run_cells(_spectral_cell, cfg, "spectral-probe", cells)
     return {
         "states.csv": (
             ["seed", "energy", "ipr", "decay_rate", "decay_quality", "center", "in_gap"],
@@ -745,20 +695,20 @@ def cmd_oracle() -> None:
 @click.option("--eps", type=float, required=True)
 def cmd_oracle_an(model_path, dimension, p, radius, growth, scale, eps) -> None:
     """Exact a_n by full enumeration of the relevant sites."""
-    if model_path is not None:
-        model = model_from_dict(json.loads(Path(model_path).read_text()))
-    else:
-        if radius is None:
-            radius = max(growth ** (scale + 1), growth**scale + scale) + 1.0
-        model = model_from_dict(
-            {
-                "dimension": dimension,
-                "sites": {"generator": "lattice", "radius": radius},
-                "law": {"kind": "bernoulli", "p": p},
-                "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 1.0},
-            }
-        )
     try:
+        if model_path is not None:
+            model = model_from_dict(json.loads(Path(model_path).read_text()))
+        else:
+            if radius is None:
+                radius = scale_window(growth, scale)[2] + 1.0
+            model = model_from_dict(
+                {
+                    "dimension": dimension,
+                    "sites": {"generator": "lattice", "radius": radius},
+                    "law": {"kind": "bernoulli", "p": p},
+                    "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 1.0},
+                }
+            )
         value = brute_force_a_n(model, eps, growth, scale)
     except Exception as exc:
         click.echo(f"oracle error: {exc}", err=True)

@@ -13,11 +13,9 @@ certificates rely on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import IO, Iterable
 
 import numpy as np
 
@@ -92,9 +90,6 @@ class _Centered:
     @property
     def dimension(self) -> int:
         return len(self.center)
-
-    def max_norm(self) -> float:
-        return self.circumradius()
 
 
 @dataclass(frozen=True)
@@ -208,9 +203,6 @@ class Annulus:
     def min_norm(self) -> float:
         return self.inner
 
-    def max_norm(self) -> float:
-        return self.outer
-
     def diameter(self) -> float:
         return 2.0 * self.outer
 
@@ -294,9 +286,6 @@ class SphericalCap:
         return self.sphere_radius
 
     def min_norm(self) -> float:
-        return self.sphere_radius
-
-    def max_norm(self) -> float:
         return self.sphere_radius
 
     def diameter(self) -> float:
@@ -448,9 +437,6 @@ class PuncturedSphere:
     def min_norm(self) -> float:
         return self.radius
 
-    def max_norm(self) -> float:
-        return self.radius
-
     def diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -503,9 +489,6 @@ class Box:
     def min_norm(self) -> float:
         return float(self.point_distance(np.zeros((1, self.dimension)))[0])
 
-    def max_norm(self) -> float:
-        return self.circumradius()
-
     def diameter(self) -> float:
         return float(np.linalg.norm(np.asarray(self.hi) - np.asarray(self.lo)))
 
@@ -555,21 +538,9 @@ class RegionSet:
         return RegionSet(len(coords), (Point(coords),))
 
     @staticmethod
-    def points(pts) -> "RegionSet":
-        arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        return RegionSet(arr.shape[1], tuple(Point(tuple(p)) for p in arr))
-
-    @staticmethod
     def ball(center, radius: float) -> "RegionSet":
         center = tuple(float(c) for c in np.atleast_1d(center))
         return RegionSet(len(center), (Ball(center, float(radius)),))
-
-    @staticmethod
-    def balls(centers, radius: float) -> "RegionSet":
-        arr = np.atleast_2d(np.asarray(centers, dtype=float))
-        return RegionSet(
-            arr.shape[1], tuple(Ball(tuple(c), float(radius)) for c in arr)
-        )
 
     @staticmethod
     def sphere(center, radius: float) -> "RegionSet":
@@ -585,11 +556,6 @@ class RegionSet:
     @staticmethod
     def empty(dimension: int) -> "RegionSet":
         return RegionSet(dimension, ())
-
-    def union(self, other: "RegionSet") -> "RegionSet":
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch in union")
-        return RegionSet(self.dimension, self.shapes + other.shapes)
 
     # -- queries ----------------------------------------------------------
 
@@ -625,16 +591,6 @@ class RegionSet:
     def volume(self) -> float:
         """Sum of primitive volumes (exact when solids do not overlap)."""
         return sum(s.volume() for s in self.shapes)
-
-    def min_norm(self) -> float:
-        if self.is_empty():
-            return math.inf
-        return min(s.min_norm() for s in self.shapes)
-
-    def max_norm(self) -> float:
-        if self.is_empty():
-            return -math.inf
-        return max(s.max_norm() for s in self.shapes)
 
     def is_surface(self) -> bool:
         return all(s.is_surface() for s in self.shapes)
@@ -702,15 +658,6 @@ def primitive_from_dict(rec: dict) -> Primitive:
             value = tuple(value)
         args.append(value)
     return cls(*args)
-
-
-def write_jsonl(records: Iterable[dict], fp: IO[str]) -> None:
-    for rec in records:
-        fp.write(json.dumps(rec) + "\n")
-
-
-def read_jsonl(fp: IO[str]) -> list[dict]:
-    return [json.loads(line) for line in fp if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -995,12 +942,12 @@ def _primitive_distance(p: Primitive, q: Primitive, step: float) -> float:
     if _is_radial(q):
         p, q = q, p
     if _is_radial(p):
-        lo, hi = p.min_norm(), p.max_norm()
+        lo, hi = p.min_norm(), p.circumradius()
         if isinstance(p, Sphere):
             lo = hi = p.radius
         elif isinstance(p, Ball):
             lo, hi = 0.0, p.radius
-        return max(0.0, lo - q.max_norm(), q.min_norm() - hi)
+        return max(0.0, lo - q.circumradius(), q.min_norm() - hi)
     if isinstance(p, Sphere) and isinstance(q, Sphere):
         dist = float(np.linalg.norm(np.asarray(p.center) - np.asarray(q.center)))
         r1, r2 = p.radius, q.radius

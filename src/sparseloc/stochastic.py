@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
+from .certify import require_scale_window, scale_window
 from .geometry import RegionSet
 from .models import RandomPotentialModel
 
@@ -95,8 +96,8 @@ def estimate_free_probability(
 def _relevant_site_indices(model: RandomPotentialModel, a: float, n: int) -> np.ndarray:
     """Sites whose badness can block some candidate annulus at scale n."""
     norms = model.sites.norms
-    lo, hi = a**n, max(a ** (n + 1), a**n + n)
-    return np.where((norms >= lo) & (norms <= hi))[0]
+    lo, _, reach = scale_window(a, n)
+    return np.where((norms >= lo) & (norms <= reach))[0]
 
 
 def estimate_a_n(
@@ -114,15 +115,7 @@ def estimate_a_n(
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    if a <= 1.0:
-        raise ValueError("a must be > 1")
-    window_needed = max(a ** (n + 1), a**n + n)
-    if model.sites.window_radius + 1e-9 < window_needed:
-        raise ValueError(
-            f"site window {model.sites.window_radius:.3f} does not cover radius "
-            f"{window_needed:.3f} needed at scale n={n}"
-        )
-    lo, hi = a**n, a ** (n + 1) - n
+    lo, hi, _ = require_scale_window(model.sites.window_radius, a, n)
     if hi < lo:
         return EstimateRecord(0.0, trials, 0.0, seed, 0.0)
     indices = _relevant_site_indices(model, a, n)
@@ -148,11 +141,10 @@ def brute_force_a_n(
     The blocked event depends on couplings only through the indicators
     {omega_i > eps}, so each site is a two-state variable with weights
     (1 - p_i(eps), p_i(eps)).  Sites with p on {0, 1} are resolved up
-    front; the 2^m budget applies to the undecided remainder.
+    front; the 2^m budget applies to the undecided remainder.  A site
+    window short of the scale's reach raises WindowTooSmallError.
     """
-    if a <= 1.0:
-        raise ValueError("a must be > 1")
-    lo, hi = a**n, a ** (n + 1) - n
+    lo, hi, _ = require_scale_window(model.sites.window_radius, a, n)
     if hi < lo:
         return 0.0
     indices = _relevant_site_indices(model, a, n)
@@ -293,7 +285,7 @@ def borel_cantelli_report(
     for n in range(n_range[0], n_range[1] + 1):
         sub_seed = _rng.derive_seed(seed, 1, n)
         est = estimate_a_n(model, eps, a, n, trials, sub_seed)
-        lo, hi = a**n, a ** (n + 1) - n
+        lo, hi, _ = scale_window(a, n)
         degenerate = hi < lo
         exact: float | None = est.exact
         if exact is None:

@@ -32,6 +32,17 @@ def certify_cfg(output_dir, seeds=(1, 2)):
     }
 
 
+def window_cfg(tmp_path, pipeline, params):
+    """`pipeline` with `params` on a d=1 lattice of radius 40 (radial Bernoulli
+    tau=2, indicator radius 0.5)."""
+    cfg = certify_cfg(tmp_path / "out")
+    cfg["pipeline"] = pipeline
+    cfg["model"] = lattice_model_cfg(d=1, radius=40.0, tau=2.0)
+    cfg["model"]["potential"]["radius"] = 0.5
+    cfg["parameters"] = {"eps": 0.1, **params}
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
@@ -79,6 +90,28 @@ class TestValidation:
         result = runner.invoke(cli.main, ["validate", str(path)])
         assert result.exit_code == 2
         assert "window" in result.output
+
+    @pytest.mark.parametrize(
+        "pipeline,params",
+        [
+            # the cells sample `window`, not the whole site radius 40
+            ("certify-sparse", {"gammas": [1.0], "n_range": [1, 4], "window": 10}),
+            ("certify-sparse", {"gammas": [1.0], "n_range": [1, 4], "window": 100}),
+            ("spectral-probe", {"box": 12, "h": 0.1, "window": 8}),
+        ],
+    )
+    def test_cell_window_too_small_rejected(self, tmp_path, pipeline, params):
+        path = write_config(tmp_path, window_cfg(tmp_path, pipeline, params))
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert "window radius" in result.output
+
+    def test_window_covering_the_scan_ok(self, tmp_path):
+        # gamma=1 in d=1 gives a=2; scale 4 reaches radius 2^5 = 32
+        params = {"gammas": [1.0], "n_range": [1, 4], "window": 32}
+        path = write_config(tmp_path, window_cfg(tmp_path, "certify-sparse", params))
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 0, result.output
 
     def test_model_file_indirection(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -325,21 +358,42 @@ class TestPlotData:
 
 
 class TestOracleCommand:
-    def test_oracle_an_matches_library(self):
+    @staticmethod
+    def check_matches_library(radius_args, radius):
         runner = CliRunner()
         result = runner.invoke(
             cli.main,
-            ["oracle", "an", "--dimension", "1", "--p", "0.5", "--radius", "16",
+            ["oracle", "an", "--dimension", "1", "--p", "0.5", *radius_args,
              "--a", "2.0", "--n", "2", "--eps", "0.5"],
         )
         assert result.exit_code == 0, result.output
         model = m.RandomPotentialModel(
-            sites=m.SiteSet.lattice(1, 16.0),
+            sites=m.SiteSet.lattice(1, radius),
             potential=m.SingleSitePotential.indicator(1.0, 1.0),
             laws=m.LawAssignment.shared_law(m.CouplingLaw.bernoulli(0.5)),
         )
         want = st.brute_force_a_n(model, 0.5, 2.0, 2)
         assert float(result.output.strip()) == pytest.approx(want, abs=1e-12)
+
+    def test_oracle_an_matches_library(self):
+        self.check_matches_library(["--radius", "16"], 16.0)
+
+    def test_oracle_an_default_radius_matches_library(self):
+        # without --radius the lattice reaches one past the scale's reach, 8 + 1
+        self.check_matches_library([], 9.0)
+
+    def test_oracle_short_window_exit_code(self, tmp_path):
+        # scale 3 at a=2 reaches radius 16; the model's lattice stops at 10
+        model_cfg = lattice_model_cfg(d=1, radius=10.0)
+        model_cfg["law"] = {"kind": "bernoulli", "p": 0.5}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_cfg))
+        result = CliRunner().invoke(
+            cli.main,
+            ["oracle", "an", "--model", str(path), "--a", "2", "--n", "3", "--eps", "0.5"],
+        )
+        assert result.exit_code == 1
+        assert "oracle error: window radius 10.000 does not cover radius 16.000" in result.output
 
     def test_oracle_budget_error_exit_code(self, tmp_path):
         model_cfg = lattice_model_cfg(d=2, radius=40.0, tau=0.0)

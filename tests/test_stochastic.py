@@ -219,6 +219,14 @@ class TestBruteForceAN:
         monkeypatch.setattr(st, "_BLOCK_DRAWS", 1 << 10)
         assert st.brute_force_a_n(model, 0.5, a=2.0, n=3) == 0.6247075422930087
 
+    def test_window_guard(self):
+        # scale 3 at a=2 needs sites out to radius 16
+        assert st.brute_force_a_n(bernoulli_lattice(radius=20.0), 0.5, a=2.0, n=3) == (
+            0.93768310546875
+        )
+        with pytest.raises(m.WindowTooSmallError, match="window radius 10.000"):
+            st.brute_force_a_n(bernoulli_lattice(radius=10.0), 0.5, a=2.0, n=3)
+
     def test_budget(self):
         model = bernoulli_lattice(d=2, radius=40.0, p=0.5)
         with pytest.raises(st.BudgetExceededError):
