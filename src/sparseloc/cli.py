@@ -19,6 +19,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import jsonschema
@@ -48,7 +49,14 @@ from .stochastic import borel_cantelli_report, brute_force_a_n
 
 import numpy as np
 
-PIPELINES = ("certify-sparse", "certify-quasi1d", "lemma-mc", "spectral-probe", "full-report")
+# pipeline -> the stages it runs, in order (STAGES names each stage's cell)
+PIPELINES = {
+    "certify-sparse": ("certify-sparse",),
+    "certify-quasi1d": ("certify-quasi1d",),
+    "lemma-mc": ("lemma-mc",),
+    "spectral-probe": ("spectral-probe",),
+    "full-report": ("certify-sparse", "lemma-mc", "spectral-probe"),
+}
 
 MODEL_SCHEMA = {
     "type": "object",
@@ -178,62 +186,68 @@ def _json_path(err: jsonschema.ValidationError) -> str:
     )
 
 
-def load_config(path: str | Path) -> dict:
-    """Parse and validate a config file; raises ConfigError with diagnostics."""
-    path = Path(path)
+def _read_json(path: Path, label: str):
+    """Parse the JSON file `path`; a syntax error is reported as `label:line:col: msg`."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
+        raise ConfigError([f"{label}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
+
+
+def _check_schema(schema: dict, instance, prefix: str = "") -> None:
     errors = [
-        f"{_json_path(e)}: {e.message}"
-        for e in jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg)
+        f"{prefix}{_json_path(e)}: {e.message}"
+        for e in jsonschema.Draft202012Validator(schema).iter_errors(instance)
     ]
     if errors:
         raise ConfigError(sorted(errors))
-    errors = _semantic_errors(cfg, path.parent)
+
+
+def load_config(path: str | Path) -> dict:
+    """Parse and validate a config file; raises ConfigError with diagnostics.
+
+    A `model_file` is read into `model`, so a config is checked the same
+    way whichever of the two holds its model, up to building the model.
+    """
+    path = Path(path)
+    cfg = _read_json(path, str(path))
+    _check_schema(CONFIG_SCHEMA, cfg)
+    if ("model" in cfg) == ("model_file" in cfg):
+        raise ConfigError(["$.model: exactly one of model / model_file is required"])
+    if "model_file" in cfg:
+        model_path = path.parent / cfg["model_file"]
+        if not model_path.exists():
+            raise ConfigError([f"$.model_file: {cfg['model_file']} does not exist"])
+        model = _read_json(model_path, f"model_file {model_path}")
+        _check_schema(MODEL_SCHEMA, model, "model_file ")
+        cfg = {**cfg, "model": model}
+    errors = _semantic_errors(cfg)
     if errors:
         raise ConfigError(errors)
-    if "model_file" in cfg:
-        model_path = (path.parent / cfg["model_file"]).resolve()
-        cfg = dict(cfg)
-        cfg["model"] = json.loads(model_path.read_text())
-        model_errors = [
-            f"model_file {_json_path(e)}: {e.message}"
-            for e in jsonschema.Draft202012Validator(MODEL_SCHEMA).iter_errors(cfg["model"])
-        ]
-        if model_errors:
-            raise ConfigError(sorted(model_errors))
+    try:
+        model_from_dict(cfg["model"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError([f"$.model: {type(exc).__name__}: {exc}"]) from exc
     return cfg
 
 
-def _semantic_errors(cfg: dict, base_dir: Path) -> list[str]:
-    errors: list[str] = []
-    if ("model" in cfg) == ("model_file" in cfg):
-        errors.append("$.model: exactly one of model / model_file is required")
-        return errors
-    if "model_file" in cfg and not (base_dir / cfg["model_file"]).exists():
-        errors.append(f"$.model_file: {cfg['model_file']} does not exist")
-        return errors
+def _semantic_errors(cfg: dict) -> list[str]:
     params = cfg.get("parameters", {})
     pipeline = cfg["pipeline"]
-    need = {
-        "certify-sparse": ["eps", "gammas", "n_range"],
-        "certify-quasi1d": ["eps", "gammas", "n_range", "a"],
-        "lemma-mc": ["eps", "a", "n_range", "trials"],
-        "spectral-probe": ["eps", "box", "h"],
-        "full-report": ["eps", "gammas", "n_range", "a", "trials", "box", "h"],
-    }[pipeline]
-    for key in need:
-        if key not in params:
-            errors.append(f"$.parameters.{key}: required for pipeline {pipeline}")
+    stages = PIPELINES[pipeline]
+    need = dict.fromkeys(key for stage in stages for key in STAGES[stage].params)
+    errors = [
+        f"$.parameters.{key}: required for pipeline {pipeline}"
+        for key in need
+        if key not in params
+    ]
     if "n_range" in params and params["n_range"][0] > params["n_range"][1]:
         errors.append("$.parameters.n_range: lower bound exceeds upper bound")
-    if errors or "model" not in cfg:
+    if errors:
         return errors
 
     model_cfg = cfg["model"]
@@ -246,19 +260,19 @@ def _semantic_errors(cfg: dict, base_dir: Path) -> list[str]:
     if window > site_radius:
         return [f"$.parameters.window: window radius {window:.2f} > site radius {site_radius:.2f}"]
     scale_checks = []  # (radius the cells read, growth ratio, what sets the ratio)
-    if pipeline in ("certify-sparse", "full-report"):
+    if "certify-sparse" in stages:
         for gamma in params["gammas"]:
             scale_checks.append((window, growth_ratio(d - 1, gamma)[1], f"gamma={gamma}"))
-    if pipeline == "certify-quasi1d":
+    if "certify-quasi1d" in stages:
         scale_checks.append((window, params["a"], f"a={params['a']}"))
-    if pipeline in ("lemma-mc", "full-report"):
+    if "lemma-mc" in stages:
         scale_checks.append((site_radius, params["a"], f"a={params['a']}"))
     for radius, a, label in scale_checks:
         try:
             require_scale_window(radius, a, params["n_range"][1])
         except WindowTooSmallError as exc:
             errors.append(f"$.parameters.n_range: at {label}: {exc}")
-    if pipeline in ("spectral-probe", "full-report"):
+    if "spectral-probe" in stages:
         needed = params["box"] * math.sqrt(d) + model_cfg["potential"]["radius"]
         if needed > window:
             errors.append(
@@ -293,26 +307,37 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fp:
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w") as fp:
-        for rec in records:
-            fp.write(json.dumps(rec, sort_keys=True) + "\n")
+# data file -> its header; every CSV the CLI writes, plotdata's projections included
+CSV_COLUMNS = {
+    "certificate_terms.csv": ("seed", "gamma", "scale", "member", "role", "clearance",
+                              "surface", "term"),
+    "free_annuli.csv": ("seed", "gamma", "scale", "found", "inner_radius", "degenerate"),
+    "member_counts.csv": ("seed", "scale", "sites_near", "distinct_caps", "raw_bound",
+                          "scaled_bound"),
+    "an_rows.csv": ("seed", "n", "exact", "estimate", "std_error", "bound", "eta", "vacuous",
+                    "degenerate", "partial_sum"),
+    "states.csv": ("seed", "energy", "ipr", "decay_rate", "decay_quality", "center", "in_gap"),
+    "resolvent_rates.csv": ("seed", "energy", "gap_distance", "rate", "quality"),
+    "an_series.csv": ("n", "exact", "estimate", "stderr", "bound"),
+    "terms_vs_n.csv": ("seed", "gamma", "n", "delta", "sigma", "term"),
+    "ipr_vs_energy.csv": ("seed", "energy", "ipr", "in_gap"),
+    "rate_vs_gap_distance.csv": ("energy", "gap_distance", "rate", "quality"),
+}
 
 
 def _write_outputs(outdir: Path, files: dict) -> list[str]:
-    """Write each `{name: (header, rows) | records}` entry; returns the names."""
+    """Write each `{name: rows | records}` entry; returns the names.
+
+    A `.csv` gets the header CSV_COLUMNS[name] and one line of cells per
+    row; any other file gets one JSON line per record.
+    """
     for name, data in files.items():
-        if name.endswith(".csv"):
-            _write_csv(outdir / name, *data)
-        else:
-            _write_jsonl(outdir / name, data)
+        with open(outdir / name, "w") as fp:
+            if name.endswith(".csv"):
+                fp.write(",".join(CSV_COLUMNS[name]) + "\n")
+                fp.writelines(",".join(_fmt(x) for x in row) + "\n" for row in data)
+            else:
+                fp.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in data)
     return list(files)
 
 
@@ -343,18 +368,9 @@ def _call_cell(job: tuple) -> dict:
         raise failure from exc
 
 
-def _run_cells(fn, cfg: dict, stage: str, cells: list[tuple]) -> list:
-    """fn(cfg, stage, seed, gamma) for each (seed, gamma) cell, in cell order."""
-    jobs = [(fn, cfg, stage, seed, gamma) for seed, gamma in cells]
-    if _workers() <= 1 or len(jobs) <= 1:
-        return [_call_cell(job) for job in jobs]
-    with multiprocessing.Pool(_workers()) as pool:
-        # imap yields in cell order, so the first failing cell is reported
-        return list(pool.imap(_call_cell, jobs))
-
-
 # ---------------------------------------------------------------------------
-# Pipeline cells (module-level for multiprocessing)
+# Pipeline cells (module-level for multiprocessing); each returns
+# {data file: rows (CSV, in CSV_COLUMNS order) or records (JSONL)}
 # ---------------------------------------------------------------------------
 
 
@@ -381,32 +397,26 @@ def _certify_cell(cfg: dict, stage: str, seed: int, gamma: float) -> dict:
     head.update({"seed": seed, "gamma": gamma})
     td_records = td.to_records()
     td_records[0].update({"seed": seed, "gamma": gamma})
-    return {
-        "seed": seed,
-        "gamma": gamma,
-        "summary": head,
-        "decomposition": td_records,
-        "terms": [
+    files = {
+        "certificates.jsonl": [head],
+        "decompositions.jsonl": td_records,
+        "certificate_terms.csv": [
             [seed, gamma, t.scale, t.member, t.role, t.clearance, t.surface, t.value]
             for t in cert.terms
         ],
-        "free": [
-            [
-                seed,
-                gamma,
-                rec["scale"],
-                int(rec["free"]),
-                rec["inner_radius"],
-                int(rec["degenerate"]),
-            ]
+        "free_annuli.csv": [
+            [seed, gamma, rec["scale"], int(rec["free"]), rec["inner_radius"],
+             int(rec["degenerate"])]
             for rec in td.params["free_records"]
         ],
-        "cap_counts": [
+    }
+    if stage == "certify-quasi1d":
+        files["member_counts.csv"] = [
             [seed, row["scale"], row["sites_near"], row["distinct_caps"],
              row["raw_bound"], row["scaled_bound"]]
-            for row in td.params.get("cap_counts", [])
-        ],
-    }
+            for row in td.params["cap_counts"]
+        ]
+    return files
 
 
 def _lemma_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
@@ -416,23 +426,12 @@ def _lemma_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
         model, params["eps"], params["a"], tuple(params["n_range"]), params["trials"], seed
     )
     return {
-        "seed": seed,
-        "verdict": report.verdict,
-        "rows": [
-            [
-                seed,
-                r.scale,
-                r.exact,
-                r.estimate,
-                r.std_error,
-                r.bound,
-                r.bound_eta,
-                r.bound_vacuous,
-                r.degenerate,
-                r.partial_sum,
-            ]
+        "an_rows.csv": [
+            [seed, r.scale, r.exact, r.estimate, r.std_error, r.bound, r.bound_eta,
+             r.bound_vacuous, r.degenerate, r.partial_sum]
             for r in report.rows
         ],
+        "an_verdicts.jsonl": [{"record": "an_verdict", "seed": seed, "verdict": report.verdict}],
     }
 
 
@@ -449,21 +448,24 @@ def _spectral_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
             fit = resolvent_decay(reference, float(energy))
         except ValueError:
             continue
-        rate_rows.append(
-            [seed, fit.energy, fit.spectrum_distance, fit.rate, fit.quality]
-        )
+        rate_rows.append([seed, fit.energy, fit.spectrum_distance, fit.rate, fit.quality])
     return {
-        "seed": seed,
-        "verdict": report.verdict,
-        "gap_median_ipr": report.gap_median_ipr,
-        "bulk_median_ipr": report.bulk_median_ipr,
-        "boundary_max_amplitude": report.boundary_max_amplitude,
-        "states": [
+        "states.csv": [
             [seed, s.energy, s.ipr, s.decay_rate, s.decay_quality, s.center, s.in_gap]
             for s in report.states
         ],
-        "rates": rate_rows,
-        "checks": [list(c) for c in report.resolvent_checks],
+        "resolvent_rates.csv": rate_rows,
+        "localization.jsonl": [
+            {
+                "record": "localization",
+                "seed": seed,
+                "verdict": report.verdict,
+                "gap_median_ipr": report.gap_median_ipr,
+                "bulk_median_ipr": report.bulk_median_ipr,
+                "boundary_max_amplitude": report.boundary_max_amplitude,
+                "resolvent_checks": [list(c) for c in report.resolvent_checks],
+            }
+        ],
     }
 
 
@@ -472,68 +474,37 @@ def _spectral_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _stage_certify(cfg: dict, pipeline: str) -> dict:
-    cells = [(seed, gamma) for seed in cfg["seeds"] for gamma in cfg["parameters"]["gammas"]]
-    results = _run_cells(_certify_cell, cfg, pipeline, cells)
-    files = {
-        "certificates.jsonl": [r["summary"] for r in results],
-        "decompositions.jsonl": [rec for r in results for rec in r["decomposition"]],
-        "certificate_terms.csv": (
-            ["seed", "gamma", "scale", "member", "role", "clearance", "surface", "term"],
-            [row for r in results for row in r["terms"]],
-        ),
-        "free_annuli.csv": (
-            ["seed", "gamma", "scale", "found", "inner_radius", "degenerate"],
-            [row for r in results for row in r["free"]],
-        ),
-    }
-    if pipeline == "certify-quasi1d":
-        files["member_counts.csv"] = (
-            ["seed", "scale", "sites_near", "distinct_caps", "raw_bound", "scaled_bound"],
-            [row for r in results for row in r["cap_counts"]],
-        )
+class Stage(NamedTuple):
+    cell: Callable[[dict, str, int, float | None], dict]
+    params: tuple[str, ...]  # required parameters
+
+
+# A stage that requires `gammas` runs one cell per (seed, gamma), any other
+# one cell per seed.
+STAGES = {
+    "certify-sparse": Stage(_certify_cell, ("eps", "gammas", "n_range")),
+    "certify-quasi1d": Stage(_certify_cell, ("eps", "gammas", "n_range", "a")),
+    "lemma-mc": Stage(_lemma_cell, ("eps", "a", "n_range", "trials")),
+    "spectral-probe": Stage(_spectral_cell, ("eps", "box", "h")),
+}
+
+
+def _run_stage(cfg: dict, stage: str) -> dict:
+    """Run the stage's cells; each data file gets the cells' rows in cell order."""
+    cell, params = STAGES[stage]
+    gammas = cfg["parameters"]["gammas"] if "gammas" in params else [None]
+    jobs = [(cell, cfg, stage, seed, gamma) for seed in cfg["seeds"] for gamma in gammas]
+    if _workers() <= 1 or len(jobs) <= 1:
+        results = [_call_cell(job) for job in jobs]
+    else:
+        with multiprocessing.Pool(_workers()) as pool:
+            # imap yields in cell order, so the first failing cell is reported
+            results = list(pool.imap(_call_cell, jobs))
+    files: dict[str, list] = {}
+    for result in results:
+        for name, rows in result.items():
+            files.setdefault(name, []).extend(rows)
     return files
-
-
-def _stage_lemma(cfg: dict) -> dict:
-    results = _run_cells(_lemma_cell, cfg, "lemma-mc", [(seed, None) for seed in cfg["seeds"]])
-    return {
-        "an_rows.csv": (
-            ["seed", "n", "exact", "estimate", "std_error", "bound", "eta",
-             "vacuous", "degenerate", "partial_sum"],
-            [row for r in results for row in r["rows"]],
-        ),
-        "an_verdicts.jsonl": [
-            {"record": "an_verdict", "seed": r["seed"], "verdict": r["verdict"]} for r in results
-        ],
-    }
-
-
-def _stage_spectral(cfg: dict) -> dict:
-    cells = [(seed, None) for seed in cfg["seeds"]]
-    results = _run_cells(_spectral_cell, cfg, "spectral-probe", cells)
-    return {
-        "states.csv": (
-            ["seed", "energy", "ipr", "decay_rate", "decay_quality", "center", "in_gap"],
-            [row for r in results for row in r["states"]],
-        ),
-        "resolvent_rates.csv": (
-            ["seed", "energy", "gap_distance", "rate", "quality"],
-            [row for r in results for row in r["rates"]],
-        ),
-        "localization.jsonl": [
-            {
-                "record": "localization",
-                "seed": r["seed"],
-                "verdict": r["verdict"],
-                "gap_median_ipr": r["gap_median_ipr"],
-                "bulk_median_ipr": r["bulk_median_ipr"],
-                "boundary_max_amplitude": r["boundary_max_amplitude"],
-                "resolvent_checks": r["checks"],
-            }
-            for r in results
-        ],
-    }
 
 
 def run(config: dict | str | Path, config_path: Path | None = None) -> dict:
@@ -547,22 +518,10 @@ def run(config: dict | str | Path, config_path: Path | None = None) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     pipeline = config["pipeline"]
     stages: list[dict] = []
-
-    def run_stage(name, fn, *args):
+    for stage in PIPELINES[pipeline]:
         t0 = time.monotonic()
-        outputs = _write_outputs(outdir, fn(config, *args))
-        stages.append({"name": name, "outputs": outputs, "wall_s": time.monotonic() - t0})
-
-    if pipeline in ("certify-sparse", "certify-quasi1d"):
-        run_stage(pipeline, _stage_certify, pipeline)
-    elif pipeline == "lemma-mc":
-        run_stage(pipeline, _stage_lemma)
-    elif pipeline == "spectral-probe":
-        run_stage(pipeline, _stage_spectral)
-    elif pipeline == "full-report":
-        run_stage("certify-sparse", _stage_certify, "certify-sparse")
-        run_stage("lemma-mc", _stage_lemma)
-        run_stage("spectral-probe", _stage_spectral)
+        outputs = _write_outputs(outdir, _run_stage(config, stage))
+        stages.append({"name": stage, "outputs": outputs, "wall_s": time.monotonic() - t0})
     manifest = {
         "record": "run_manifest",
         "tool_version": __version__,
@@ -571,7 +530,7 @@ def run(config: dict | str | Path, config_path: Path | None = None) -> dict:
         "output_dir": str(outdir),
     }
     records = [manifest] + [{"record": "stage", **s} for s in stages]
-    _write_jsonl(outdir / "manifest.jsonl", records)
+    _write_outputs(outdir, {"manifest.jsonl": records})
     manifest["stages"] = stages
     return manifest
 
@@ -581,43 +540,38 @@ def run(config: dict | str | Path, config_path: Path | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# (stages that write the source, source csv, target csv, [(column, source column)])
-PLOT_SERIES = (
-    (("lemma-mc",), "an_rows.csv", "an_series.csv",
-     [("n", "n"), ("exact", "exact"), ("estimate", "estimate"), ("stderr", "std_error"),
-      ("bound", "bound")]),
-    (("certify-sparse", "certify-quasi1d"), "certificate_terms.csv", "terms_vs_n.csv",
-     [("seed", "seed"), ("gamma", "gamma"), ("n", "scale"), ("delta", "clearance"),
-      ("sigma", "surface"), ("term", "term")]),
-    (("spectral-probe",), "states.csv", "ipr_vs_energy.csv",
-     [("seed", "seed"), ("energy", "energy"), ("ipr", "ipr"), ("in_gap", "in_gap")]),
-    (("spectral-probe",), "resolvent_rates.csv", "rate_vs_gap_distance.csv",
-     [("energy", "energy"), ("gap_distance", "gap_distance"), ("rate", "rate"),
-      ("quality", "quality")]),
-)
+# target csv -> (source csv, the source columns under CSV_COLUMNS[target])
+PLOT_SERIES = {
+    "an_series.csv": ("an_rows.csv", ("n", "exact", "estimate", "std_error", "bound")),
+    "terms_vs_n.csv": ("certificate_terms.csv",
+                       ("seed", "gamma", "scale", "clearance", "surface", "term")),
+    "ipr_vs_energy.csv": ("states.csv", ("seed", "energy", "ipr", "in_gap")),
+    "rate_vs_gap_distance.csv": ("resolvent_rates.csv",
+                                 ("energy", "gap_distance", "rate", "quality")),
+}
 
 
 def emit_plotdata(manifest_path: str | Path) -> list[str]:
-    """Project stage outputs onto the per-figure CSV series of PLOT_SERIES."""
+    """Project the data files the manifest's stages wrote onto PLOT_SERIES."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest {manifest_path} does not exist")
     outdir = manifest_path.parent
     records = [json.loads(line) for line in manifest_path.read_text().splitlines()]
-    stage_names = {rec["name"] for rec in records if rec.get("record") == "stage"}
-    if not stage_names:
+    stages = [rec for rec in records if rec.get("record") == "stage"]
+    if not stages:
         raise ValueError("manifest lists no completed stages")
-    written: list[str] = []
-    for stages, source, target, columns in PLOT_SERIES:
-        if stage_names.isdisjoint(stages):
+    outputs = {name for rec in stages for name in rec["outputs"]}
+    files = {}
+    for target, (source, columns) in PLOT_SERIES.items():
+        if source not in outputs:
             continue
         lines = (outdir / source).read_text().splitlines()
         col = {name: i for i, name in enumerate(lines[0].split(","))}
-        picks = [col[src] for _, src in columns]
-        rows = [[fields[i] for i in picks] for fields in (line.split(",") for line in lines[1:])]
-        _write_csv(outdir / target, [out for out, _ in columns], rows)
-        written.append(target)
-    return written
+        picks = [col[name] for name in columns]
+        rows = (line.split(",") for line in lines[1:])
+        files[target] = [[fields[i] for i in picks] for fields in rows]
+    return _write_outputs(outdir, files)
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +585,20 @@ def main() -> None:
     """Sparse random Schrodinger operators: certify, estimate, probe."""
 
 
-@main.command("run")
-@click.argument("config", type=click.Path())
-def cmd_run(config: str) -> None:
-    """Run the pipeline described by CONFIG (JSON)."""
+def _load_config_or_exit(config: str) -> dict:
     try:
-        cfg = load_config(config)
+        return load_config(config)
     except ConfigError as exc:
         for line in exc.errors:
             click.echo(f"config error: {line}", err=True)
         sys.exit(2)
+
+
+@main.command("run")
+@click.argument("config", type=click.Path())
+def cmd_run(config: str) -> None:
+    """Run the pipeline described by CONFIG (JSON)."""
+    cfg = _load_config_or_exit(config)
     try:
         manifest = run(cfg, config_path=Path(config))
     except Exception as exc:  # stage failure
@@ -656,12 +614,7 @@ def cmd_run(config: str) -> None:
 @click.argument("config", type=click.Path())
 def cmd_validate(config: str) -> None:
     """Validate CONFIG without running anything."""
-    try:
-        load_config(config)
-    except ConfigError as exc:
-        for line in exc.errors:
-            click.echo(f"config error: {line}", err=True)
-        sys.exit(2)
+    _load_config_or_exit(config)
     click.echo("ok")
     sys.exit(0)
 

@@ -485,7 +485,7 @@ class TestCertificateIO:
         assert len(recs) == 1 + len(cert.terms)
         # the CLI's JSONL writer is the one path to a file; the infinite
         # clearances against the empty set must come out as null
-        cli._write_jsonl(tmp_path / "cert.jsonl", recs)
+        cli._write_outputs(tmp_path, {"cert.jsonl": recs})
         lines = (tmp_path / "cert.jsonl").read_text().splitlines()
         assert [json.loads(line)["record"] for line in lines] == [r["record"] for r in recs]
         assert "Infinity" not in "".join(lines[1:])

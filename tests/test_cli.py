@@ -132,6 +132,58 @@ class TestValidation:
         result = runner.invoke(cli.main, ["validate", str(path)])
         assert result.exit_code == 2
 
+    def test_model_file_gets_the_model_checks(self, tmp_path):
+        params = {"gammas": [1.0], "n_range": [1, 4], "window": 10}
+        inline = window_cfg(tmp_path, "certify-sparse", params)
+        (tmp_path / "model.json").write_text(json.dumps(inline["model"]))
+        from_file = {key: value for key, value in inline.items() if key != "model"}
+        from_file["model_file"] = "model.json"
+        outputs = []
+        for name, cfg in [("inline.json", inline), ("from_file.json", from_file)]:
+            path = write_config(tmp_path, cfg, name)
+            result = CliRunner().invoke(cli.main, ["validate", str(path)])
+            assert result.exit_code == 2
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("config error: $.parameters.n_range: at gamma=1.0: window")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_malformed_model_file_reports_line(self, tmp_path, command):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"dimension": 1,\n "sites": }')
+        cfg = certify_cfg(tmp_path / "out")
+        del cfg["model"]
+        cfg["model_file"] = "model.json"
+        result = CliRunner().invoke(cli.main, [command, str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == f"config error: model_file {model_path}:2:11: Expecting value\n"
+
+    @pytest.mark.parametrize(
+        "part,fields,missing",
+        [
+            ("sites", {"generator": "lattice"}, "radius"),
+            ("law", {"kind": "bernoulli"}, "p"),
+            ("law", {"kind": "radial_bernoulli"}, "tau"),
+            ("background", {"kind": "constant"}, "value"),
+        ],
+    )
+    def test_unbuildable_model_rejected(self, tmp_path, part, fields, missing):
+        cfg = certify_cfg(tmp_path / "out")
+        cfg["model"][part] = fields
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == f"config error: $.model: KeyError: '{missing}'\n"
+
+    def test_required_parameters_in_stage_order(self, tmp_path):
+        cfg = window_cfg(tmp_path, "full-report", {})
+        cfg["parameters"] = {}
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"config error: $.parameters.{key}: required for pipeline full-report"
+            for key in ["eps", "gammas", "n_range", "a", "trials", "box", "h"]
+        ]
+
 
 class TestRunPipelines:
     def test_certify_sparse_outputs(self, tmp_path):
@@ -230,6 +282,40 @@ class TestRunPipelines:
         cli.run(cli.load_config(p2), config_path=p2)
         for name in ["certificates.jsonl", "certificate_terms.csv", "free_annuli.csv"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestStageLayout:
+    """The stages each pipeline runs and the data files each stage writes, as
+    the manifest records them; benchmark stage metrics read these names."""
+
+    CERTIFY_FILES = ["certificates.jsonl", "decompositions.jsonl", "certificate_terms.csv",
+                     "free_annuli.csv"]
+
+    @staticmethod
+    def stage_records(cfg):
+        cli.run(cfg)
+        manifest = Path(cfg["output_dir"]) / "manifest.jsonl"
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        return [(r["name"], r["outputs"]) for r in records if r["record"] == "stage"]
+
+    def test_full_report_stages(self, tmp_path):
+        params = {"gammas": [1.0], "n_range": [1, 3], "a": 2.0, "trials": 50, "box": 6.0,
+                  "h": 0.2}
+        assert self.stage_records(window_cfg(tmp_path, "full-report", params)) == [
+            ("certify-sparse", self.CERTIFY_FILES),
+            ("lemma-mc", ["an_rows.csv", "an_verdicts.jsonl"]),
+            ("spectral-probe", ["states.csv", "resolvent_rates.csv", "localization.jsonl"]),
+        ]
+
+    def test_certify_quasi1d_stages(self, tmp_path):
+        cfg = certify_cfg(tmp_path / "out", seeds=(1,))
+        cfg["pipeline"] = "certify-quasi1d"
+        cfg["model"]["sites"] = {"generator": "tube", "radius": 70.0}
+        cfg["model"]["law"] = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+        cfg["parameters"] = {"eps": 0.95, "gammas": [1.0], "n_range": [2, 4], "a": 2.0}
+        assert self.stage_records(cfg) == [
+            ("certify-quasi1d", self.CERTIFY_FILES + ["member_counts.csv"]),
+        ]
 
 
 class TestFailuresAndWarnings:
