@@ -233,11 +233,10 @@ def difference_support(
     certificates sound.
     """
     mask = couplings.values > eps
-    shapes = []
-    for j in np.where(mask)[0]:
-        idx = int(couplings.site_indices[j])
-        rho = model.potential_for(idx).support_radius
-        shapes.append(Ball(tuple(couplings.points[j]), rho))
+    shapes = [
+        Ball(tuple(point), model.potential_for(int(idx)).support_radius)
+        for idx, point in zip(couplings.site_indices[mask], couplings.points[mask])
+    ]
     return RegionSet(model.dimension, tuple(shapes))
 
 

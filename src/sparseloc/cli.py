@@ -10,6 +10,7 @@ which must not change any output byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ import os
 import sys
 import time
 import traceback
+from collections import defaultdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -357,15 +359,21 @@ class CellFailure(Exception):
     """
 
 
+def _cell_failure(exc: Exception, stage: str, seed: int, gamma: float | None) -> CellFailure:
+    where = f"{stage} seed={seed}" if gamma is None else f"{stage} seed={seed} gamma={gamma}"
+    failure = CellFailure(f"{where}: {type(exc).__name__}: {exc}")
+    failure.at = _innermost_frame(exc)
+    return failure
+
+
 def _call_cell(job: tuple) -> dict:
-    fn, cfg, stage, seed, gamma = job
+    fn, cfg, stage, seed = job
     try:
-        return fn(cfg, stage, seed, gamma)
+        return fn(cfg, stage, seed)
+    except CellFailure:
+        raise
     except Exception as exc:
-        where = f"{stage} seed={seed}" if gamma is None else f"{stage} seed={seed} gamma={gamma}"
-        failure = CellFailure(f"{where}: {type(exc).__name__}: {exc}")
-        failure.at = _innermost_frame(exc)
-        raise failure from exc
+        raise _cell_failure(exc, stage, seed, None) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -380,46 +388,53 @@ def _zero_couplings(model, window):
     return CouplingMap(model, indices, np.zeros(len(indices)), None, radius, "zero")
 
 
-def _certify_cell(cfg: dict, stage: str, seed: int, gamma: float) -> dict:
+def _certify_cell(cfg: dict, stage: str, seed: int) -> dict:
+    """One seed's rows, gamma by gamma.  The gamma-free work is done once, and
+    a failure in it is named with the seed's first gamma."""
     params = cfg["parameters"]
-    model = model_from_dict(cfg["model"])
-    cm = sample_couplings(model, seed, params.get("window"))
     eps, n_range = params["eps"], tuple(params["n_range"])
-    if stage == "certify-quasi1d":
-        td = build_decomposition_quasi1d(
-            cm, eps, gamma, alpha=params.get("alpha", 2.0), a=params["a"], n_range=n_range
-        )
-    else:
-        td = build_decomposition_sparse(cm, eps, gamma, n_range=n_range)
-    diff = difference_support(model, cm, eps)
-    cert = certify_ac(td, diff, gamma)
-    head = cert.to_records()[0]
-    head.update({"seed": seed, "gamma": gamma})
-    td_records = td.to_records()
-    td_records[0].update({"seed": seed, "gamma": gamma})
-    files = {
-        "certificates.jsonl": [head],
-        "decompositions.jsonl": td_records,
-        "certificate_terms.csv": [
-            [seed, gamma, t.scale, t.member, t.role, t.clearance, t.surface, t.value]
-            for t in cert.terms
-        ],
-        "free_annuli.csv": [
-            [seed, gamma, rec["scale"], int(rec["free"]), rec["inner_radius"],
-             int(rec["degenerate"])]
-            for rec in td.params["free_records"]
-        ],
-    }
-    if stage == "certify-quasi1d":
-        files["member_counts.csv"] = [
-            [seed, row["scale"], row["sites_near"], row["distinct_caps"],
-             row["raw_bound"], row["scaled_bound"]]
-            for row in td.params["cap_counts"]
-        ]
-    return files
+    gamma = params["gammas"][0]
+    files = defaultdict(list)
+    try:
+        model = model_from_dict(cfg["model"])
+        cm = sample_couplings(model, seed, params.get("window"))
+        diff = difference_support(model, cm, eps)
+        if stage == "certify-quasi1d":  # its members do not depend on gamma
+            shared = build_decomposition_quasi1d(
+                cm, eps, gamma, alpha=params.get("alpha", 2.0), a=params["a"], n_range=n_range
+            )
+        for gamma in params["gammas"]:
+            if stage == "certify-quasi1d":
+                td = dataclasses.replace(shared, gamma=gamma)
+            else:
+                td = build_decomposition_sparse(cm, eps, gamma, n_range=n_range)
+            cert = certify_ac(td, diff, gamma)
+            head, td_records = cert.to_records()[0], td.to_records()
+            for rec in (head, td_records[0]):
+                rec.update({"seed": seed, "gamma": gamma})
+            files["certificates.jsonl"].append(head)
+            files["decompositions.jsonl"].extend(td_records)
+            files["certificate_terms.csv"].extend(
+                [seed, gamma, t.scale, t.member, t.role, t.clearance, t.surface, t.value]
+                for t in cert.terms
+            )
+            files["free_annuli.csv"].extend(
+                [seed, gamma, rec["scale"], int(rec["free"]), rec["inner_radius"],
+                 int(rec["degenerate"])]
+                for rec in td.params["free_records"]
+            )
+            if stage == "certify-quasi1d":
+                files["member_counts.csv"].extend(
+                    [seed, row["scale"], row["sites_near"], row["distinct_caps"],
+                     row["raw_bound"], row["scaled_bound"]]
+                    for row in td.params["cap_counts"]
+                )
+    except Exception as exc:
+        raise _cell_failure(exc, stage, seed, gamma) from exc
+    return dict(files)
 
 
-def _lemma_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
+def _lemma_cell(cfg: dict, stage: str, seed: int) -> dict:
     params = cfg["parameters"]
     model = model_from_dict(cfg["model"])
     report = borel_cantelli_report(
@@ -435,7 +450,7 @@ def _lemma_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
     }
 
 
-def _spectral_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
+def _spectral_cell(cfg: dict, stage: str, seed: int) -> dict:
     params = cfg["parameters"]
     model = model_from_dict(cfg["model"])
     cm = sample_couplings(model, seed, params.get("window"))
@@ -475,12 +490,11 @@ def _spectral_cell(cfg: dict, stage: str, seed: int, gamma: None) -> dict:
 
 
 class Stage(NamedTuple):
-    cell: Callable[[dict, str, int, float | None], dict]
+    cell: Callable[[dict, str, int], dict]
     params: tuple[str, ...]  # required parameters
 
 
-# A stage that requires `gammas` runs one cell per (seed, gamma), any other
-# one cell per seed.
+# Every stage runs one cell per seed.
 STAGES = {
     "certify-sparse": Stage(_certify_cell, ("eps", "gammas", "n_range")),
     "certify-quasi1d": Stage(_certify_cell, ("eps", "gammas", "n_range", "a")),
@@ -491,9 +505,7 @@ STAGES = {
 
 def _run_stage(cfg: dict, stage: str) -> dict:
     """Run the stage's cells; each data file gets the cells' rows in cell order."""
-    cell, params = STAGES[stage]
-    gammas = cfg["parameters"]["gammas"] if "gammas" in params else [None]
-    jobs = [(cell, cfg, stage, seed, gamma) for seed in cfg["seeds"] for gamma in gammas]
+    jobs = [(STAGES[stage].cell, cfg, stage, seed) for seed in cfg["seeds"]]
     if _workers() <= 1 or len(jobs) <= 1:
         results = [_call_cell(job) for job in jobs]
     else:

@@ -923,9 +923,17 @@ def distance_between(a: RegionSet, b: RegionSet, sample_step: float = 0.01) -> f
         raise ValueError("dimension mismatch")
     if a.is_empty() or b.is_empty():
         return math.inf
+    balls = [p for p in a.shapes if isinstance(p, Ball)]
+    centres = np.array([p.center for p in balls])
+    radii = np.array([p.radius for p in balls])
     best = math.inf
-    for p in a.shapes:
-        for q in b.shapes:
+    for q in b.shapes:
+        rest = a.shapes
+        if balls and not isinstance(q, (Point, Ball)):
+            # _primitive_distance's ball branch for every ball of `a` in one call
+            best = min(best, float(np.min(np.maximum(q.point_distance(centres) - radii, 0.0))))
+            rest = [p for p in a.shapes if not isinstance(p, Ball)]
+        for p in rest:
             best = min(best, _primitive_distance(p, q, sample_step))
     return max(best, 0.0)
 

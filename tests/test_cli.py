@@ -32,6 +32,16 @@ def certify_cfg(output_dir, seeds=(1, 2)):
     }
 
 
+def quasi1d_cfg(output_dir, seeds=(1, 2)):
+    """certify-quasi1d on a d=2 tube of radius 70 with three gammas."""
+    cfg = certify_cfg(output_dir, seeds)
+    cfg["pipeline"] = "certify-quasi1d"
+    cfg["model"]["sites"] = {"generator": "tube", "radius": 70.0}
+    cfg["model"]["law"] = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+    cfg["parameters"] = {"eps": 0.95, "gammas": [0.5, 1.0, 2.0], "n_range": [2, 4], "a": 2.0}
+    return cfg
+
+
 def window_cfg(tmp_path, pipeline, params):
     """`pipeline` with `params` on a d=1 lattice of radius 40 (radial Bernoulli
     tau=2, indicator radius 0.5)."""
@@ -283,6 +293,17 @@ class TestRunPipelines:
         for name in ["certificates.jsonl", "certificate_terms.csv", "free_annuli.csv"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_worker_count_does_not_change_quasi1d_bytes(self, tmp_path, monkeypatch):
+        outputs = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("SPARSELOC_WORKERS", workers)
+            outputs.append(tmp_path / f"w{workers}")
+            cli.run(quasi1d_cfg(outputs[-1], seeds=(1, 2, 3)))
+        names = ["certificates.jsonl", "decompositions.jsonl", "certificate_terms.csv",
+                 "free_annuli.csv", "member_counts.csv"]
+        for name in names:
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
 
 class TestStageLayout:
     """The stages each pipeline runs and the data files each stage writes, as
@@ -364,6 +385,35 @@ class TestFailuresAndWarnings:
             cli.run(certify_cfg(tmp_path / "out"))
         assert str(info.value) == "certify-sparse seed=1 gamma=0.5: RuntimeError: boom"
         assert info.value.at == f"{__file__}:{boom.__code__.co_firstlineno + 1} in boom"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failure_at_one_gamma_names_that_gamma(self, tmp_path, monkeypatch, workers):
+        certify_ac = cli.certify_ac
+
+        def boom_at_one(decomposition, diff_support, gamma):
+            if gamma == 1.0:
+                raise RuntimeError("boom")
+            return certify_ac(decomposition, diff_support, gamma)
+
+        monkeypatch.setenv("SPARSELOC_WORKERS", workers)
+        monkeypatch.setattr(cli, "certify_ac", boom_at_one)
+        path = write_config(tmp_path, quasi1d_cfg(tmp_path / "out"))
+        result = CliRunner().invoke(cli.main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert "stage failure: certify-quasi1d seed=1 gamma=1.0: RuntimeError: boom" in result.output
+        raise_line = boom_at_one.__code__.co_firstlineno + 2
+        assert f"\n  at {__file__}:{raise_line} in boom_at_one\n" in result.output
+
+    def test_gamma_free_failure_names_first_gamma(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setenv("SPARSELOC_WORKERS", "1")
+        monkeypatch.setattr(cli, "difference_support", boom)
+        path = write_config(tmp_path, quasi1d_cfg(tmp_path / "out"))
+        result = CliRunner().invoke(cli.main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert "stage failure: certify-quasi1d seed=1 gamma=0.5: RuntimeError: boom" in result.output
 
     def test_failing_lemma_cell_has_no_gamma(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

@@ -114,6 +114,95 @@ class TestDistance:
         assert g.distance_between(a, c) > 0.0
 
 
+def pair_loop_distance(a, b, step=0.01):
+    """distance_between as one _primitive_distance per pair, clamped at 0."""
+    pairs = [g._primitive_distance(p, q, step) for p in a.shapes for q in b.shapes]
+    return max(min(pairs, default=math.inf), 0.0)
+
+
+def vectors(d, bound=20.0):
+    return st.tuples(*[st.floats(-bound, bound) for _ in range(d)])
+
+
+def directions(d):
+    return vectors(d, 1.0).filter(lambda v: math.hypot(*v) > 0.1)
+
+
+@st.composite
+def member_shapes(draw, d):
+    """One member primitive of every kind the clearance kernel handles."""
+    kinds = ["point", "ball", "sphere", "centred sphere", "annulus", "cap", "punctured", "box"]
+    kind = draw(st.sampled_from(kinds + (["empty punctured"] if d == 2 else [])))
+    radius = draw(st.floats(0.5, 30.0))
+    if kind == "point":
+        return g.Point(draw(vectors(d)))
+    if kind in ("ball", "sphere"):
+        return (g.Ball if kind == "ball" else g.Sphere)(draw(vectors(d)), radius)
+    if kind == "centred sphere":
+        return g.Sphere((0.0,) * d, radius)
+    if kind == "annulus":
+        return g.Annulus(d, radius, radius + draw(st.floats(0.0, 5.0)))
+    if kind == "cap":
+        return g.SphericalCap(radius, draw(directions(d)), draw(st.floats(0.0, 2.0 * radius)))
+    if kind == "empty punctured":  # its one exclusion swallows the sphere
+        return g.PuncturedSphere(d, radius, ((draw(directions(d)), 2.0 * radius),))
+    if kind == "punctured":
+        cuts = st.tuples(directions(d), st.floats(0.0, radius))
+        return g.PuncturedSphere(d, radius, tuple(draw(st.lists(cuts, max_size=4))))
+    lo = draw(vectors(d))
+    return g.Box(lo, tuple(x + draw(st.floats(0.0, 5.0)) for x in lo))
+
+
+@st.composite
+def balls_and_member(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    balls = draw(st.lists(st.tuples(vectors(d), st.floats(0.0, 3.0)), max_size=20))
+    union = g.RegionSet(d, tuple(g.Ball(c, r) for c, r in balls))
+    return union, g.RegionSet(d, (draw(member_shapes(d)),))
+
+
+class TestClearanceKernel:
+    """distance_between takes all balls of a union against one member primitive
+    in one call; it must give the pair loop's result bit for bit."""
+
+    @given(balls_and_member())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_loop(self, case):
+        union, member = case
+        assert g.distance_between(union, member) == pair_loop_distance(union, member)
+
+    def test_empty_punctured_member_is_inf(self):
+        union = g.RegionSet(2, (g.Ball((1.0, 2.0), 0.5),))
+        member = g.RegionSet(2, (g.PuncturedSphere(2, 3.0, (((1.0, 0.0), 6.0),)),))
+        assert g.distance_between(union, member) == pair_loop_distance(union, member) == math.inf
+
+    def test_non_ball_shapes_of_the_union_keep_the_pair_loop(self):
+        union = g.RegionSet(2, (g.Ball((9.0, 0.0), 0.5), g.Point((0.0, 4.0))))
+        member = g.spherical_cap(5.0, [0.0, 1.0], 1.0)
+        assert g.distance_between(union, member) == pair_loop_distance(union, member) == 1.0
+
+    def test_quasi1d_members_bit_equal(self):
+        from sparseloc.certify import build_decomposition_quasi1d, difference_support
+        from sparseloc.models import model_from_dict, sample_couplings
+
+        model = model_from_dict({
+            "dimension": 2,
+            "sites": {"generator": "tube", "radius": 300.0},
+            "law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+            "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
+        })
+        checked = 0
+        for seed in (1, 2):
+            couplings = sample_couplings(model, seed, None)
+            td = build_decomposition_quasi1d(couplings, 0.95, 1.0, a=2.0, n_range=(2, 7))
+            diff = difference_support(model, couplings, 0.95)
+            assert len(diff.shapes) > 0
+            for member in td.members:
+                assert g.distance_between(diff, member) == pair_loop_distance(diff, member)
+                checked += 1
+        assert checked > 20
+
+
 class TestShellMeasure:
     def test_point_d1_r0(self):
         # shell of a point at r=0 is [-1, 1]
