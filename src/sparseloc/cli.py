@@ -11,6 +11,7 @@ which must not change any output byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -231,7 +232,7 @@ def load_config(path: str | Path) -> dict:
     if errors:
         raise ConfigError(errors)
     try:
-        model_from_dict(cfg["model"])
+        _model(_canonical(cfg["model"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"$.model: {type(exc).__name__}: {exc}"]) from exc
     return cfg
@@ -284,10 +285,12 @@ def _semantic_errors(cfg: dict) -> list[str]:
     return errors
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    return hashlib.sha256(_canonical(cfg).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +385,28 @@ def _call_cell(job: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _zero_couplings(model, window):
+# Seed-free work, done once per process for every cell of a run (a pool worker
+# fills its own memo); keyed by the model's canonical JSON and what shapes it.
+@functools.lru_cache(maxsize=8)
+def _model(model_key: str):
+    return model_from_dict(json.loads(model_key))
+
+
+@functools.lru_cache(maxsize=8)
+def _reference(model_key: str, window, box: float, h: float, energies: tuple) -> tuple:
+    """-Laplacian + V_0 (all couplings zero) and its resolvent fits at `energies`."""
+    model = _model(model_key)
     indices = np.arange(len(model.sites))
     radius = window if window is not None else model.sites.window_radius
-    return CouplingMap(model, indices, np.zeros(len(indices)), None, radius, "zero")
+    zero = CouplingMap(model, indices, np.zeros(indices.size), None, radius, "zero")
+    op = discretize(model, zero, box, h)
+    fits = []
+    for energy in energies:
+        try:
+            fits.append(resolvent_decay(op, float(energy)))
+        except ValueError:
+            pass
+    return op, tuple((f.energy, f.spectrum_distance, f.rate, f.quality) for f in fits)
 
 
 def _certify_cell(cfg: dict, stage: str, seed: int) -> dict:
@@ -396,7 +417,7 @@ def _certify_cell(cfg: dict, stage: str, seed: int) -> dict:
     gamma = params["gammas"][0]
     files = defaultdict(list)
     try:
-        model = model_from_dict(cfg["model"])
+        model = _model(_canonical(cfg["model"]))
         cm = sample_couplings(model, seed, params.get("window"))
         diff = difference_support(model, cm, eps)
         if stage == "certify-quasi1d":  # its members do not depend on gamma
@@ -436,7 +457,7 @@ def _certify_cell(cfg: dict, stage: str, seed: int) -> dict:
 
 def _lemma_cell(cfg: dict, stage: str, seed: int) -> dict:
     params = cfg["parameters"]
-    model = model_from_dict(cfg["model"])
+    model = _model(_canonical(cfg["model"]))
     report = borel_cantelli_report(
         model, params["eps"], params["a"], tuple(params["n_range"]), params["trials"], seed
     )
@@ -452,18 +473,14 @@ def _lemma_cell(cfg: dict, stage: str, seed: int) -> dict:
 
 def _spectral_cell(cfg: dict, stage: str, seed: int) -> dict:
     params = cfg["parameters"]
-    model = model_from_dict(cfg["model"])
+    key, box, h = _canonical(cfg["model"]), params["box"], params["h"]
+    model = _model(key)
     cm = sample_couplings(model, seed, params.get("window"))
-    box, h = params["box"], params["h"]
-    reference = discretize(model, _zero_couplings(model, params.get("window")), box, h)
+    reference, fits = _reference(
+        key, params.get("window"), box, h, tuple(params.get("energies", []))
+    )
     report = localization_report(model, cm, box, h, reference)
-    rate_rows = []
-    for energy in params.get("energies", []):
-        try:
-            fit = resolvent_decay(reference, float(energy))
-        except ValueError:
-            continue
-        rate_rows.append([seed, fit.energy, fit.spectrum_distance, fit.rate, fit.quality])
+    rate_rows = [[seed, *fit] for fit in fits]
     return {
         "states.csv": [
             [seed, s.energy, s.ipr, s.decay_rate, s.decay_quality, s.center, s.in_gap]

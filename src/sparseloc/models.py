@@ -8,6 +8,7 @@ draws depend only on (seed, site) and never on iteration order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -679,13 +680,19 @@ def evaluate_potential(
             "contributions from unsampled sites may be missing",
             stacklevel=2,
         )
-    tree = cKDTree(couplings.points)
+    points = couplings.points
+    neighbor_lists = cKDTree(points).query_ball_point(pts, rho)
+    # (node, site) pairs: nodes in order, each node's neighbours in query order
+    rows = np.repeat(np.arange(pts.shape[0]), [len(nb) for nb in neighbor_lists])
+    cols = np.fromiter(itertools.chain.from_iterable(neighbor_lists), np.intp, rows.size)
+    offsets, sites = pts[rows] - points[cols], couplings.site_indices[cols]
+    terms = model.potential.evaluate(offsets)
+    for index, pot in model.site_potentials.items():
+        own = sites == index
+        terms[own] = pot.evaluate(offsets[own])
     out = np.zeros(pts.shape[0])
-    neighbor_lists = tree.query_ball_point(pts, rho)
-    for row, neighbors in enumerate(neighbor_lists):
-        for j in neighbors:
-            pot = model.potential_for(int(couplings.site_indices[j]))
-            out[row] += couplings.values[j] * pot.evaluate(pts[row] - couplings.points[j])[0]
+    # unbuffered and in pair order, so each node's sum is added up as a loop would
+    np.add.at(out, rows, terms * couplings.values[cols])
     if include_background:
         out += model.background.evaluate(pts)
     return float(out[0]) if scalar else out

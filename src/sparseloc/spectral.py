@@ -10,6 +10,7 @@ in spectral gaps of the unperturbed operator.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -234,9 +235,9 @@ def eigenpairs(
     elif isinstance(window, int):
         order = np.argsort(vals)[: window]
         vals, vecs = vals[order], vecs[:, order]
-    residuals = np.array(
-        [float(np.linalg.norm(a @ vecs[:, j] - vals[j] * vecs[:, j])) for j in range(vecs.shape[1])]
-    )
+    r = a @ vecs
+    r -= vecs * vals
+    residuals = np.sqrt(np.einsum("ij,ij->j", r, r))
     return SpectralWindowResult(vals, vecs, residuals, window, method, bound)
 
 
@@ -295,12 +296,42 @@ class DecayFit:
 
 
 def _loglinear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    """Least-squares line through (x, y): returns (-slope, R^2).  np.polyfit(x, y, 1)'s
+    own steps, so bit-equal to it, without its per-call overhead."""
+    lhs = np.ones((x.size, 2))  # vander(x, 2), C-ordered like it
+    lhs[:, 0] = x
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    coef, _, rank, _ = np.linalg.lstsq(lhs / scale, y, x.size * np.finfo(float).eps)
+    if rank < 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    slope, intercept = coef / scale
+    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
+    ss_tot = float(((y - y.sum() / y.size) ** 2).sum())  # y.sum() / y.size is np.mean(y)
     quality = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return float(-slope), quality
+
+
+def _offset_distances(shape: tuple[int, ...], spacing: float) -> np.ndarray:
+    """|k| * spacing for every node offset k, at index k + shape - 1 on each axis."""
+    grids = np.meshgrid(*(np.arange(1 - s, s) for s in shape), indexing="ij")
+    offsets = np.stack([g.ravel() for g in grids], axis=1)
+    return (np.linalg.norm(offsets, axis=1) * spacing).reshape(grids[0].shape)
+
+
+def _side_fits(amp, center: int, shape: tuple[int, ...], table: np.ndarray, sides) -> list:
+    """Per side of `center`: (rate, quality, points) of log(amp) against the distance
+    read from `table`, over the nodes above the floor; None if fewer than three."""
+    at = np.unravel_index(center, shape)
+    dist = table[tuple(slice(s - 1 - c, 2 * s - 1 - c) for s, c in zip(shape, at))].ravel()
+    nodes = {"left": slice(0, center + 1), "right": slice(center, None), "both": slice(None)}
+    fits = []
+    for side in sides:
+        part = amp[nodes[side]]
+        keep = part > AMPLITUDE_FLOOR
+        points = int(np.count_nonzero(keep))
+        fit = _loglinear_fit(dist[nodes[side]][keep], np.log(part[keep])) if points >= 3 else None
+        fits.append(None if fit is None else (*fit, points))
+    return fits
 
 
 def decay_rate_fit(
@@ -320,29 +351,15 @@ def decay_rate_fit(
     understate the fit quality of a genuinely localized state.
     """
     v = np.asarray(v, dtype=float)
-    if shape is None:
-        signed = (np.arange(v.size) - center) * spacing
-        dist = np.abs(signed)
-        if side == "left":
-            keep = signed <= 0
-        elif side == "right":
-            keep = signed >= 0
-        elif side == "both":
-            keep = np.ones(v.size, dtype=bool)
-        else:
-            raise ValueError("side must be 'both', 'left' or 'right'")
-    else:
-        if side != "both":
-            raise ValueError("side selection only applies in one dimension")
-        idx = np.array(np.unravel_index(np.arange(v.size), shape)).T
-        cidx = np.array(np.unravel_index(center, shape))
-        dist = np.linalg.norm(idx - cidx, axis=1) * spacing
-        keep = np.ones(v.size, dtype=bool)
-    mask = keep & (np.abs(v) > AMPLITUDE_FLOOR)
-    if np.count_nonzero(mask) < 3:
+    if side not in ("both", "left", "right"):
+        raise ValueError("side must be 'both', 'left' or 'right'")
+    if shape is not None and side != "both":
+        raise ValueError("side selection only applies in one dimension")
+    shape = (v.size,) if shape is None else tuple(shape)
+    (fit,) = _side_fits(np.abs(v), center, shape, _offset_distances(shape, spacing), (side,))
+    if fit is None:
         raise ValueError("not enough amplitude above the floor to fit a decay rate")
-    rate, quality = _loglinear_fit(dist[mask], np.log(np.abs(v[mask])))
-    return DecayFit(rate, quality, int(np.count_nonzero(mask)))
+    return DecayFit(*fit)
 
 
 @dataclass(frozen=True)
@@ -426,23 +443,6 @@ def resolvent_decay_table(
     return fits, monotone
 
 
-def _best_side_decay(v: np.ndarray, center: int, op: GridOperator) -> tuple[float, float]:
-    """Decay fit for a report state: in d=1 take the better-quality side."""
-    sides = ("left", "right") if op.dimension == 1 else ("both",)
-    best: tuple[float, float] | None = None
-    for side in sides:
-        try:
-            fit = decay_rate_fit(
-                v, center, spacing=op.spacing,
-                shape=op.shape if op.dimension == 2 else None, side=side,
-            )
-        except ValueError:
-            continue
-        if best is None or fit.quality > best[1]:
-            best = (fit.rate, fit.quality)
-    return best if best is not None else (math.nan, 0.0)
-
-
 @dataclass(frozen=True)
 class StateDiagnostics:
     energy: float
@@ -496,17 +496,26 @@ def localization_report(
     gap_margin = 1e-6 * float(ref_vals[-1] - ref_vals[0])
     result = eigenpairs(op)
     boundary = op.boundary_mask()
+    rows = np.ascontiguousarray(result.eigenvectors.T)  # eigh's are F-ordered: a free view
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    off = np.abs(norms - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"vector norm {norms[off][0]} is not 1 within 1e-10")
+    table = _offset_distances(op.shape, op.spacing)
+    sides = ("left", "right") if op.dimension == 1 else ("both",)
     states: list[StateDiagnostics] = []
     boundary_max = 0.0
-    for j, energy in enumerate(result.eigenvalues):
-        v = result.eigenvectors[:, j]
-        center = int(np.argmax(np.abs(v)))
+    for energy, row in zip(result.eigenvalues, rows):
+        amp = np.abs(row)
+        center = int(np.argmax(amp))
         in_gap = in_any_gap(float(energy), gaps, margin=gap_margin)
-        rate, quality = _best_side_decay(v, center, op)
+        # in d=1 the better-quality side; the first one on a tie
+        fits = [f for f in _side_fits(amp, center, op.shape, table, sides) if f is not None]
+        rate, quality, _ = max(fits, key=lambda f: f[1]) if fits else (math.nan, 0.0, 0)
         if in_gap:
-            boundary_max = max(boundary_max, float(np.max(np.abs(v[boundary]))))
+            boundary_max = max(boundary_max, float(np.max(amp[boundary])))
         states.append(
-            StateDiagnostics(float(energy), ipr(v), rate, quality, center, in_gap)
+            StateDiagnostics(float(energy), float(np.sum(row**4)), rate, quality, center, in_gap)
         )
     gap_iprs = [s.ipr for s in states if s.in_gap]
     bulk_iprs = [s.ipr for s in states if not s.in_gap]

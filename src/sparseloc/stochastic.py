@@ -9,6 +9,7 @@ feeding the Borel-Cantelli conclusion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -179,6 +180,15 @@ def brute_force_a_n(
     return float(np.sum(weights[blocked]))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _exact_a_n(model: RandomPotentialModel, eps: float, a: float, n: int) -> float | None:
+    """brute_force_a_n once per (model by identity, eps, a, n); None past the budget."""
+    try:
+        return brute_force_a_n(model, eps, a, n)
+    except BudgetExceededError:
+        return None
+
+
 def _coverage_sweep(
     norms_sorted: np.ndarray, active: np.ndarray, lo: float, hi: float, width: float
 ) -> np.ndarray:
@@ -287,12 +297,7 @@ def borel_cantelli_report(
         est = estimate_a_n(model, eps, a, n, trials, sub_seed)
         lo, hi, _ = scale_window(a, n)
         degenerate = hi < lo
-        exact: float | None = est.exact
-        if exact is None:
-            try:
-                exact = brute_force_a_n(model, eps, a, n)
-            except BudgetExceededError:
-                exact = None
+        exact = est.exact if est.exact is not None else _exact_a_n(model, eps, a, n)
         bound, eta, vacuous = _best_eta(a, n)
         partial += est.value
         rows.append(

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,26 @@ def window_cfg(tmp_path, pipeline, params):
     cfg["model"]["potential"]["radius"] = 0.5
     cfg["parameters"] = {"eps": 0.1, **params}
     return cfg
+
+
+def full_report_cfg(output_dir, seeds=(1, 2), box=6.0, h=0.1, background=None):
+    """full-report on a d=1 lattice of radius 20 with a periodic background."""
+    model = lattice_model_cfg(d=1, radius=20.0, tau=1.0)
+    model["potential"] = {"kind": "indicator", "amplitude": -4.0, "radius": 0.5}
+    model["background"] = background or {"kind": "periodic_step", "values": [0.0, 3.0]}
+    return {
+        "pipeline": "full-report",
+        "model": model,
+        "seeds": list(seeds),
+        "output_dir": str(output_dir),
+        "parameters": {"eps": 0.5, "gammas": [0.5, 2.0], "n_range": [1, 3], "a": 2.0,
+                       "trials": 200, "box": box, "h": h, "energies": [-1.0, 1.5]},
+    }
+
+
+def data_files(outdir):
+    """{name: bytes} of every data file a run wrote (the manifest holds wall times)."""
+    return {p.name: p.read_bytes() for p in Path(outdir).iterdir() if p.name != "manifest.jsonl"}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -303,6 +326,50 @@ class TestRunPipelines:
                  "free_annuli.csv", "member_counts.csv"]
         for name in names:
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+class TestSeedFreeMemo:
+    """The model, the reference operator with its gaps and resolvent fits, and
+    the exact a_n are computed once per process; no run may see another's."""
+
+    VARIANTS = [
+        {},
+        {"box": 5.0, "h": 0.125},
+        {"background": {"kind": "constant", "value": 1.5}},
+    ]
+
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, SPARSELOC_WORKERS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for k, variant in enumerate(self.VARIANTS):
+            config = write_config(tmp_path, full_report_cfg(tmp_path / f"alone{k}", **variant),
+                                  f"alone{k}.json")
+            subprocess.run([sys.executable, "-m", "sparseloc.cli", "run", str(config)],
+                           env=env, check=True, capture_output=True)
+        monkeypatch.setenv("SPARSELOC_WORKERS", "1")
+        together = []
+        for k, variant in enumerate(self.VARIANTS):
+            cli.run(full_report_cfg(tmp_path / f"together{k}", **variant))
+            together.append(data_files(tmp_path / f"together{k}"))
+            assert together[-1] == data_files(tmp_path / f"alone{k}")
+        # each variant changes the spectral files, so a stale memo entry would show
+        for name in ("states.csv", "resolvent_rates.csv"):
+            assert len({files[name] for files in together}) == len(self.VARIANTS)
+
+    def test_worker_count_does_not_change_full_report_bytes(self, tmp_path, monkeypatch):
+        outputs = []
+        # pooled runs first, so that their workers start from an empty memo
+        for workers in ("3", "2", "1"):
+            monkeypatch.setenv("SPARSELOC_WORKERS", workers)
+            cli.run(full_report_cfg(tmp_path / f"w{workers}", seeds=(1, 2, 3), box=4.0))
+            outputs.append(data_files(tmp_path / f"w{workers}"))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert set(outputs[0]) == {
+            "certificates.jsonl", "decompositions.jsonl", "certificate_terms.csv",
+            "free_annuli.csv", "an_rows.csv", "an_verdicts.jsonl", "states.csv",
+            "resolvent_rates.csv", "localization.jsonl",
+        }
 
 
 class TestStageLayout:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,6 +225,63 @@ class TestEvaluatePotential:
         cm = m.sample_couplings(model, seed=0)
         assert m.evaluate_potential(model, cm, [0.2]) == pytest.approx(5.0)
         assert m.evaluate_potential(model, cm, [0.2], include_background=False) == 0.0
+
+
+def pair_loop_potential(model, couplings, pts, include_background=True):
+    """evaluate_potential as a loop over (node, site) pairs: the bit-level oracle."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out = np.zeros(pts.shape[0])
+    neighbor_lists = cKDTree(couplings.points).query_ball_point(pts, model.max_support_radius())
+    for row, neighbors in enumerate(neighbor_lists):
+        for j in neighbors:
+            pot = model.potential_for(int(couplings.site_indices[j]))
+            out[row] += couplings.values[j] * pot.evaluate(pts[row] - couplings.points[j])[0]
+    if include_background:
+        out += model.background.evaluate(pts)
+    return out
+
+
+class TestEvaluatePotentialPairOracle:
+    """The vectorized sum equals the pair loop bit for bit: many overlapping
+    bumps per node, so the order of the additions shows in the last bits."""
+
+    @staticmethod
+    def wavy(radius, scale):
+        return m.SingleSitePotential(
+            support_radius=radius,
+            profile=lambda r: scale * np.cos(1.3 * r) + 0.1 * r,
+            p_norm_bound=1.0,
+        )
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_pair_loop(self, d):
+        sites = m.SiteSet.lattice(d, 9.0)
+        norms = np.linalg.norm(sites.points, axis=1)
+        # every fifth site near the origin carries its own, wider bump
+        own = {int(i): self.wavy(3.1, -0.7) for i in np.where(norms < 4.0)[0][::5]}
+        model = m.RandomPotentialModel(
+            sites=sites,
+            potential=self.wavy(2.6, 0.45),
+            laws=m.LawAssignment.shared_law(m.CouplingLaw.uniform(0.0, 1.0)),
+            background=m.BackgroundPotential.periodic_step([0.0, 0.3, -0.2], cell=0.7),
+            site_potentials=own,
+        )
+        cm = m.sample_couplings(model, seed=5, window=9.0)
+        axis = np.arange(-3.9, 3.9, 0.137 if d == 1 else 0.31)
+        pts = axis[:, None] if d == 1 else np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
+        for background in (True, False):
+            got = m.evaluate_potential(model, cm, pts, include_background=background)
+            assert np.array_equal(got, pair_loop_potential(model, cm, pts, background))
+        assert len(own) > 1
+
+    def test_node_without_neighbours_and_scalar(self):
+        model = lattice_model(d=1, radius=6.0, law=m.CouplingLaw.uniform(0.0, 0.5), rho=0.3)
+        cm = m.sample_couplings(model, seed=3)
+        pts = np.array([[0.5], [0.1], [-1.05]])
+        got = m.evaluate_potential(model, cm, pts)
+        assert np.array_equal(got, pair_loop_potential(model, cm, pts))
+        assert got[0] == 0.0
+        assert m.evaluate_potential(model, cm, [0.1]) == got[1]
 
 
 class TestSecondMoment:

@@ -2,9 +2,12 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseloc import cli
 from sparseloc import models as m
@@ -203,6 +206,84 @@ class TestDecayRateFit:
         assert fit.rate == pytest.approx(2.0, abs=1e-9)
 
 
+def polyfit_loglinear(x, y):
+    """The log-linear fit as np.polyfit computes it: the bit-level oracle."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    quality = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return float(-slope), quality
+
+
+def masked_decay_fit(v, center, spacing=1.0, shape=None, side="both"):
+    """decay_rate_fit as masks over the whole vector and np.polyfit."""
+    if shape is None:
+        signed = (np.arange(v.size) - center) * spacing
+        dist = np.abs(signed)
+        keep = {"left": signed <= 0, "right": signed >= 0, "both": np.ones(v.size, bool)}[side]
+    else:
+        idx = np.array(np.unravel_index(np.arange(v.size), shape)).T
+        dist = np.linalg.norm(idx - np.array(np.unravel_index(center, shape)), axis=1) * spacing
+        keep = np.ones(v.size, dtype=bool)
+    mask = keep & (np.abs(v) > sp.AMPLITUDE_FLOOR)
+    rate, quality = polyfit_loglinear(dist[mask], np.log(np.abs(v[mask])))
+    return rate, quality, int(np.count_nonzero(mask))
+
+
+class TestLoglinearFitBits:
+    """_loglinear_fit takes np.polyfit's own steps, so it is bit-equal to it."""
+
+    @given(
+        n=st.integers(3, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        spacing=st.floats(1e-3, 10.0),
+        start=st.floats(-50.0, 50.0),
+        kind=st.sampled_from(["noisy line", "random", "constant"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_polyfit(self, n, seed, spacing, start, kind):
+        rng = np.random.default_rng(seed)
+        x = start + spacing * np.sort(rng.uniform(0.0, n, n))
+        if kind == "noisy line":
+            y = rng.normal(0.0, 5.0) * x + rng.normal(0.0, 1.0, n)
+        elif kind == "random":
+            y = rng.normal(0.0, 10.0, n)
+        else:  # a dyadic value: its mean is exact, so ss_tot = 0
+            y = np.full(n, rng.integers(-8, 8) / 4.0)
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            got = sp._loglinear_fit(x, y)
+        with warnings.catch_warnings(record=True) as theirs:
+            warnings.simplefilter("always")
+            want = polyfit_loglinear(x, y)
+        assert got == want
+        assert [w.category for w in ours] == [w.category for w in theirs]
+        if kind == "constant":
+            assert got[1] == 0.0
+
+    def test_constant_y_quality_zero(self):
+        x = np.arange(40) * 0.05
+        y = np.full(40, -1.25)
+        got = sp._loglinear_fit(x, y)
+        assert got == polyfit_loglinear(x, y)
+        assert got[1] == 0.0
+
+    def test_rank_deficient_warns_like_polyfit(self):
+        x = np.full(5, 2.5)
+        y = np.array([0.1, -0.3, 0.2, 0.0, 0.4])
+        with pytest.warns(np.exceptions.RankWarning):
+            got = sp._loglinear_fit(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
+            assert got == polyfit_loglinear(x, y)
+
+    def test_full_rank_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp._loglinear_fit(np.arange(3.0), np.array([1.0, 0.5, 0.1]))
+
+
 class TestResolventDecay:
     def test_lattice_green_function_rate(self):
         # 1-D lattice Green function decays at arccosh(1 + |E|/2)
@@ -228,6 +309,64 @@ class TestResolventDecay:
         e0 = float(np.sort(op.all_eigenvalues())[0])
         with pytest.raises(ValueError):
             sp.resolvent_decay(op, e0)
+
+
+class TestLocalizationReportBits:
+    """Every report state equals the per-state path bit for bit: decay_rate_fit
+    on the better side (d=1) or all nodes (d=2), and ipr."""
+
+    @staticmethod
+    def model(d, radius, background):
+        return m.RandomPotentialModel(
+            sites=m.SiteSet.lattice(d, radius),
+            potential=m.SingleSitePotential.indicator(-4.0, 0.5 if d == 1 else 0.7),
+            laws=m.LawAssignment.shared_law(m.CouplingLaw.uniform(0.0, 1.0)),
+            background=background,
+        )
+
+    @staticmethod
+    def oracle_state(v, op, shape):
+        center = int(np.argmax(np.abs(v)))
+        sides = ("left", "right") if op.dimension == 1 else ("both",)
+        best = None
+        for side in sides:
+            try:
+                fit = sp.decay_rate_fit(v, center, spacing=op.spacing, shape=shape, side=side)
+            except ValueError:
+                continue
+            assert (fit.rate, fit.quality, fit.n_points) == masked_decay_fit(
+                v, center, op.spacing, shape, side
+            )
+            if best is None or fit.quality > best[1]:
+                best = (fit.rate, fit.quality)
+        rate, quality = best if best is not None else (math.nan, 0.0)
+        return sp.ipr(v), rate, quality, center
+
+    @pytest.mark.parametrize(
+        "d, radius, box, h, background",
+        [
+            (1, 30.0, 12.0, 0.1, m.BackgroundPotential.periodic_step([0.0, 3.0])),
+            (2, 12.0, 3.0, 0.25, m.BackgroundPotential.constant(1.0)),
+        ],
+    )
+    def test_states_equal_per_state_oracle(self, d, radius, box, h, background):
+        model = self.model(d, radius, background)
+        cm = m.sample_couplings(model, seed=4, window=radius)
+        zero = m.CouplingMap(
+            model, cm.site_indices, np.zeros(cm.values.size), None, radius, "zero"
+        )
+        reference = sp.discretize(model, zero, box, h)
+        report = sp.localization_report(model, cm, box, h, reference)
+        op = sp.discretize(model, cm, box, h)
+        result = sp.eigenpairs(op)
+        assert len(report.states) == op.n_unknowns
+        shape = op.shape if d == 2 else None
+        for state, energy, v in zip(report.states, result.eigenvalues, result.eigenvectors.T):
+            assert state.energy == float(energy)
+            got = (state.ipr, state.decay_rate, state.decay_quality, state.center)
+            want = self.oracle_state(v, op, shape)
+            assert got == want or (math.isnan(got[1]) and math.isnan(want[1]))
+        assert any(s.in_gap for s in report.states)
 
 
 class TestLocalizationReport:

@@ -339,6 +339,40 @@ class TestBorelCantelliReport:
             if row.exact is not None:
                 assert abs(row.estimate - row.exact) <= 4.0 * max(row.std_error, 1e-4)
 
+    def test_exact_enumerated_once_per_model_and_scale(self, monkeypatch):
+        enumerate_a_n = st.brute_force_a_n
+        calls = []
+
+        def counted(model, eps, a, n):
+            calls.append((id(model), n))
+            return enumerate_a_n(model, eps, a, n)
+
+        monkeypatch.setattr(st, "brute_force_a_n", counted)
+        models = [bernoulli_lattice(d=1, radius=70.0, p=p) for p in (0.3, 0.6)]
+        want = {id(mod): [enumerate_a_n(mod, 0.5, 2.0, n) for n in (2, 3)] for mod in models}
+        for seed in (1, 2, 3):
+            for model in models:
+                report = st.borel_cantelli_report(model, 0.5, 2.0, (2, 3), trials=50, seed=seed)
+                assert [r.exact for r in report.rows] == want[id(model)]
+        assert sorted(calls) == sorted((id(mod), n) for mod in models for n in (2, 3))
+        # a fresh model with the same law is enumerated again, to the same value
+        again = bernoulli_lattice(d=1, radius=70.0, p=0.3)
+        rows = st.borel_cantelli_report(again, 0.5, 2.0, (2, 3), trials=50, seed=1).rows
+        assert [r.exact for r in rows] == want[id(models[0])]
+        assert len(calls) == 6
+
+    def test_budget_overrun_remembered_as_no_exact(self, monkeypatch):
+        enumerate_a_n = st.brute_force_a_n
+        calls = []
+        monkeypatch.setattr(
+            st, "brute_force_a_n", lambda *args: calls.append(args) or enumerate_a_n(*args)
+        )
+        model = bernoulli_lattice(d=2, radius=40.0, p=0.5)
+        for seed in (1, 2):
+            report = st.borel_cantelli_report(model, 0.5, 2.0, (4, 4), trials=10, seed=seed)
+            assert report.rows[0].exact is None
+        assert len(calls) == 1
+
     def test_csv_shape(self, tmp_path):
         model = bernoulli_lattice(d=1, radius=70.0, p=0.2)
         report = st.borel_cantelli_report(model, 0.5, 2.0, (2, 4), trials=100, seed=2)
