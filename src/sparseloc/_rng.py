@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
+from numpy.random import SeedSequence
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -28,7 +29,7 @@ _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Derive an independent 64-bit sub-seed from `seed` and integer tags."""
-    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=tuple(t & _MASK64 for t in tags))
+    ss = SeedSequence(entropy=seed & _MASK64, spawn_key=tuple(t & _MASK64 for t in tags))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -100,8 +100,9 @@ def free_intervals(bad_norms, lo: float, hi: float, width: float) -> list[FreePi
     """
     if hi < lo:
         return []
-    bad = np.unique(np.asarray(bad_norms, dtype=float))
-    bad = bad[(bad >= lo) & (bad - width <= hi)]
+    bad = np.asarray(bad_norms, dtype=float)
+    # duplicates need no np.unique: a repeated norm's block merges into its twin's
+    bad = np.sort(bad[(bad >= lo) & (bad - width <= hi)])
     if bad.size == 0:
         return [FreePiece(lo, hi, True, True)]
     blocks: list[list[float]] = []

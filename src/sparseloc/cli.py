@@ -235,6 +235,11 @@ def load_config(path: str | Path) -> dict:
         _model(_canonical(cfg["model"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"$.model: {type(exc).__name__}: {exc}"]) from exc
+    if "spectral-probe" in PIPELINES[cfg["pipeline"]]:
+        # the spectral stage's scipy modules load here, before the run starts
+        import scipy.linalg  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
+        import scipy.spatial  # noqa: F401
     return cfg
 
 

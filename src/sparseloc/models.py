@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _rng
 from .geometry import RegionSet, ball_volume
@@ -405,6 +404,7 @@ class SiteSet:
     def _min_separation(points: np.ndarray) -> float:
         if len(points) < 2:
             return math.inf
+        from scipy.spatial import cKDTree
         tree = cKDTree(points)
         dist, _ = tree.query(points, k=2)
         return float(np.min(dist[:, 1]))
@@ -420,6 +420,7 @@ class SiteSet:
         """Indices of a closest pair violating r_sigma, if any."""
         if len(self.points) < 2:
             return None
+        from scipy.spatial import cKDTree
         tree = cKDTree(self.points)
         dist, idx = tree.query(self.points, k=2)
         j = int(np.argmin(dist[:, 1]))
@@ -670,6 +671,7 @@ def evaluate_potential(
     Warns when x is within one support radius of the window edge, where
     sites outside the sampled window could contribute.
     """
+    from scipy.spatial import cKDTree
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 1
     rho = model.max_support_radius()
@@ -700,6 +702,7 @@ def evaluate_potential(
 
 def second_moment_profile(model: RandomPotentialModel, x) -> float | np.ndarray:
     """W(x) = E[V(x)^2]^(1/2) from exact per-site first and second moments."""
+    from scipy.spatial import cKDTree
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 1
     rho = model.max_support_radius()

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:  # scipy is imported by the functions that call it
+    import scipy.sparse as sp
 
 from .models import CouplingMap, RandomPotentialModel, evaluate_potential
 
@@ -97,6 +97,7 @@ class GridOperator:
 
     def matrix(self) -> sp.csr_matrix:
         if self._matrix_cache is None:
+            import scipy.sparse as sp
             inv_h2 = 1.0 / self.spacing**2
             blocks = []
             for npts in self.shape:
@@ -132,6 +133,7 @@ class GridOperator:
                     f"{self.n_unknowns} unknowns exceed the dense limit "
                     f"{DENSE_LIMIT}; probe gaps on a smaller box"
                 )
+            import scipy.linalg
             self._eigen_cache = (scipy.linalg.eigvalsh(self.matrix().toarray()),)
         return self._eigen_cache[0]
 
@@ -224,6 +226,7 @@ def eigenpairs(
     a = op.matrix()
     bound = op.norm_bound()
     if n <= DENSE_LIMIT:
+        import scipy.linalg
         vals, vecs = scipy.linalg.eigh(a.toarray())
         method = "dense"
     else:
@@ -246,6 +249,7 @@ def _sparse_window_eigs(a: sp.csr_matrix, n: int, window) -> tuple[np.ndarray, n
         raise ValueError(
             f"full spectrum of {n} unknowns is a dense-only query; pass a window"
         )
+    import scipy.sparse.linalg as spla
     if isinstance(window, int):
         return spla.eigsh(a, k=window, which="SA")
     lo, hi = window
@@ -385,6 +389,8 @@ def resolvent_decay(
     the boundary and below the amplitude floor.  Energies within
     `min_distance` of an eigenvalue are refused as ill-conditioned.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     vals = op.all_eigenvalues() if op.n_unknowns <= DENSE_LIMIT else None
     if vals is not None:
         spectrum_distance = float(np.min(np.abs(vals - energy)))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparseloc import certify as c
 from sparseloc import cli
@@ -115,6 +117,77 @@ class TestFreeIntervals:
         boundary = set(np.concatenate([bad, bad - width]))
         for idx in disagree:
             assert any(abs(rs[idx] - b) < 1e-9 for b in boundary)
+
+
+def free_intervals_unique_first(bad_norms, lo, hi, width):
+    """`free_intervals` as it was when it ran np.unique over every norm before
+    filtering; the oracle for the filter-then-sort version."""
+    if hi < lo:
+        return []
+    bad = np.unique(np.asarray(bad_norms, dtype=float))
+    bad = bad[(bad >= lo) & (bad - width <= hi)]
+    if bad.size == 0:
+        return [c.FreePiece(lo, hi, True, True)]
+    blocks = []
+    for v in bad:
+        start = v - width
+        if blocks and start <= blocks[-1][1]:
+            blocks[-1][1] = max(blocks[-1][1], v)
+        else:
+            blocks.append([start, v])
+    pieces = []
+    cursor = lo
+    cursor_blocked = False
+    for start, end in blocks:
+        if cursor < start:
+            pieces.append(c.FreePiece(cursor, min(start, hi), not cursor_blocked, False))
+        cursor = max(cursor, end)
+        cursor_blocked = True
+        if cursor >= hi:
+            break
+    if cursor < hi:
+        pieces.append(c.FreePiece(cursor, hi, not cursor_blocked, True))
+    elif cursor == hi and not cursor_blocked:
+        pieces.append(c.FreePiece(hi, hi, True, True))
+    out = []
+    for piece in pieces:
+        if piece.hi < piece.lo:
+            continue
+        if piece.hi == piece.lo and not (piece.lo_closed and piece.hi_closed):
+            continue
+        out.append(piece)
+    return out
+
+
+# quarter steps, so that norms repeat and land exactly on lo, hi and hi + width
+_QUARTERS = st.integers(0, 48).map(lambda k: k / 4)
+
+
+@st.composite
+def scan_cases(draw):
+    lo, hi, width = draw(_QUARTERS), draw(_QUARTERS), draw(_QUARTERS)
+    edges = st.sampled_from([lo, hi, hi + width, lo - width])
+    norm = st.one_of(edges, _QUARTERS, st.floats(-1.0, 30.0))
+    norms = draw(st.lists(norm, max_size=12))
+    if norms:  # repeat some norms exactly
+        norms += draw(st.lists(st.sampled_from(norms), max_size=4))
+    return draw(st.permutations(norms)), lo, hi, width
+
+
+class TestFreeIntervalsUniqueFirstOracle:
+    @given(scan_cases())
+    @example(([4.0, 4.0, 5.0, 5.0], 4.0, 6.0, 2.0))  # duplicates
+    @example(([4.0, 6.0, 8.0], 4.0, 6.0, 2.0))  # at lo, hi and hi + width
+    @example(([8.0, 8.0, 4.0], 4.0, 6.0, 2.0))
+    @example(([5.0], 6.0, 4.0, 1.0))  # hi < lo
+    @example(([], 4.0, 6.0, 2.0))  # empty
+    @example(([], 4.0, 4.0, 0.0))
+    @settings(max_examples=400, deadline=None)
+    def test_pieces_equal(self, case):
+        norms, lo, hi, width = case
+        assert c.free_intervals(norms, lo, hi, width) == free_intervals_unique_first(
+            norms, lo, hi, width
+        )
 
 
 class TestFindFreeSubannulus:

@@ -372,6 +372,71 @@ class TestSeedFreeMemo:
         }
 
 
+class TestImportBoundary:
+    """scipy serves only the spectral stage and the tree helpers: certify and
+    lemma runs never import it, a spectral pipeline imports it when its config
+    is loaded, and no pipeline imports anything inside `run`."""
+
+    SMALL_PARAMS = {
+        "lemma-mc": {"a": 2.0, "n_range": [1, 3], "trials": 50},
+        "spectral-probe": {"box": 6.0, "h": 0.2, "energies": [-1.0]},
+        "full-report": {"gammas": [1.0], "n_range": [1, 3], "a": 2.0, "trials": 50,
+                        "box": 6.0, "h": 0.2, "energies": [-1.0]},
+    }
+
+    LOAD = (
+        "import json, sys\n"
+        "from sparseloc import cli\n"
+        "cli.load_config(sys.argv[1])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    RUN = (
+        "import json, sys\n"
+        "from sparseloc import cli\n"
+        "cfg = cli.load_config(sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "cli.run(cfg)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+
+    def small_cfg(self, tmp_path, pipeline):
+        if pipeline == "certify-sparse":
+            return certify_cfg(tmp_path / "out", seeds=(1,))
+        if pipeline == "certify-quasi1d":
+            return quasi1d_cfg(tmp_path / "out", seeds=(1,))
+        return window_cfg(tmp_path, pipeline, self.SMALL_PARAMS[pipeline])
+
+    @staticmethod
+    def fresh_python(code, *args):
+        """Run `code` in a new interpreter (one worker) and parse its JSON line."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, SPARSELOC_WORKERS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              check=True, capture_output=True, text=True)
+        return json.loads(done.stdout)
+
+    @pytest.mark.parametrize("pipeline", ["certify-sparse", "certify-quasi1d", "lemma-mc"])
+    def test_load_config_imports_no_scipy(self, tmp_path, pipeline):
+        path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
+        assert self.fresh_python(self.LOAD, path) == []
+
+    @pytest.mark.parametrize("pipeline", sorted(cli.PIPELINES))
+    def test_run_imports_nothing(self, tmp_path, pipeline):
+        path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
+        assert self.fresh_python(self.RUN, path) == []
+
+    def test_star_import_binds_all(self):
+        code = (
+            "import json\n"
+            "import sparseloc\n"
+            "names = {}\n"
+            "exec('from sparseloc import *', names)\n"
+            "print(json.dumps([n for n in sparseloc.__all__ if n not in names]))\n"
+        )
+        assert self.fresh_python(code) == []
+
+
 class TestStageLayout:
     """The stages each pipeline runs and the data files each stage writes, as
     the manifest records them; benchmark stage metrics read these names."""

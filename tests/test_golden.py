@@ -9,6 +9,7 @@ pinned.  `manifest.jsonl` holds wall times and paths and is not pinned.
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -96,11 +97,14 @@ def _digests(out, names):
 
 
 @pytest.fixture
-def serial(monkeypatch):
-    monkeypatch.setenv("SPARSELOC_WORKERS", "1")
+def workers(monkeypatch):
+    """One worker unless SPARSELOC_WORKERS is set, so the digests can be
+    checked under a pool too."""
+    if "SPARSELOC_WORKERS" not in os.environ:
+        monkeypatch.setenv("SPARSELOC_WORKERS", "1")
 
 
-def test_full_report_bytes(tmp_path, serial):
+def test_full_report_bytes(tmp_path, workers):
     out = _run(tmp_path, FULL_REPORT)
     written = {p.name for p in out.iterdir()}
     assert written == {"manifest.jsonl", "localization.jsonl"} | set(FULL_REPORT_SHA256) | set(
@@ -113,7 +117,7 @@ def test_full_report_bytes(tmp_path, serial):
     assert [r["verdict"] for r in records] == FULL_REPORT_VERDICTS
 
 
-def test_certify_quasi1d_bytes(tmp_path, serial):
+def test_certify_quasi1d_bytes(tmp_path, workers):
     out = _run(tmp_path, CERTIFY_QUASI1D)
     assert {p.name for p in out.iterdir()} == {"manifest.jsonl"} | set(CERTIFY_QUASI1D_SHA256)
     assert _digests(out, CERTIFY_QUASI1D_SHA256) == CERTIFY_QUASI1D_SHA256
