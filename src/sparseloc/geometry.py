@@ -79,6 +79,16 @@ def _norm(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", points, points))
 
 
+def _axis_dot(points: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """points @ axis, one dot product per row.
+
+    A BLAS matrix-vector product rounds a row differently depending on how
+    many rows come with it, so a batched distance would not match the
+    single-point one bit for bit; vecdot runs the same kernel on every row.
+    """
+    return np.vecdot(points, axis)
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
@@ -268,7 +278,7 @@ class SphericalCap:
         r = _norm(points)
         u = np.asarray(self.direction)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = np.clip((points @ u) / np.where(r > 0, r, 1.0), -1.0, 1.0)
+            cosang = np.clip(_axis_dot(points, u) / np.where(r > 0, r, 1.0), -1.0, 1.0)
         ang = np.arccos(cosang)
         return r, ang
 
@@ -424,7 +434,7 @@ class PuncturedSphere:
         for (direction, _b), theta in zip(self.exclusions, self._half_angles):
             u = np.asarray(direction)
             with np.errstate(invalid="ignore", divide="ignore"):
-                cosang = np.clip((points @ u) / np.where(r > 0, r, 1.0), -1.0, 1.0)
+                cosang = np.clip(_axis_dot(points, u) / np.where(r > 0, r, 1.0), -1.0, 1.0)
             ang = np.arccos(cosang)
             shadowed = ang < theta
             rim = _chord_distance(r, R, theta - ang)

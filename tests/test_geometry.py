@@ -181,6 +181,14 @@ class TestClearanceKernel:
         member = g.spherical_cap(5.0, [0.0, 1.0], 1.0)
         assert g.distance_between(union, member) == pair_loop_distance(union, member) == 1.0
 
+    def test_cap_axis_dot_does_not_depend_on_the_batch(self):
+        # a BLAS matrix-vector product rounds the second centre's dot with
+        # the axis one ulp away from the same product taken alone
+        union = g.RegionSet(3, (g.Ball((0.0, 0.0, 0.0), 0.0), g.Ball((12.0, 16.0, 1.0), 0.0)))
+        axis = (0.9607804503622109, -0.24019511259055273, 0.13859016591879295)
+        member = g.RegionSet(3, (g.SphericalCap(11.0, axis, 8.0),))
+        assert g.distance_between(union, member) == pair_loop_distance(union, member)
+
     def test_quasi1d_members_bit_equal(self):
         from sparseloc.certify import build_decomposition_quasi1d, difference_support
         from sparseloc.models import model_from_dict, sample_couplings
