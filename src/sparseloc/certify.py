@@ -12,10 +12,10 @@ appearing at every larger scale).
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +34,9 @@ from .geometry import (
     spherical_cap,
     surface_volume_bound,
 )
-from .models import CouplingMap, RandomPotentialModel, WindowTooSmallError, quasi_dimension_bound
+from .models import (
+    CouplingMap, RandomPotentialModel, WindowTooSmallError, quasi_dimension_bound, require_window,
+)
 
 __all__ = [
     "FreeAnnulusRecord",
@@ -175,11 +177,7 @@ def scale_window(a: float, n: int) -> tuple[float, float, float]:
 def require_scale_window(window_radius: float, a: float, n: int) -> tuple[float, float, float]:
     """scale_window(a, n), or WindowTooSmallError when the window falls short of its reach."""
     lo, hi, reach = scale_window(a, n)
-    if window_radius + 1e-9 < reach:
-        raise WindowTooSmallError(
-            f"window radius {window_radius:.3f} does not cover radius {reach:.3f} "
-            f"needed at scale n={n}"
-        )
+    require_window(window_radius, reach, f" needed at scale n={n}")
     return lo, hi, reach
 
 
@@ -266,18 +264,19 @@ def _free_scan(
 ) -> list[FreeAnnulusRecord]:
     """find_free_subannulus at every scale, in scale order.
 
-    Without `n_range` the scales are those whose reach the window covers
-    (1..12 for an unbounded window).
+    Without `n_range` the scales run from 1 up to the last whose reach the
+    window covers (reach grows with n), or to 12 for an unbounded window.
     """
     if n_range is not None:
         scales = range(n_range[0], n_range[1] + 1)
-    elif not math.isfinite(couplings.window_radius):
-        scales = range(1, 13)
-    else:
-        scales = itertools.takewhile(
-            lambda n: scale_window(a, n)[2] <= couplings.window_radius, range(1, 200)
-        )
-    return [find_free_subannulus(couplings, eps, a, n) for n in scales]
+        return [find_free_subannulus(couplings, eps, a, n) for n in scales]
+    records = []
+    for n in range(1, 200 if math.isfinite(couplings.window_radius) else 13):
+        try:
+            records.append(find_free_subannulus(couplings, eps, a, n))
+        except WindowTooSmallError:
+            break
+    return records
 
 
 def build_decomposition_sparse(
@@ -389,14 +388,15 @@ def build_shell_sequence_pp(
     )
 
 
-def quasi1d_clearance_threshold(a: float, alpha: float) -> int:
+def quasi1d_clearance_threshold(a: float, alpha: float) -> float:
     """Smallest scale from which cheese points provably clear n^alpha.
 
     A site outside the free annulus but inside its n^alpha-neighborhood
     sits at radius within n^alpha + n/2 of the sphere radius while the
     cheese point is at least n^alpha away from the cap center, giving
     dist^2 >= n^2/4 + (1 - (n^alpha + n/2)/a^n) n^(2 alpha).  The
-    threshold is where that right side reaches n^(2 alpha).
+    threshold is where that right side reaches n^(2 alpha); inf when no
+    n below 10000 qualifies (a near 1), so every cheese keeps n/2 - rho.
     """
     for n in range(1, 10_000):
         r_min = a**n
@@ -404,7 +404,7 @@ def quasi1d_clearance_threshold(a: float, alpha: float) -> int:
         lhs = n**2 / 4.0 + shrink * n ** (2.0 * alpha)
         if shrink > 0.0 and lhs >= n ** (2.0 * alpha):
             return n
-    raise RuntimeError("no clearance threshold below n = 10000")
+    return math.inf
 
 
 def build_decomposition_quasi1d(
@@ -796,10 +796,19 @@ def _clearance_trend_ok(scales: list[ScaleSummary], terms: list[CertificateTerm]
 def _build_certificate(
     kind: str,
     gamma: float,
-    terms: list[CertificateTerm],
+    rows: Iterable[tuple],
     tail_rule: _TailRule | None,
     params: dict,
 ) -> DecompositionCertificate:
+    """The certificate of the gamma-free `rows` (scale, member, role, clearance,
+    surface, floor): each adds surface * exp(-gamma clearance), 0 at infinite clearance."""
+    if gamma <= 0:
+        raise ValueError("gamma must be > 0")
+    terms = [
+        CertificateTerm(scale, member, role, delta, sigma,
+                        0.0 if math.isinf(delta) else sigma * math.exp(-gamma * delta), floor)
+        for scale, member, role, delta, sigma, floor in rows
+    ]
     scales = _scale_summaries(terms)
     partial = float(sum(t.value for t in terms))
     witnesses = [
@@ -861,25 +870,17 @@ def certify_ac(
     uses closed forms for spheres and the diameter volume bound for caps
     and cheese, both upper bounds, so a certified verdict is sound.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    terms: list[CertificateTerm] = []
     infos = decomposition.member_info or tuple(
         MemberInfo(scale=i) for i in range(len(decomposition.members))
     )
-    for idx, (member, info) in enumerate(zip(decomposition.members, infos)):
-        clearance = distance_between(diff_support, member)
-        sigma = _member_sigma(member)
-        value = 0.0 if math.isinf(clearance) else sigma * math.exp(-gamma * clearance)
-        terms.append(
-            CertificateTerm(
-                info.scale, idx, info.role, clearance, sigma, value,
-                clearance_floor=info.clearance_bound,
-            )
-        )
+    rows = (
+        (info.scale, idx, info.role, distance_between(diff_support, member),
+         _member_sigma(member), info.clearance_bound)
+        for idx, (member, info) in enumerate(zip(decomposition.members, infos))
+    )
     tail_rule = _tail_rule_from_params(decomposition.params, decomposition.dimension)
     return _build_certificate(
-        "ac", gamma, terms, tail_rule, {"decomposition_kind": decomposition.kind}
+        "ac", gamma, rows, tail_rule, {"decomposition_kind": decomposition.kind}
     )
 
 
@@ -894,47 +895,31 @@ def certify_pp(
     min(dist(S_n, diff), half the gap to the neighboring spheres).
     Terms exist for interior shells only (both neighbors stored).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
     radii = shells.radii
-    d = shells.dimension
     scales = shells.params.get("scales", list(range(len(radii))))
     rho = shells.params.get("rho")
-    terms: list[CertificateTerm] = []
+    rows = []
     for i in range(1, len(radii) - 1):
-        sphere = shells.boundary(i)
-        d_diff = distance_between(diff_support, sphere)
-        d_neighbors = 0.5 * min(radii[i] - radii[i - 1], radii[i + 1] - radii[i])
-        clearance = min(d_diff, d_neighbors)
-        volume = shells.annular_volume(i)
-        value = 0.0 if math.isinf(clearance) else volume * math.exp(-gamma * clearance)
+        gap = 0.5 * min(radii[i] - radii[i - 1], radii[i + 1] - radii[i])
+        clearance = min(distance_between(diff_support, shells.boundary(i)), gap)
         floor = scales[i] / 2.0 - rho if rho is not None else None
-        terms.append(
-            CertificateTerm(scales[i], i, "shell", clearance, volume, value, floor)
-        )
-    tail_rule = _tail_rule_from_params(shells.params, d)
-    return _build_certificate("pp", gamma, terms, tail_rule, {"radii": list(radii)})
+        rows.append((scales[i], i, "shell", clearance, shells.annular_volume(i), floor))
+    tail_rule = _tail_rule_from_params(shells.params, shells.dimension)
+    return _build_certificate("pp", gamma, rows, tail_rule, {"radii": list(radii)})
 
 
-def certify_series(
-    clearances,
-    surfaces,
-    gamma: float,
-    kind: str = "series",
-) -> DecompositionCertificate:
+def certify_series(clearances, surfaces, gamma: float) -> DecompositionCertificate:
     """Certificate from explicit per-scale clearance and surface values.
 
     Low-level entry used for plug-in checks of the convergence criterion
     without building geometry.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
     clearances = [float(c) for c in clearances]
     surfaces = [float(s) for s in surfaces]
     if len(clearances) != len(surfaces):
         raise ValueError("clearances and surfaces must have equal length")
-    terms = []
-    for i, (delta, sigma) in enumerate(zip(clearances, surfaces)):
-        value = 0.0 if math.isinf(delta) else sigma * math.exp(-gamma * delta)
-        terms.append(CertificateTerm(i, i, "series", delta, sigma, value))
-    return _build_certificate(kind, gamma, terms, None, {})
+    rows = (
+        (i, i, "series", delta, sigma, None)
+        for i, (delta, sigma) in enumerate(zip(clearances, surfaces))
+    )
+    return _build_certificate("series", gamma, rows, None, {})

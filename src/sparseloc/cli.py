@@ -41,6 +41,7 @@ from .models import (
     CouplingMap,
     WindowTooSmallError,
     model_from_dict,
+    require_window,
     sample_couplings,
 )
 from .spectral import (
@@ -265,8 +266,10 @@ def _semantic_errors(cfg: dict) -> list[str]:
     radius_key = "window_radius" if sites["generator"] == "explicit" else "radius"
     site_radius = sites.get(radius_key, math.inf)
     window = params.get("window", site_radius)
-    if window > site_radius:
-        return [f"$.parameters.window: window radius {window:.2f} > site radius {site_radius:.2f}"]
+    try:
+        require_window(site_radius, window, " requested by parameters.window")
+    except WindowTooSmallError as exc:
+        return [f"$.parameters.window: {exc}"]
     scale_checks = []  # (radius the cells read, growth ratio, what sets the ratio)
     if "certify-sparse" in stages:
         for gamma in params["gammas"]:
@@ -282,11 +285,10 @@ def _semantic_errors(cfg: dict) -> list[str]:
             errors.append(f"$.parameters.n_range: at {label}: {exc}")
     if "spectral-probe" in stages:
         needed = params["box"] * math.sqrt(d) + model_cfg["potential"]["radius"]
-        if needed > window:
-            errors.append(
-                f"$.parameters.box: box corner plus support needs radius {needed:.2f} "
-                f"> window radius {window:.2f}"
-            )
+        try:
+            require_window(window, needed, " needed by the box corner plus support")
+        except WindowTooSmallError as exc:
+            errors.append(f"$.parameters.box: {exc}")
     return errors
 
 
@@ -352,7 +354,11 @@ def _write_outputs(outdir: Path, files: dict) -> list[str]:
 
 
 def _workers() -> int:
-    return max(1, int(os.environ.get("SPARSELOC_WORKERS", "1")))
+    value = os.environ.get("SPARSELOC_WORKERS", "1")
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ConfigError([f"SPARSELOC_WORKERS: must be an integer, got {value!r}"]) from None
 
 
 def _innermost_frame(exc: BaseException) -> str:
@@ -620,7 +626,9 @@ def main() -> None:
 
 
 def _load_config_or_exit(config: str) -> dict:
+    """The checked config; exits 2 on a config error or a SPARSELOC_WORKERS that is no integer."""
     try:
+        _workers()
         return load_config(config)
     except ConfigError as exc:
         for line in exc.errors:

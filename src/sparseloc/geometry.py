@@ -102,8 +102,18 @@ class _Centered:
         return len(self.center)
 
 
+class _Surface:
+    """Methods shared by the measure-zero shapes: point, sphere, cap, punctured sphere."""
+
+    def volume(self) -> float:
+        return 0.0
+
+    def is_surface(self) -> bool:
+        return True
+
+
 @dataclass(frozen=True)
-class Point(_Centered):
+class Point(_Centered, _Surface):
     """A single point."""
 
     center: tuple[float, ...]
@@ -114,17 +124,8 @@ class Point(_Centered):
     def circumradius(self) -> float:
         return float(np.linalg.norm(self.center))
 
-    def min_norm(self) -> float:
-        return self.circumradius()
-
     def diameter(self) -> float:
         return 0.0
-
-    def volume(self) -> float:
-        return 0.0
-
-    def is_surface(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,6 @@ class Ball(_Centered):
     def circumradius(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
-    def min_norm(self) -> float:
-        return max(0.0, float(np.linalg.norm(self.center)) - self.radius)
-
     def diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -158,7 +156,7 @@ class Ball(_Centered):
 
 
 @dataclass(frozen=True)
-class Sphere(_Centered):
+class Sphere(_Centered, _Surface):
     """Sphere = boundary of B(center, radius)."""
 
     center: tuple[float, ...]
@@ -179,12 +177,6 @@ class Sphere(_Centered):
 
     def diameter(self) -> float:
         return 2.0 * self.radius
-
-    def volume(self) -> float:
-        return 0.0
-
-    def is_surface(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -242,7 +234,7 @@ def _cap_half_angle(sphere_radius: float, ball_radius: float) -> float:
 
 
 @dataclass(frozen=True)
-class SphericalCap:
+class SphericalCap(_Surface):
     """Cap on an origin-centered sphere, cut out by a ball centered on it.
 
     The cap is {|x| = R} intersected with the closed ball of radius
@@ -310,15 +302,9 @@ class SphericalCap:
             raise ValueError("arc_length is a d=2 accessor")
         return 2.0 * self.sphere_radius * self.half_angle
 
-    def volume(self) -> float:
-        return 0.0
-
-    def is_surface(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class PuncturedSphere:
+class PuncturedSphere(_Surface):
     """Origin-centered sphere with open caps removed (closure kept).
 
     `exclusions` holds (direction, ball_radius) pairs in the same
@@ -450,12 +436,6 @@ class PuncturedSphere:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def volume(self) -> float:
-        return 0.0
-
-    def is_surface(self) -> bool:
-        return True
-
 
 def _circular_separation(psi: np.ndarray, angle: float) -> np.ndarray:
     d = np.abs(np.mod(psi - angle, 2.0 * math.pi))
@@ -513,12 +493,11 @@ Primitive = Point | Ball | Sphere | Annulus | SphericalCap | PuncturedSphere | B
 
 
 def _is_radial(shape: Primitive) -> bool:
-    """True when the shape contains every direction at each norm it meets."""
-    if isinstance(shape, Annulus):
-        return True
-    if isinstance(shape, (Ball, Sphere)):
+    """True when the shape contains every direction at each norm it meets
+    (points and balls never get here: _primitive_distance handles them first)."""
+    if isinstance(shape, Sphere):
         return float(np.linalg.norm(shape.center)) == 0.0
-    return False
+    return isinstance(shape, Annulus)
 
 
 # ---------------------------------------------------------------------------
@@ -800,13 +779,11 @@ def shell_measure(
 
 
 def generalized_surface_area(
-    region: RegionSet,
-    resolution: float = DEFAULT_RESOLUTION,
-    r_max: float | None = None,
+    region: RegionSet, resolution: float = DEFAULT_RESOLUTION
 ) -> SurfaceAreaEstimate:
     """sup over r >= 0 of |shell(r)| / (r^d + 1), on an r-grid of the given spacing.
 
-    The default r_max = diam(S) + d + 2 is past the point where the ratio
+    The grid ends at r_max = diam(S) + d + 2, past the point where the ratio
     is provably decreasing, so truncating the supremum is safe.
     """
     if resolution <= 0:
@@ -814,10 +791,7 @@ def generalized_surface_area(
     d = region.dimension
     if region.is_empty():
         return SurfaceAreaEstimate(0.0, 0.0, 0.0, resolution, 0.0)
-    if r_max is None:
-        r_max = region.diameter_bound() + d + 2.0
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
+    r_max = region.diameter_bound() + d + 2.0
     r_values = np.arange(0.0, r_max + resolution / 2.0, resolution)
     extent = region.circumradius() + r_max + 1.0 + resolution
     counts, fuzz = _shell_counts(region, extent, resolution, r_values)
@@ -924,7 +898,7 @@ def distance_between(a: RegionSet, b: RegionSet, sample_step: float = 0.01) -> f
     """inf over pairs of points of the two sets; +inf if either is empty.
 
     Exact for every pair in which one side is a point, a ball, or an
-    origin-radial set (annulus, centered sphere or ball), and for
+    origin-radial set (annulus or centered sphere), and for
     sphere-sphere pairs.  Remaining pairs use surface sampling at
     `sample_step` spacing: the result then overshoots the true distance by
     at most `sample_step`.
@@ -960,12 +934,7 @@ def _primitive_distance(p: Primitive, q: Primitive, step: float) -> float:
     if _is_radial(q):
         p, q = q, p
     if _is_radial(p):
-        lo, hi = p.min_norm(), p.circumradius()
-        if isinstance(p, Sphere):
-            lo = hi = p.radius
-        elif isinstance(p, Ball):
-            lo, hi = 0.0, p.radius
-        return max(0.0, lo - q.circumradius(), q.min_norm() - hi)
+        return max(0.0, p.min_norm() - q.circumradius(), q.min_norm() - p.circumradius())
     if isinstance(p, Sphere) and isinstance(q, Sphere):
         dist = float(np.linalg.norm(np.asarray(p.center) - np.asarray(q.center)))
         r1, r2 = p.radius, q.radius
@@ -980,9 +949,7 @@ def _primitive_distance(p: Primitive, q: Primitive, step: float) -> float:
 def _surface_samples(shape: Primitive, step: float) -> np.ndarray:
     """Points on the shape with spacing about `step` (fallback distances)."""
     d = shape.dimension
-    if isinstance(shape, Point):
-        return np.asarray(shape.center)[None, :]
-    if isinstance(shape, (Sphere, Ball)):
+    if isinstance(shape, Sphere):
         c = np.asarray(shape.center)
         R = shape.radius
         if R == 0.0:
@@ -1069,7 +1036,7 @@ class TotalDecomposition:
             return list(dict.fromkeys(info.scale for info in self.member_info))
         return list(range(len(self.members)))
 
-    def validate(self, sample_resolution: float = 0.05) -> list[str]:
+    def validate(self) -> list[str]:
         """Structural invariant check; returns a list of violation messages."""
         problems: list[str] = []
         for i, m in enumerate(self.members):
@@ -1095,7 +1062,7 @@ class TotalDecomposition:
             for i, m in enumerate(self.members):
                 if m.is_empty() or m.is_surface():
                     continue
-                est = shell_measure(m, 0.0, sample_resolution)
+                est = shell_measure(m, 0.0, 0.05)
                 body = m.volume()
                 if body > 0.0 or est.value <= 0.0:
                     problems.append(f"member {i}: sampled measure-zero check failed")

@@ -30,6 +30,7 @@ __all__ = [
     "CouplingMap",
     "AssumptionReport",
     "WindowTooSmallError",
+    "require_window",
     "p_epsilon",
     "ac_mass",
     "sample_couplings",
@@ -45,6 +46,14 @@ __all__ = [
 
 class WindowTooSmallError(ValueError):
     """A query needs couplings or sites outside the sampled window."""
+
+
+def require_window(window_radius: float, needed: float, what: str = "") -> None:
+    """The one window rule: a window covers a radius up to 1e-9 beyond its own."""
+    if window_radius + 1e-9 < needed:
+        raise WindowTooSmallError(
+            f"window radius {window_radius:.3f} does not cover radius {needed:.3f}{what}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +438,7 @@ class SiteSet:
         return None
 
     def indices_in(self, region: RegionSet) -> np.ndarray:
-        if region.circumradius() > self.window_radius + 1e-9:
-            raise WindowTooSmallError(
-                f"region extends to {region.circumradius():.3f} but the site window "
-                f"only covers radius {self.window_radius:.3f}"
-            )
+        require_window(self.window_radius, region.circumradius(), " needed by the region")
         return np.where(region.contains(self.points))[0]
 
     def __len__(self) -> int:
@@ -482,9 +487,9 @@ class SingleSitePotential:
         vals = np.asarray(self.profile(r), dtype=float)
         return np.where(r <= self.support_radius, vals, 0.0)
 
-    def p_norm(self, p: float, dimension: int, n_grid: int = 2001) -> float:
+    def p_norm(self, p: float, dimension: int) -> float:
         """L^p norm via radial quadrature such that the check is deterministic."""
-        r = np.linspace(0.0, self.support_radius, n_grid)
+        r = np.linspace(0.0, self.support_radius, 2001)
         vals = np.abs(np.where(r <= self.support_radius, self.profile(r), 0.0)) ** p
         if dimension == 1:
             integrand = 2.0 * vals
@@ -619,11 +624,7 @@ class CouplingMap:
         return float(self.values[match[0]])
 
     def require_window(self, region: RegionSet) -> None:
-        if region.circumradius() > self.window_radius + 1e-9:
-            raise WindowTooSmallError(
-                f"query at radius {region.circumradius():.3f} exceeds sampled "
-                f"window {self.window_radius:.3f}"
-            )
+        require_window(self.window_radius, region.circumradius(), " needed by the query")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -650,10 +651,7 @@ def sample_couplings(
         window_radius = min(window.circumradius(), sites.window_radius)
     else:
         window_radius = float(window)
-        if window_radius > sites.window_radius + 1e-9:
-            raise WindowTooSmallError(
-                f"requested window {window_radius} exceeds site window {sites.window_radius}"
-            )
+        require_window(sites.window_radius, window_radius, " requested as the sampling window")
         indices = np.where(sites.norms <= window_radius)[0]
     u = _rng.site_uniforms(seed, indices, start=trial)
     values = model.laws.transform(sites.points[indices], indices, u)[:, 0]
@@ -722,24 +720,16 @@ def second_moment_profile(model: RandomPotentialModel, x) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def second_moment_decay_fit(
-    model: RandomPotentialModel,
-    radii,
-    directions=None,
-) -> tuple[float, float, bool]:
-    """Fit W(x) ~ (1+|x|)^(-q) along rays; returns (q, r_squared, q > 1).
+def second_moment_decay_fit(model: RandomPotentialModel, radii) -> tuple[float, float, bool]:
+    """Fit W(x) ~ (1+|x|)^(-q) along the coordinate rays; returns (q, r_squared, q > 1).
 
     The last flag marks the decay regime in which the wave operators
     exist (second-moment decay faster than 1/|x|).
     """
-    d = model.dimension
-    if directions is None:
-        directions = np.eye(d)
     radii = np.asarray(radii, dtype=float)
     logs_x: list[float] = []
     logs_w: list[float] = []
-    for u in np.atleast_2d(directions):
-        u = u / np.linalg.norm(u)
+    for u in np.eye(model.dimension):
         pts = radii[:, None] * u[None, :]
         w = second_moment_profile(model, pts)
         mask = w > 1e-300
@@ -773,22 +763,19 @@ class QuasiDimensionReport:
     normalized_counts: np.ndarray
 
 
-def quasi_dimension_bound(
-    sites: SiteSet, m: float, r_max: float, step: float = 0.5
-) -> QuasiDimensionReport:
+def quasi_dimension_bound(sites: SiteSet, m: float, r_max: float) -> QuasiDimensionReport:
     """Check quasi-m-dimensionality by counting sites in unit annuli.
 
     `constant` is the max of count / max(R, 1)^(m-1) over R in
-    {0, step, ...}; `passed` requires no growth trend over the upper half
+    {0, 0.5, 1, ...}; `passed` requires no growth trend over the upper half
     of the range (least-squares slope small relative to the level).
     Also reports the cumulative variant #(Sigma cap B(0,R)) <= C R.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if r_max > sites.window_radius + 1e-9:
-        raise WindowTooSmallError("r_max exceeds the site window")
+    require_window(sites.window_radius, r_max, " needed by r_max")
     norms = np.sort(sites.norms)
-    radii = np.arange(0.0, r_max - 1.0 + step / 2.0, step)
+    radii = np.arange(0.0, r_max - 1.0 + 0.25, 0.5)
     counts = np.searchsorted(norms, radii + 1.0, side="right") - np.searchsorted(
         norms, radii, side="left"
     )
@@ -797,7 +784,7 @@ def quasi_dimension_bound(
     constant = float(np.max(normalized)) if normalized.size else 0.0
     passed = _no_growth_trend(radii, normalized)
 
-    r_cum = np.arange(1.0, r_max + step / 2.0, step)
+    r_cum = np.arange(1.0, r_max + 0.25, 0.5)
     cum_counts = np.searchsorted(norms, r_cum, side="right")
     cum_norm = cum_counts / r_cum
     cum_constant = float(np.max(cum_norm)) if cum_norm.size else 0.0
@@ -807,8 +794,8 @@ def quasi_dimension_bound(
     )
 
 
-def _no_growth_trend(x: np.ndarray, y: np.ndarray, rel_tol: float = 0.25) -> bool:
-    """True when y shows no systematic growth over the upper half of x."""
+def _no_growth_trend(x: np.ndarray, y: np.ndarray) -> bool:
+    """True when y grows by at most a quarter of its level over the upper half of x."""
     half = len(x) // 2
     xs, ys = x[half:], y[half:]
     if len(xs) < 3:
@@ -816,7 +803,7 @@ def _no_growth_trend(x: np.ndarray, y: np.ndarray, rel_tol: float = 0.25) -> boo
     slope = float(np.polyfit(xs, ys, 1)[0])
     level = max(float(np.max(ys)), 1e-12)
     growth = slope * (xs[-1] - xs[0])
-    return growth <= rel_tol * level
+    return growth <= 0.25 * level
 
 
 # ---------------------------------------------------------------------------
@@ -847,12 +834,12 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def validate_assumptions(model: RandomPotentialModel, norm_tol: float = 0.01) -> AssumptionReport:
+def validate_assumptions(model: RandomPotentialModel) -> AssumptionReport:
     """Check the standing hypotheses; failures carry witnesses, not errors.
 
     A1: background locally uniformly L^p with an admissible exponent.
     A2: uniform discreteness of the sites.
-    A3: compact support and L^p bound of every single-site potential.
+    A3: compact support and L^p bound (within 1 %) of every single-site potential.
     A4: coupling laws supported in [0,1] with total mass one.
     A5: distinguished-site bump of definite sign (only when one is set).
     """
@@ -890,7 +877,7 @@ def validate_assumptions(model: RandomPotentialModel, norm_tol: float = 0.01) ->
         probe_r = pot.support_radius * 1.0001 + 1e-9
         outside = float(np.max(np.abs(pot.profile(np.linspace(probe_r, probe_r + 1.0, 16)))))
         norm = pot.p_norm(p, d)
-        ok = outside == 0.0 and norm <= pot.p_norm_bound * (1.0 + norm_tol)
+        ok = outside == 0.0 and norm <= pot.p_norm_bound * 1.01
         a3_ok &= ok
         a3_detail.append(f"site={idx}: ||f||_{p:g}={norm:.4g} bound={pot.p_norm_bound:.4g} ok={ok}")
     checks.append(AssumptionCheck("A3", passed=bool(a3_ok), detail="; ".join(a3_detail)))

@@ -19,7 +19,7 @@ import numpy as np
 if TYPE_CHECKING:  # scipy is imported by the functions that call it
     import scipy.sparse as sp
 
-from .models import CouplingMap, RandomPotentialModel, evaluate_potential
+from .models import CouplingMap, RandomPotentialModel, evaluate_potential, require_window
 
 __all__ = [
     "GridOperator",
@@ -39,6 +39,9 @@ __all__ = [
 
 DENSE_LIMIT = 3000
 AMPLITUDE_FLOOR = 1e-12
+MIN_SPECTRUM_DISTANCE = 1e-6  # resolvent_decay refuses energies closer to the spectrum
+BOUNDARY_MARGIN = 0.15  # resolvent_decay fits nodes at least this share of a side inside
+RESOLVENT_CHECKS = 3  # localization_report cross-checks this many of the lowest gap states
 
 
 @dataclass(eq=False)
@@ -172,13 +175,8 @@ def discretize(
     d = model.dimension
     if d not in (1, 2):
         raise ValueError("discretization supports d in {1, 2}")
-    rho = model.max_support_radius()
-    corner = box * math.sqrt(d)
-    if corner + rho > couplings.window_radius + 1e-9:
-        raise ValueError(
-            f"box corner radius {corner:.3f} plus support {rho:.3f} exceeds the "
-            f"coupling window {couplings.window_radius:.3f}"
-        )
+    needed = box * math.sqrt(d) + model.max_support_radius()
+    require_window(couplings.window_radius, needed, " needed by the box corner plus support")
     n_side = int(round(2.0 * box / h)) - 1
     if n_side < 1:
         raise ValueError("box too small for the requested spacing")
@@ -375,19 +373,13 @@ class ResolventDecayFit:
     n_points: int
 
 
-def resolvent_decay(
-    op: GridOperator,
-    energy: float,
-    sources: int | list[int] | None = None,
-    min_distance: float = 1e-6,
-    boundary_margin: float = 0.15,
-) -> ResolventDecayFit:
-    """Exponential decay rate of |(H - E)^(-1) delta_y| away from sources y.
+def resolvent_decay(op: GridOperator, energy: float) -> ResolventDecayFit:
+    """Exponential decay rate of |(H - E)^(-1) delta_y| away from the centre node y.
 
-    Solves one sparse system per source and fits log-amplitude against
-    the distance over all (node, source) probe pairs, skipping nodes near
-    the boundary and below the amplitude floor.  Energies within
-    `min_distance` of an eigenvalue are refused as ill-conditioned.
+    Solves one sparse system at y = n // 2 and fits log-amplitude against
+    the distance to y, skipping nodes near the boundary and below the
+    amplitude floor.  Energies within MIN_SPECTRUM_DISTANCE of an
+    eigenvalue are refused as ill-conditioned.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -397,35 +389,24 @@ def resolvent_decay(
     else:
         near = spla.eigsh(op.matrix(), k=1, sigma=energy, which="LM", return_eigenvectors=False)
         spectrum_distance = float(np.abs(near[0] - energy))
-    if spectrum_distance < min_distance:
+    if spectrum_distance < MIN_SPECTRUM_DISTANCE:
         raise ValueError(
             f"energy {energy} is within {spectrum_distance:.3g} of the spectrum; "
             "the resolvent solve would be ill-conditioned"
         )
     n = op.n_unknowns
-    if sources is None:
-        sources = [n // 2]
-    elif isinstance(sources, int):
-        sources = [sources]
     lu = spla.splu((op.matrix() - energy * sp.identity(n, format="csr")).tocsc())
     grid_idx = np.array(np.unravel_index(np.arange(n), op.shape)).T
     interior = np.ones(n, dtype=bool)
     for k in range(op.dimension):
-        margin = int(boundary_margin * op.shape[k])
+        margin = int(BOUNDARY_MARGIN * op.shape[k])
         interior &= (grid_idx[:, k] >= margin) & (grid_idx[:, k] < op.shape[k] - margin)
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    for source in sources:
-        rhs = np.zeros(n)
-        rhs[source] = 1.0
-        u = lu.solve(rhs)
-        cidx = grid_idx[source]
-        dist = np.linalg.norm(grid_idx - cidx, axis=1) * op.spacing
-        mask = interior & (np.abs(u) > AMPLITUDE_FLOOR) & (dist > 0)
-        xs.append(dist[mask])
-        ys.append(np.log(np.abs(u[mask])))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    rhs = np.zeros(n)
+    rhs[n // 2] = 1.0
+    u = lu.solve(rhs)
+    dist = np.linalg.norm(grid_idx - grid_idx[n // 2], axis=1) * op.spacing
+    mask = interior & (np.abs(u) > AMPLITUDE_FLOOR) & (dist > 0)
+    x, y = dist[mask], np.log(np.abs(u[mask]))
     if x.size < 3:
         raise ValueError("resolvent amplitude decays below the floor too quickly to fit")
     rate, quality = _loglinear_fit(x, y)
@@ -480,22 +461,20 @@ def localization_report(
     box: float,
     h: float,
     gap_source: GridOperator,
-    gap_resolution: float | None = None,
-    resolvent_checks: int = 3,
 ) -> LocalizationReport:
     """Compare states of H in gaps of the reference operator against bulk states.
 
     Verdict "gap-states-localized" requires the median gap-state IPR to
     exceed ten times the bulk median and at least 90 percent of gap
-    states to fit an exponential with quality >= 0.9.  Also cross-checks
-    a few gap-state decay rates against the reference resolvent decay at
-    the same energy.
+    states to fit an exponential with quality >= 0.9.  Gaps are those of
+    the reference spectrum wider than ten median level spacings.  Also
+    cross-checks the lowest RESOLVENT_CHECKS gap-state decay rates against
+    the reference resolvent decay at the same energy.
     """
     op = discretize(model, couplings, box, h)
     ref_vals = np.sort(gap_source.all_eigenvalues())
-    if gap_resolution is None:
-        spacings = np.diff(ref_vals)
-        gap_resolution = 10.0 * float(np.median(spacings[spacings > 0]))
+    spacings = np.diff(ref_vals)
+    gap_resolution = 10.0 * float(np.median(spacings[spacings > 0]))
     gaps = spectrum_gaps(gap_source, gap_resolution)
     # margin absorbs eigensolver jitter so reference states never classify
     # as sitting inside a gap bounded by their own energy
@@ -538,7 +517,7 @@ def localization_report(
         )
         verdict = "gap-states-localized" if localized else "not-localized"
     checks: list[tuple[float, float, float]] = []
-    for s in sorted((s for s in states if s.in_gap), key=lambda s: s.energy)[:resolvent_checks]:
+    for s in sorted((s for s in states if s.in_gap), key=lambda s: s.energy)[:RESOLVENT_CHECKS]:
         try:
             ref_fit = resolvent_decay(gap_source, s.energy)
         except ValueError:

@@ -263,12 +263,12 @@ class ANSeriesReport:
     params: dict = field(default_factory=dict)
 
 
-def _best_eta(a: float, n: int, grid: int = 99) -> tuple[float, float, bool]:
-    """Tightest admissible plug-in bound over an eta grid in (0, 1 - 1/a)."""
+def _best_eta(a: float, n: int) -> tuple[float, float, bool]:
+    """Tightest admissible plug-in bound over the eta grid k (1 - 1/a) / 100, k = 1..99."""
     eta_max = 1.0 - 1.0 / a
     best = (math.inf, math.nan, True)
-    for k in range(1, grid + 1):
-        eta = eta_max * k / (grid + 1)
+    for k in range(1, 100):
+        eta = eta_max * k / 100
         bound, vacuous = a_n_bound(a, eta, n)
         if bound < best[0]:
             best = (bound, eta, vacuous)

@@ -408,6 +408,16 @@ class TestQuasi1D:
         for row in td.params["cap_counts"]:
             assert row["sites_near"] <= 2.0 * c_quasi * (row["scale"] ** 2.0 + 1.0)
 
+    def test_built_decomposition_validates(self):
+        _model, cm = self.tube_couplings()
+        td = c.build_decomposition_quasi1d(cm, 0.95, gamma=1.0, a=2.0, n_range=(2, 6))
+        assert {info.role for info in td.member_info} == {"cap", "cheese"}
+        assert td.validate() == []
+
+    def test_no_clearance_threshold_near_one(self):
+        # 1.001^n outgrows n^2 only past n = 10000: every cheese keeps n/2 - rho
+        assert c.quasi1d_clearance_threshold(1.001, 2.0) == math.inf
+
     def test_cheese_clearance_beyond_threshold(self):
         # alpha=1.5 brings the provable-clearance threshold inside the
         # probed scale range (alpha=2 needs scales ~20)

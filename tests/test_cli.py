@@ -494,6 +494,29 @@ class TestFailuresAndWarnings:
         assert cert["verdict"] in ("certified", "not-certified", "inconclusive")
         assert cert["tail"]["sum_bound"] == math.inf
 
+    def test_a_near_one_ends_in_a_verdict(self, tmp_path):
+        # no scale below 10000 has the n^alpha cheese clearance at a = 1.001
+        cfg = quasi1d_cfg(tmp_path / "out", seeds=(1,))
+        cfg["parameters"]["a"] = 1.001
+        path = write_config(tmp_path, cfg)
+        assert CliRunner().invoke(cli.main, ["validate", str(path)]).exit_code == 0
+        with pytest.warns(UserWarning, match="free-annulus threshold"):
+            result = CliRunner().invoke(cli.main, ["run", str(path)])
+        assert result.exit_code == 0, result.output
+        certs = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
+        assert [json.loads(line)["verdict"] for line in certs] == ["inconclusive"] * 3
+        head = json.loads((tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()[0])
+        assert head["params"]["clearance_threshold_n"] == math.inf
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_integer_worker_count_is_a_config_error(self, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("SPARSELOC_WORKERS", "two")
+        path = write_config(tmp_path, certify_cfg(tmp_path / "out"))
+        result = CliRunner().invoke(cli.main, [command, str(path)])
+        assert result.exit_code == 2
+        assert "config error: SPARSELOC_WORKERS: must be an integer, got 'two'" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_failing_cell_named(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("boom")

@@ -211,6 +211,42 @@ class TestClearanceKernel:
         assert checked > 20
 
 
+class TestSampledDistance:
+    """An off-centre sphere against a d=2 cap or punctured sphere takes the
+    surface-sampling branch, which overshoots the distance by at most
+    `sample_step`.  The oracle samples the circle R = 10 every 1e-4, keeps
+    the points of the other set, and takes their exact distance to the
+    sphere, so it overshoots by at most 1e-4 itself."""
+
+    R = 10.0
+    SPHERES = [((3.0, 1.0), 2.0), ((0.0, 4.0), 1.5), ((-2.0, -3.0), 1.0), ((8.5, 4.0), 1.0)]
+
+    def check(self, center, radius, member, keep):
+        t = np.arange(0.0, 2.0 * math.pi, 1e-4 / self.R)
+        circle = self.R * np.column_stack([np.cos(t), np.sin(t)])
+        kept = circle[keep(circle)]
+        oracle = float(np.min(np.abs(np.linalg.norm(kept - center, axis=1) - radius)))
+        got = g.distance_between(g.RegionSet.sphere(center, radius), g.RegionSet(2, (member,)))
+        assert oracle - 1e-4 <= got <= oracle + 0.01
+
+    @pytest.mark.parametrize("center,radius", SPHERES)
+    def test_cap(self, center, radius):
+        u = np.array([1.0, 0.2]) / math.hypot(1.0, 0.2)
+        cap = g.SphericalCap(self.R, (1.0, 0.2), 4.0)
+        self.check(center, radius, cap, lambda p: np.linalg.norm(p - self.R * u, axis=1) <= 4.0)
+
+    @pytest.mark.parametrize("center,radius", SPHERES)
+    def test_punctured_sphere(self, center, radius):
+        cuts = (((1.0, 0.0), 4.0), ((0.0, 1.0), 4.0))
+        cheese = g.PuncturedSphere(2, self.R, cuts)
+
+        def keep(p):  # open caps removed, their rims kept
+            return np.all([np.linalg.norm(p - self.R * np.array(u), axis=1) >= b
+                           for u, b in cuts], axis=0)
+
+        self.check(center, radius, cheese, keep)
+
+
 class TestShellMeasure:
     def test_point_d1_r0(self):
         # shell of a point at r=0 is [-1, 1]
@@ -510,6 +546,11 @@ class TestSphereShellDecomposition:
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError):
             g.sphere_shell_decomposition([1.0, 1.0, 2.0], dimension=2)
+
+    def test_custom_validate_flags_a_solid_member(self):
+        members = (g.RegionSet.sphere([0.0, 0.0], 2.0), g.RegionSet.ball([5.0, 0.0], 1.0))
+        td = g.TotalDecomposition(2, members, kind="custom")
+        assert td.validate() == ["member 1: sampled measure-zero check failed"]
 
 
 class TestSerialization:

@@ -356,6 +356,30 @@ class TestModel1Remark:
             assert np.allclose(got, want)
 
 
+class TestBackgroundLocalNorm:
+    """A1's sup over unit balls of the L^2 norm of the background."""
+
+    @staticmethod
+    def with_background(d, background):
+        return m.RandomPotentialModel(
+            sites=m.SiteSet.lattice(d, 40.0),
+            potential=m.SingleSitePotential.indicator(1.0, 0.5),
+            laws=m.LawAssignment.shared_law(m.CouplingLaw.bernoulli(0.5)),
+            background=background,
+        )
+
+    @pytest.mark.parametrize("d,want", [(1, 2.0 * math.sqrt(2.0)), (2, 2.0 * math.sqrt(math.pi))])
+    def test_constant_is_exact(self, d, want):
+        # |c| w_d^(1/p): the unit ball has volume 2 in d=1 and pi in d=2
+        model = self.with_background(d, m.BackgroundPotential.constant(2.0))
+        assert m._background_local_norm(model, 2.0) == pytest.approx(want, rel=1e-15)
+
+    def test_periodic_step_near_its_supremum(self):
+        # every unit ball of the d=1 pattern [0, 3] covers exactly one cell of 3: norm 3
+        model = self.with_background(1, m.BackgroundPotential.periodic_step([0.0, 3.0]))
+        assert 3.0 <= m._background_local_norm(model, 2.0) <= 3.3
+
+
 class TestValidateAssumptions:
     def test_lattice_bernoulli_all_pass(self):
         model = lattice_model(d=2, radius=8.0)

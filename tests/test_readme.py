@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from sparseloc import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -12,3 +14,10 @@ def test_library_tour_certifies(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     verdict, members, _partial_sum = capsys.readouterr().out.split()
     assert (verdict, members) == ("certified", "5")
+
+
+def test_json_config_validates(tmp_path):
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    assert cli.load_config(path)["pipeline"] == "certify-sparse"
