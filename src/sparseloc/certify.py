@@ -12,6 +12,7 @@ appearing at every larger scale).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -294,8 +295,6 @@ def build_decomposition_sparse(
     """
     model = couplings.model
     d = model.dimension
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
     ell, a = growth_ratio(d - 1, gamma)
     rho = model.max_support_radius()
     members: list[RegionSet] = []
@@ -315,7 +314,6 @@ def build_decomposition_sparse(
         dimension=d,
         members=tuple(members),
         kind="sphere-shells",
-        gamma=gamma,
         member_info=tuple(info),
         params={
             "a": a,
@@ -344,8 +342,6 @@ def build_shell_sequence_pp(
     """
     model = couplings.model
     d = model.dimension
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
     ell, a = growth_ratio(d, gamma)
     rho = model.max_support_radius()
     if excluded_site is None:
@@ -396,21 +392,23 @@ def quasi1d_clearance_threshold(a: float, alpha: float) -> float:
     cheese point is at least n^alpha away from the cap center, giving
     dist^2 >= n^2/4 + (1 - (n^alpha + n/2)/a^n) n^(2 alpha).  The
     threshold is where that right side reaches n^(2 alpha); inf when no
-    n below 10000 qualifies (a near 1), so every cheese keeps n/2 - rho.
+    n below 10000 qualifies (a near 1) or the terms overflow first (large
+    alpha), so every cheese keeps n/2 - rho.
     """
     for n in range(1, 10_000):
-        r_min = a**n
-        shrink = 1.0 - (n**alpha + n / 2.0) / r_min
-        lhs = n**2 / 4.0 + shrink * n ** (2.0 * alpha)
-        if shrink > 0.0 and lhs >= n ** (2.0 * alpha):
-            return n
+        try:
+            shrink = 1.0 - (n**alpha + n / 2.0) / a**n
+            lhs = n**2 / 4.0 + shrink * n ** (2.0 * alpha)
+            if shrink > 0.0 and lhs >= n ** (2.0 * alpha):
+                return n
+        except OverflowError:
+            break
     return math.inf
 
 
 def build_decomposition_quasi1d(
     couplings: CouplingMap,
     eps: float,
-    gamma: float,
     alpha: float = 2.0,
     a: float = 2.0,
     n_range: tuple[int, int] | None = None,
@@ -425,8 +423,6 @@ def build_decomposition_quasi1d(
     """
     model = couplings.model
     d = model.dimension
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
     if alpha <= 1.0:
         raise ValueError("alpha must be > 1")
     if a <= 1.0:
@@ -510,7 +506,6 @@ def build_decomposition_quasi1d(
         dimension=d,
         members=tuple(members),
         kind="cap-cheese",
-        gamma=gamma,
         member_info=tuple(info),
         params={
             "a": a,
@@ -859,6 +854,19 @@ def _build_certificate(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _ac_rows(decomposition: TotalDecomposition, diff_support: RegionSet) -> tuple[tuple, ...]:
+    """certify_ac's gamma-free rows, once per (decomposition by identity, support)."""
+    infos = decomposition.member_info or tuple(
+        MemberInfo(scale=i) for i in range(len(decomposition.members))
+    )
+    return tuple(
+        (info.scale, idx, info.role, distance_between(diff_support, member),
+         _member_sigma(member), info.clearance_bound)
+        for idx, (member, info) in enumerate(zip(decomposition.members, infos))
+    )
+
+
 def certify_ac(
     decomposition: TotalDecomposition,
     diff_support: RegionSet,
@@ -868,19 +876,16 @@ def certify_ac(
 
     Clearances are exact (the difference support is a ball union); sigma
     uses closed forms for spheres and the diameter volume bound for caps
-    and cheese, both upper bounds, so a certified verdict is sound.
+    and cheese, both upper bounds, so a certified verdict is sound.  Both
+    are computed once per (decomposition, support), whatever the gammas.
     """
-    infos = decomposition.member_info or tuple(
-        MemberInfo(scale=i) for i in range(len(decomposition.members))
-    )
-    rows = (
-        (info.scale, idx, info.role, distance_between(diff_support, member),
-         _member_sigma(member), info.clearance_bound)
-        for idx, (member, info) in enumerate(zip(decomposition.members, infos))
-    )
+
+    def rows():  # lazy, so that gamma is checked before any clearance
+        yield from _ac_rows(decomposition, diff_support)
+
     tail_rule = _tail_rule_from_params(decomposition.params, decomposition.dimension)
     return _build_certificate(
-        "ac", gamma, rows, tail_rule, {"decomposition_kind": decomposition.kind}
+        "ac", gamma, rows(), tail_rule, {"decomposition_kind": decomposition.kind}
     )
 
 

@@ -10,7 +10,6 @@ which must not change any output byte.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -421,25 +420,27 @@ def _reference(model_key: str, window, box: float, h: float, energies: tuple) ->
 
 
 def _certify_cell(cfg: dict, stage: str, seed: int) -> dict:
-    """One seed's rows, gamma by gamma.  The gamma-free work is done once, and
-    a failure in it is named with the seed's first gamma."""
+    """One seed's rows, gamma by gamma, with one decomposition per growth ratio.
+    A failure before the gamma loop is named with the seed's first gamma."""
     params = cfg["parameters"]
     eps, n_range = params["eps"], tuple(params["n_range"])
     gamma = params["gammas"][0]
     files = defaultdict(list)
+    built = {}  # growth ratio -> decomposition
     try:
         model = _model(_canonical(cfg["model"]))
         cm = sample_couplings(model, seed, params.get("window"))
         diff = difference_support(model, cm, eps)
-        if stage == "certify-quasi1d":  # its members do not depend on gamma
-            shared = build_decomposition_quasi1d(
-                cm, eps, gamma, alpha=params.get("alpha", 2.0), a=params["a"], n_range=n_range
-            )
+        quasi1d = stage == "certify-quasi1d"
         for gamma in params["gammas"]:
-            if stage == "certify-quasi1d":
-                td = dataclasses.replace(shared, gamma=gamma)
-            else:
-                td = build_decomposition_sparse(cm, eps, gamma, n_range=n_range)
+            a = params["a"] if quasi1d else growth_ratio(model.dimension - 1, gamma)[1]
+            if a not in built and quasi1d:
+                built[a] = build_decomposition_quasi1d(
+                    cm, eps, alpha=params.get("alpha", 2.0), a=a, n_range=n_range
+                )
+            elif a not in built:
+                built[a] = build_decomposition_sparse(cm, eps, gamma, n_range=n_range)
+            td = built[a]
             cert = certify_ac(td, diff, gamma)
             head, td_records = cert.to_records()[0], td.to_records()
             for rec in (head, td_records[0]):
@@ -455,7 +456,7 @@ def _certify_cell(cfg: dict, stage: str, seed: int) -> dict:
                  int(rec["degenerate"])]
                 for rec in td.params["free_records"]
             )
-            if stage == "certify-quasi1d":
+            if quasi1d:
                 files["member_counts.csv"].extend(
                     [seed, row["scale"], row["sites_near"], row["distinct_caps"],
                      row["raw_bound"], row["scaled_bound"]]

@@ -1018,15 +1018,14 @@ class TotalDecomposition:
     """Finite truncation of a sequence of measure-zero compact sets.
 
     The stored members are the first scales of a conceptually infinite
-    decomposition; `tail_rule` (attached by the builders in
+    decomposition; the `tail` entry of `params` (set by the builders in
     :mod:`sparseloc.certify`) lets certificates bound the dropped tail
-    symbolically.
+    symbolically.  It carries no gamma: each certificate takes its own.
     """
 
     dimension: int
     members: tuple[RegionSet, ...]
     kind: str  # sphere-shells | cap-cheese | custom
-    gamma: float | None = None
     member_info: tuple[MemberInfo, ...] = ()
     params: dict = field(default_factory=dict)
     truncated: bool = True
@@ -1073,7 +1072,6 @@ class TotalDecomposition:
             "record": "total_decomposition",
             "dimension": self.dimension,
             "kind": self.kind,
-            "gamma": self.gamma,
             "member_count": len(self.members),
             "params": self.params,
             "truncated": self.truncated,
@@ -1121,7 +1119,6 @@ class TotalDecomposition:
             dimension=head["dimension"],
             members=tuple(members),
             kind=head["kind"],
-            gamma=head["gamma"],
             member_info=tuple(infos) if infos else (),
             params=head.get("params", {}),
             truncated=head.get("truncated", True),
@@ -1155,9 +1152,7 @@ class ShellSequence:
         return ball_volume(self.radii[index + 1], d) - ball_volume(self.radii[index - 1], d)
 
 
-def sphere_shell_decomposition(
-    radii, dimension: int = 2, gamma: float | None = None
-) -> TotalDecomposition:
+def sphere_shell_decomposition(radii, dimension: int = 2) -> TotalDecomposition:
     """Total decomposition from origin-centered spheres at increasing radii.
 
     The complement splits into the inner ball, the open shells between
@@ -1176,7 +1171,6 @@ def sphere_shell_decomposition(
         dimension=dimension,
         members=members,
         kind="sphere-shells",
-        gamma=gamma,
         member_info=info,
         params={"radii": list(radii)},
         truncated=True,

@@ -173,7 +173,7 @@ class TestCriterion6Quasi1D:
         cm = m.sample_couplings(model, seed=1)
         verdicts = {}
         for gamma in [0.5, 1.0]:
-            td = c.build_decomposition_quasi1d(cm, eps, gamma, alpha=2.0, a=a, n_range=(2, 8))
+            td = c.build_decomposition_quasi1d(cm, eps, alpha=2.0, a=a, n_range=(2, 8))
             cert = c.certify_ac(td, c.difference_support(model, cm, eps), gamma)
             verdicts[gamma] = cert.verdict
             assert cert.verdict == "certified", f"gamma={gamma}"

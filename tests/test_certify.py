@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sparseloc import certify as c
 from sparseloc import cli
+from sparseloc import geometry as g
 from sparseloc import models as m
 from sparseloc.geometry import (
     PuncturedSphere,
@@ -368,18 +369,18 @@ class TestQuasi1D:
         model = chain_model(radius=30.0, d=2)  # full lattice
         cm = explicit_couplings(model, {})
         with pytest.raises(ValueError):
-            c.build_decomposition_quasi1d(cm, 0.5, gamma=1.0, a=2.0, n_range=(2, 4))
+            c.build_decomposition_quasi1d(cm, 0.5, a=2.0, n_range=(2, 4))
 
     def test_empty_neighborhood_gives_plain_sphere(self):
         # no sites near the free annulus at scale 2 once the tube is removed there
         model, cm = self.tube_couplings()
-        td = c.build_decomposition_quasi1d(cm, 0.95, gamma=1.0, a=2.0, n_range=(2, 6))
+        td = c.build_decomposition_quasi1d(cm, 0.95, a=2.0, n_range=(2, 6))
         roles = {info.role for info in td.member_info}
         assert "cheese" in roles
 
     def test_caps_cover_sphere(self):
         model, cm = self.tube_couplings()
-        td = c.build_decomposition_quasi1d(cm, 0.95, gamma=1.0, a=2.0, n_range=(2, 6))
+        td = c.build_decomposition_quasi1d(cm, 0.95, a=2.0, n_range=(2, 6))
         # group members by scale, check cap+cheese covers the sphere
         for scale in td.scales():
             group = [
@@ -403,20 +404,25 @@ class TestQuasi1D:
 
     def test_cap_count_bound(self):
         model, cm = self.tube_couplings()
-        td = c.build_decomposition_quasi1d(cm, 0.95, gamma=1.0, a=2.0, n_range=(2, 6))
+        td = c.build_decomposition_quasi1d(cm, 0.95, a=2.0, n_range=(2, 6))
         c_quasi = td.params["quasi1d_constant"]
         for row in td.params["cap_counts"]:
             assert row["sites_near"] <= 2.0 * c_quasi * (row["scale"] ** 2.0 + 1.0)
 
     def test_built_decomposition_validates(self):
         _model, cm = self.tube_couplings()
-        td = c.build_decomposition_quasi1d(cm, 0.95, gamma=1.0, a=2.0, n_range=(2, 6))
+        td = c.build_decomposition_quasi1d(cm, 0.95, a=2.0, n_range=(2, 6))
         assert {info.role for info in td.member_info} == {"cap", "cheese"}
         assert td.validate() == []
 
     def test_no_clearance_threshold_near_one(self):
         # 1.001^n outgrows n^2 only past n = 10000: every cheese keeps n/2 - rho
         assert c.quasi1d_clearance_threshold(1.001, 2.0) == math.inf
+
+    @pytest.mark.parametrize("a,alpha", [(2.0, 100.0), (3.0, 200.0)])
+    def test_no_clearance_threshold_when_terms_overflow(self, a, alpha):
+        # n^(2 alpha) overflows a float long before a^n outgrows n^alpha
+        assert c.quasi1d_clearance_threshold(a, alpha) == math.inf
 
     def test_cheese_clearance_beyond_threshold(self):
         # alpha=1.5 brings the provable-clearance threshold inside the
@@ -426,7 +432,7 @@ class TestQuasi1D:
         assert n0 <= 11
         model, cm = self.tube_couplings(radius=4200.0)
         td = c.build_decomposition_quasi1d(
-            cm, 0.95, gamma=1.0, alpha=alpha, a=2.0, n_range=(2, 11)
+            cm, 0.95, alpha=alpha, a=2.0, n_range=(2, 11)
         )
         assert td.params["clearance_threshold_n"] == n0
         diff = c.difference_support(model, cm, 0.95)
@@ -451,7 +457,7 @@ class TestQuasi1D:
             model2, cm.site_indices, cm.values, None, cm.window_radius
         )
         with pytest.warns(UserWarning):
-            c.build_decomposition_quasi1d(cm2, 0.5, gamma=1.0, a=2.0, n_range=(2, 4))
+            c.build_decomposition_quasi1d(cm2, 0.5, a=2.0, n_range=(2, 4))
 
 
 class TestCertifyAC:
@@ -495,6 +501,16 @@ class TestCertifyAC:
         cert = c.certify_ac(td, diff, gamma=1.0)
         assert cert.verdict == "not-certified"
         assert cert.witnesses
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_bad_gamma_raises_before_any_clearance(self, monkeypatch, gamma):
+        def no_clearance(*args):
+            raise AssertionError("a clearance was computed")
+
+        monkeypatch.setattr(c, "distance_between", no_clearance)
+        td = g.sphere_shell_decomposition([1.0, 2.0], dimension=2)
+        with pytest.raises(ValueError, match="gamma must be > 0"):
+            c.certify_ac(td, RegionSet.ball([5.0, 0.0], 0.5), gamma)
 
     def test_terms_recomputable(self):
         model = chain_model(radius=100.0, d=1)

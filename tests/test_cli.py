@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sparseloc import certify as c
 from sparseloc import cli
 from sparseloc import models as m
 from sparseloc import stochastic as st
@@ -35,13 +36,14 @@ def certify_cfg(output_dir, seeds=(1, 2)):
     }
 
 
-def quasi1d_cfg(output_dir, seeds=(1, 2)):
+def quasi1d_cfg(output_dir, seeds=(1, 2), n_range=(2, 4)):
     """certify-quasi1d on a d=2 tube of radius 70 with three gammas."""
     cfg = certify_cfg(output_dir, seeds)
     cfg["pipeline"] = "certify-quasi1d"
     cfg["model"]["sites"] = {"generator": "tube", "radius": 70.0}
     cfg["model"]["law"] = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
-    cfg["parameters"] = {"eps": 0.95, "gammas": [0.5, 1.0, 2.0], "n_range": [2, 4], "a": 2.0}
+    cfg["parameters"] = {"eps": 0.95, "gammas": [0.5, 1.0, 2.0], "n_range": list(n_range),
+                         "a": 2.0}
     return cfg
 
 
@@ -372,6 +374,96 @@ class TestSeedFreeMemo:
         }
 
 
+def per_gamma_cell(cfg: dict, stage: str, seed: int) -> dict:
+    """A certify cell's files from a fresh decomposition and certificate per gamma."""
+    params = cfg["parameters"]
+    eps, n_range = params["eps"], tuple(params["n_range"])
+    model = m.model_from_dict(cfg["model"])
+    cm = m.sample_couplings(model, seed, params.get("window"))
+    diff = c.difference_support(model, cm, eps)
+    files = {}
+    for gamma in params["gammas"]:
+        if stage == "certify-quasi1d":
+            td = c.build_decomposition_quasi1d(
+                cm, eps, alpha=params.get("alpha", 2.0), a=params["a"], n_range=n_range
+            )
+            files.setdefault("member_counts.csv", []).extend(
+                [seed, row["scale"], row["sites_near"], row["distinct_caps"],
+                 row["raw_bound"], row["scaled_bound"]]
+                for row in td.params["cap_counts"]
+            )
+        else:
+            td = c.build_decomposition_sparse(cm, eps, gamma, n_range=n_range)
+        cert = c.certify_ac(td, diff, gamma)
+        head, td_records = cert.to_records()[0], td.to_records()
+        stamp = {"seed": seed, "gamma": gamma}
+        files.setdefault("certificates.jsonl", []).append({**head, **stamp})
+        files.setdefault("decompositions.jsonl", []).extend(
+            [{**td_records[0], **stamp}, *td_records[1:]]
+        )
+        files.setdefault("certificate_terms.csv", []).extend(
+            [seed, gamma, t.scale, t.member, t.role, t.clearance, t.surface, t.value]
+            for t in cert.terms
+        )
+        files.setdefault("free_annuli.csv", []).extend(
+            [seed, gamma, rec["scale"], int(rec["free"]), rec["inner_radius"],
+             int(rec["degenerate"])]
+            for rec in td.params["free_records"]
+        )
+    return files
+
+
+class TestGammaFreeWork:
+    """A certify cell builds one decomposition per growth ratio and computes
+    each member's clearance and sigma once, with the rows of the per-gamma path."""
+
+    CASES = {
+        # d=1: every gamma gives ell = 1, so one decomposition serves all
+        "sparse-d1": lambda tmp_path: window_cfg(
+            tmp_path, "certify-sparse", {"gammas": [0.5, 1.0, 2.0], "n_range": [1, 4]}
+        ),
+        # d=2: 0.9 and 0.95 share ell = 3, 2.0 has ell = 2
+        "sparse-d2": lambda tmp_path: dict(
+            certify_cfg(tmp_path / "out"),
+            model=lattice_model_cfg(d=2, radius=20.0),
+            parameters={"eps": 0.1, "gammas": [0.9, 0.95, 2.0], "n_range": [1, 5]},
+        ),
+        # up to scale 4, seed 1 has only gaps: each cap neighbourhood reaches the origin
+        "quasi1d": lambda tmp_path: quasi1d_cfg(tmp_path / "out", n_range=(2, 5)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_rows_as_per_gamma_path(self, tmp_path, case):
+        cfg = self.CASES[case](tmp_path)
+        stage = cfg["pipeline"]
+        for seed in cfg["seeds"]:
+            got = cli._certify_cell(cfg, stage, seed)
+            want = per_gamma_cell(cfg, stage, seed)
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_clearance_and_sigma_once_per_member(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for name in ("distance_between", "closed_form_sigma"):
+            monkeypatch.setattr(c, name, counted(getattr(c, name)))
+        cfg = quasi1d_cfg(tmp_path / "out", n_range=(2, 5))
+        for seed in cfg["seeds"]:
+            calls.clear()
+            files = cli._certify_cell(cfg, "certify-quasi1d", seed)
+            heads = [rec for rec in files["decompositions.jsonl"]
+                     if rec["record"] == "total_decomposition"]
+            assert len(heads) == len(cfg["parameters"]["gammas"]) == 3
+            members = heads[0]["member_count"]
+            assert members > 0
+            assert calls.count("distance_between") == calls.count("closed_form_sigma") == members
+
+
 class TestImportBoundary:
     """scipy serves only the spectral stage and the tree helpers: certify and
     lemma runs never import it, a spectral pipeline imports it when its config
@@ -502,6 +594,19 @@ class TestFailuresAndWarnings:
         assert CliRunner().invoke(cli.main, ["validate", str(path)]).exit_code == 0
         with pytest.warns(UserWarning, match="free-annulus threshold"):
             result = CliRunner().invoke(cli.main, ["run", str(path)])
+        assert result.exit_code == 0, result.output
+        certs = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
+        assert [json.loads(line)["verdict"] for line in certs] == ["inconclusive"] * 3
+        head = json.loads((tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()[0])
+        assert head["params"]["clearance_threshold_n"] == math.inf
+
+    def test_large_alpha_ends_in_a_verdict(self, tmp_path):
+        # the clearance threshold's n^(2 alpha) overflows a float at alpha = 100
+        cfg = quasi1d_cfg(tmp_path / "out", seeds=(1,))
+        cfg["parameters"]["alpha"] = 100.0
+        path = write_config(tmp_path, cfg)
+        assert CliRunner().invoke(cli.main, ["validate", str(path)]).exit_code == 0
+        result = CliRunner().invoke(cli.main, ["run", str(path)])
         assert result.exit_code == 0, result.output
         certs = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
         assert [json.loads(line)["verdict"] for line in certs] == ["inconclusive"] * 3

@@ -202,7 +202,7 @@ class TestClearanceKernel:
         checked = 0
         for seed in (1, 2):
             couplings = sample_couplings(model, seed, None)
-            td = build_decomposition_quasi1d(couplings, 0.95, 1.0, a=2.0, n_range=(2, 7))
+            td = build_decomposition_quasi1d(couplings, 0.95, a=2.0, n_range=(2, 7))
             diff = difference_support(model, couplings, 0.95)
             assert len(diff.shapes) > 0
             for member in td.members:
@@ -572,11 +572,10 @@ class TestSerialization:
         assert back == region
 
     def test_decomposition_roundtrip(self):
-        td = g.sphere_shell_decomposition([1.0, 2.5], dimension=3, gamma=0.5)
+        td = g.sphere_shell_decomposition([1.0, 2.5], dimension=3)
         records = [json.loads(json.dumps(r)) for r in td.to_records()]
         back = g.TotalDecomposition.from_records(records)
         assert back.kind == td.kind
-        assert back.gamma == td.gamma
         assert back.members == td.members
 
 
