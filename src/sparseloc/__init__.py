@@ -34,7 +34,6 @@ from .certify import (
 )
 from .geometry import (
     RegionSet,
-    ShellSequence,
     TotalDecomposition,
     distance_between,
     generalized_surface_area,
@@ -88,7 +87,6 @@ __all__ = [
     "__version__",
     "RegionSet",
     "TotalDecomposition",
-    "ShellSequence",
     "make_annulus",
     "spherical_cap",
     "sphere_shell_decomposition",

@@ -25,7 +25,6 @@ from .geometry import (
     MemberInfo,
     PuncturedSphere,
     RegionSet,
-    ShellSequence,
     Sphere,
     TotalDecomposition,
     ball_volume,
@@ -280,22 +279,21 @@ def _free_scan(
     return records
 
 
-def build_decomposition_sparse(
+def _sphere_shells(
     couplings: CouplingMap,
     eps: float,
-    gamma: float,
-    n_range: tuple[int, int] | None = None,
+    ratio: tuple[int, float],
+    tail_kind: str,
+    n_range: tuple[int, int] | None,
 ) -> TotalDecomposition:
-    """Spheres through the middles of eps-free annuli at dyadic-like scales.
+    """Spheres through the middles of the eps-free annuli at growth ratio (ell, a).
 
-    The growth ratio adapts to gamma: the smallest integer ell with
-    ell > 2(d-1)/gamma gives a = 1 + 1/ell, so the surface growth
-    a^(n(d-1)) loses to exp(-gamma n/2) and the series certifies for
-    every gamma > 0.  Scales with no free annulus are reported as gaps.
+    Each member at scale n keeps the clearance n/2 - rho; scales with no
+    free annulus are reported as gaps.
     """
     model = couplings.model
     d = model.dimension
-    ell, a = growth_ratio(d - 1, gamma)
+    ell, a = ratio
     rho = model.max_support_radius()
     members: list[RegionSet] = []
     info: list[MemberInfo] = []
@@ -322,9 +320,26 @@ def build_decomposition_sparse(
             "rho": rho,
             "gaps": gaps,
             "free_records": [r.to_dict() for r in records],
-            "tail": {"kind": "sphere-power", "a": a, "rho": rho},
+            "tail": {"kind": tail_kind, "a": a, "rho": rho},
         },
     )
+
+
+def build_decomposition_sparse(
+    couplings: CouplingMap,
+    eps: float,
+    gamma: float,
+    n_range: tuple[int, int] | None = None,
+) -> TotalDecomposition:
+    """Spheres through the middles of eps-free annuli at dyadic-like scales.
+
+    The growth ratio adapts to gamma: the smallest integer ell with
+    ell > 2(d-1)/gamma gives a = 1 + 1/ell, so the surface growth
+    a^(n(d-1)) loses to exp(-gamma n/2) and the series certifies for
+    every gamma > 0.  Scales with no free annulus are reported as gaps.
+    """
+    ratio = growth_ratio(couplings.model.dimension - 1, gamma)
+    return _sphere_shells(couplings, eps, ratio, "sphere-power", n_range)
 
 
 def build_shell_sequence_pp(
@@ -333,55 +348,22 @@ def build_shell_sequence_pp(
     gamma: float,
     excluded_site: int | None = None,
     n_range: tuple[int, int] | None = None,
-) -> ShellSequence:
-    """Nested balls through eps-free annuli, ignoring one distinguished site.
+) -> TotalDecomposition:
+    """The spheres S_n bounding nested balls A_n, ignoring one distinguished site.
 
     Uses ell > 2d/gamma so the annular volumes a^((n+2)d) lose to
     exp(-gamma n/2).  The distinguished site's coupling never influences
     the construction (it is the perturbation parameter downstream).
     """
     model = couplings.model
-    d = model.dimension
-    ell, a = growth_ratio(d, gamma)
-    rho = model.max_support_radius()
     if excluded_site is None:
         excluded_site = model.distinguished_site
-    keep = np.ones(len(couplings.values), dtype=bool)
-    if excluded_site is not None:
-        keep &= couplings.site_indices != excluded_site
-    scan = CouplingMap(
-        model,
-        couplings.site_indices[keep],
-        couplings.values[keep],
-        couplings.seed,
-        couplings.window_radius,
-        transform="distinguished-site-excluded",
-    )
-    radii: list[float] = []
-    scales: list[int] = []
-    gaps: list[int] = []
-    records = _free_scan(scan, eps, a, n_range)
-    for rec in records:
-        if not rec.free:
-            gaps.append(rec.scale)
-            continue
-        radii.append(rec.inner_radius + rec.scale / 2.0)
-        scales.append(rec.scale)
-    return ShellSequence(
-        dimension=d,
-        radii=tuple(radii),
-        params={
-            "a": a,
-            "ell": ell,
-            "eps": eps,
-            "rho": rho,
-            "scales": scales,
-            "gaps": gaps,
-            "excluded_site": excluded_site,
-            "free_records": [r.to_dict() for r in records],
-            "tail": {"kind": "volume-power", "a": a, "rho": rho},
-        },
-    )
+    keep = couplings.site_indices != excluded_site  # all True when excluded_site is None
+    scan = CouplingMap(model, couplings.site_indices[keep], couplings.values[keep], couplings.seed,
+                       couplings.window_radius, transform="distinguished-site-excluded")
+    shells = _sphere_shells(scan, eps, growth_ratio(model.dimension, gamma), "volume-power", n_range)
+    shells.params["excluded_site"] = excluded_site
+    return shells
 
 
 def quasi1d_clearance_threshold(a: float, alpha: float) -> float:
@@ -854,16 +836,18 @@ def _build_certificate(
     )
 
 
+def _member_infos(td: TotalDecomposition) -> tuple[MemberInfo, ...]:
+    """The members' info; scale = index when the decomposition carries none."""
+    return td.member_info or tuple(MemberInfo(scale=i) for i in range(len(td.members)))
+
+
 @functools.lru_cache(maxsize=8)
 def _ac_rows(decomposition: TotalDecomposition, diff_support: RegionSet) -> tuple[tuple, ...]:
     """certify_ac's gamma-free rows, once per (decomposition by identity, support)."""
-    infos = decomposition.member_info or tuple(
-        MemberInfo(scale=i) for i in range(len(decomposition.members))
-    )
     return tuple(
         (info.scale, idx, info.role, distance_between(diff_support, member),
          _member_sigma(member), info.clearance_bound)
-        for idx, (member, info) in enumerate(zip(decomposition.members, infos))
+        for idx, (member, info) in enumerate(zip(decomposition.members, _member_infos(decomposition)))
     )
 
 
@@ -890,27 +874,28 @@ def certify_ac(
 
 
 def certify_pp(
-    shells: ShellSequence,
+    shells: TotalDecomposition,
     diff_support: RegionSet,
     gamma: float,
 ) -> DecompositionCertificate:
     """Certificate for sum_n |A_{n+1} \\ A_{n-1}| exp(-gamma delta'_n).
 
+    A_n is the ball bounded by the n-th member sphere of `shells`.
     delta'_n also penalizes crowding of consecutive shells:
     min(dist(S_n, diff), half the gap to the neighboring spheres).
     Terms exist for interior shells only (both neighbors stored).
     """
-    radii = shells.radii
-    scales = shells.params.get("scales", list(range(len(radii))))
-    rho = shells.params.get("rho")
+    d = shells.dimension
+    radii = [member.shapes[0].radius for member in shells.members]
+    infos = _member_infos(shells)
     rows = []
     for i in range(1, len(radii) - 1):
         gap = 0.5 * min(radii[i] - radii[i - 1], radii[i + 1] - radii[i])
-        clearance = min(distance_between(diff_support, shells.boundary(i)), gap)
-        floor = scales[i] / 2.0 - rho if rho is not None else None
-        rows.append((scales[i], i, "shell", clearance, shells.annular_volume(i), floor))
-    tail_rule = _tail_rule_from_params(shells.params, shells.dimension)
-    return _build_certificate("pp", gamma, rows, tail_rule, {"radii": list(radii)})
+        clearance = min(distance_between(diff_support, shells.members[i]), gap)
+        volume = ball_volume(radii[i + 1], d) - ball_volume(radii[i - 1], d)
+        rows.append((infos[i].scale, i, "shell", clearance, volume, infos[i].clearance_bound))
+    tail_rule = _tail_rule_from_params(shells.params, d)
+    return _build_certificate("pp", gamma, rows, tail_rule, {"radii": radii})
 
 
 def certify_series(clearances, surfaces, gamma: float) -> DecompositionCertificate:

@@ -45,6 +45,7 @@ from .models import (
 )
 from .spectral import (
     discretize,
+    grid_side,
     localization_report,
     resolvent_decay,
 )
@@ -285,8 +286,9 @@ def _semantic_errors(cfg: dict) -> list[str]:
     if "spectral-probe" in stages:
         needed = params["box"] * math.sqrt(d) + model_cfg["potential"]["radius"]
         try:
+            grid_side(params["box"], params["h"])
             require_window(window, needed, " needed by the box corner plus support")
-        except WindowTooSmallError as exc:
+        except ValueError as exc:  # WindowTooSmallError included
             errors.append(f"$.parameters.box: {exc}")
     return errors
 

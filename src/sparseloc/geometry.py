@@ -29,7 +29,6 @@ __all__ = [
     "Box",
     "RegionSet",
     "TotalDecomposition",
-    "ShellSequence",
     "ShellMeasure",
     "SurfaceAreaEstimate",
     "ball_volume",
@@ -1123,33 +1122,6 @@ class TotalDecomposition:
             params=head.get("params", {}),
             truncated=head.get("truncated", True),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class ShellSequence:
-    """Nested open balls A_n = B(0, R_n) with boundary spheres S_n."""
-
-    dimension: int
-    radii: tuple[float, ...]
-    params: dict = field(default_factory=dict)
-
-    def validate(self) -> list[str]:
-        problems = []
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            problems.append("radii not strictly increasing")
-        if any(r <= 0 for r in self.radii):
-            problems.append("radii must be positive")
-        return problems
-
-    def boundary(self, index: int) -> RegionSet:
-        return RegionSet.sphere(np.zeros(self.dimension), self.radii[index])
-
-    def annular_volume(self, index: int) -> float:
-        """|A_{n+1} minus A_{n-1}| for interior indices."""
-        if index <= 0 or index >= len(self.radii) - 1:
-            raise IndexError("annular volume needs both neighbors")
-        d = self.dimension
-        return ball_volume(self.radii[index + 1], d) - ball_volume(self.radii[index - 1], d)
 
 
 def sphere_shell_decomposition(radii, dimension: int = 2) -> TotalDecomposition:

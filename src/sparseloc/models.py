@@ -351,6 +351,16 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
+def _closest_pair(points: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """(min separation, a closest pair); (inf, None) below two points."""
+    if len(points) < 2:
+        return math.inf, None
+    from scipy.spatial import cKDTree
+    dist, idx = cKDTree(points).query(points, k=2)
+    j = int(np.argmin(dist[:, 1]))
+    return float(dist[j, 1]), (j, int(idx[j, 1]))
+
+
 @dataclass(frozen=True, eq=False)
 class SiteSet:
     """Finite window of a uniformly discrete scatterer configuration.
@@ -404,38 +414,27 @@ class SiteSet:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         pts = pts[_canonical_order(pts)]
         if r_sigma is None:
-            r_sigma = SiteSet._min_separation(pts)
+            r_sigma = _closest_pair(pts)[0]
         if window_radius is None:
             window_radius = math.inf
         return SiteSet(pts.shape[1], pts, "explicit", float(r_sigma), float(window_radius))
-
-    @staticmethod
-    def _min_separation(points: np.ndarray) -> float:
-        if len(points) < 2:
-            return math.inf
-        from scipy.spatial import cKDTree
-        tree = cKDTree(points)
-        dist, _ = tree.query(points, k=2)
-        return float(np.min(dist[:, 1]))
 
     @cached_property
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.points, axis=1)
 
+    @cached_property
+    def closest_pair(self) -> tuple[float, tuple[int, int] | None]:
+        """(min separation, indices of a closest pair), from one k-d tree query."""
+        return _closest_pair(self.points)
+
     def min_separation(self) -> float:
-        return SiteSet._min_separation(self.points)
+        return self.closest_pair[0]
 
     def separation_witness(self) -> tuple[int, int] | None:
         """Indices of a closest pair violating r_sigma, if any."""
-        if len(self.points) < 2:
-            return None
-        from scipy.spatial import cKDTree
-        tree = cKDTree(self.points)
-        dist, idx = tree.query(self.points, k=2)
-        j = int(np.argmin(dist[:, 1]))
-        if dist[j, 1] < self.r_sigma - 1e-12:
-            return (j, int(idx[j, 1]))
-        return None
+        sep, pair = self.closest_pair
+        return pair if sep < self.r_sigma - 1e-12 else None
 
     def indices_in(self, region: RegionSet) -> np.ndarray:
         require_window(self.window_radius, region.circumradius(), " needed by the region")

@@ -27,6 +27,7 @@ __all__ = [
     "ResolventDecayFit",
     "StateDiagnostics",
     "LocalizationReport",
+    "grid_side",
     "discretize",
     "eigenpairs",
     "spectrum_gaps",
@@ -42,6 +43,7 @@ AMPLITUDE_FLOOR = 1e-12
 MIN_SPECTRUM_DISTANCE = 1e-6  # resolvent_decay refuses energies closer to the spectrum
 BOUNDARY_MARGIN = 0.15  # resolvent_decay fits nodes at least this share of a side inside
 RESOLVENT_CHECKS = 3  # localization_report cross-checks this many of the lowest gap states
+MIN_GRID_SIDE = 3  # grid nodes per side: the fewest that any decay fit needs
 
 
 @dataclass(eq=False)
@@ -155,6 +157,17 @@ class GridOperator:
             fp.write(f"{i} {j} {v!r}\n")
 
 
+def grid_side(box: float, h: float) -> int:
+    """Nodes per side, round(2 box / h) - 1; ValueError below MIN_GRID_SIDE."""
+    if h <= 0:
+        raise ValueError("spacing must be positive")
+    n_side = int(round(2.0 * box / h)) - 1
+    if n_side < MIN_GRID_SIDE:
+        raise ValueError(f"box {box:g} at spacing {h:g} has {n_side} grid nodes per side, "
+                         f"fewer than {MIN_GRID_SIDE}")
+    return n_side
+
+
 def discretize(
     model: RandomPotentialModel,
     couplings: CouplingMap,
@@ -168,18 +181,12 @@ def discretize(
     for rough profiles).  The box plus one support radius must lie inside
     the sampled coupling window.
     """
-    if h <= 0:
-        raise ValueError("spacing must be positive")
-    if box <= h:
-        raise ValueError("box must exceed the spacing")
+    n_side = grid_side(box, h)
     d = model.dimension
     if d not in (1, 2):
         raise ValueError("discretization supports d in {1, 2}")
     needed = box * math.sqrt(d) + model.max_support_radius()
     require_window(couplings.window_radius, needed, " needed by the box corner plus support")
-    n_side = int(round(2.0 * box / h)) - 1
-    if n_side < 1:
-        raise ValueError("box too small for the requested spacing")
     shape = (n_side,) * d
     origin = np.full(d, -box + h)
     op = GridOperator(d, shape, h, origin, np.zeros(int(np.prod(shape))))

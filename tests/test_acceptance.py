@@ -224,7 +224,7 @@ class TestCriterion8LocalizationProxy:
         )
         cm = m.sample_couplings(model, seed=7)
         box, h = 250.0, 0.25
-        n_side = int(round(2 * box / h)) - 1
+        n_side = sp.grid_side(box, h)
         assert n_side == 1999
         reference = sp.GridOperator.free(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, reference)

@@ -15,7 +15,7 @@ from sparseloc import models as m
 from sparseloc.geometry import (
     PuncturedSphere,
     RegionSet,
-    ShellSequence,
+    TotalDecomposition,
     Sphere,
     make_annulus,
 )
@@ -329,12 +329,14 @@ class TestShellSequencePP:
 
     def test_annular_volume_1d(self):
         # radii 2^n + n/2: |A_{n+1} \ A_{n-1}| = 2 (2^{n+1} - 2^{n-1} + 1)
-        radii = tuple(2.0**n + n / 2.0 for n in range(1, 6))
-        seq = ShellSequence(dimension=1, radii=radii)
-        for i in range(1, 4):
-            n = i + 1
+        radii = [2.0**n + n / 2.0 for n in range(1, 6)]
+        cert = c.certify_pp(g.sphere_shell_decomposition(radii, dimension=1),
+                            RegionSet.empty(1), gamma=1.0)
+        assert [t.member for t in cert.terms] == [1, 2, 3]
+        for t in cert.terms:
+            n = t.member + 1
             expected = 2.0 * (2.0 ** (n + 1) - 2.0 ** (n - 1) + 1.0)
-            assert seq.annular_volume(i) == pytest.approx(expected)
+            assert t.surface == pytest.approx(expected)
 
     def test_distinguished_site_excluded(self):
         model = chain_model(radius=40.0, d=1)
@@ -346,7 +348,35 @@ class TestShellSequencePP:
         clean = c.build_shell_sequence_pp(
             explicit_couplings(model, {}), 0.1, gamma=2.0, excluded_site=k_idx, n_range=(1, 4)
         )
-        assert with_k.radii == clean.radii
+        assert with_k.params["excluded_site"] == k_idx
+        assert with_k.to_records() == clean.to_records()
+
+    @staticmethod
+    def sampled_shells():
+        model = chain_model(radius=100.0, rho=0.5, law=m.CouplingLaw.bernoulli(0.05))
+        cm = m.sample_couplings(model, seed=2)
+        return c.build_shell_sequence_pp(cm, 0.5, gamma=2.0, n_range=(1, 8)), model, cm
+
+    def test_is_a_sphere_shell_decomposition(self):
+        shells, _, _ = self.sampled_shells()
+        assert shells.kind == "sphere-shells"
+        assert len(shells.members) == 5
+        assert shells.validate() == []
+        assert shells.params["tail"] == {"kind": "volume-power", "a": 1.5, "rho": 0.5}
+        for info in shells.member_info:
+            assert info.clearance_bound == info.scale / 2.0 - 0.5
+
+    def test_records_round_trip(self):
+        shells, model, cm = self.sampled_shells()
+        records = json.loads(json.dumps(shells.to_records()))
+        back = TotalDecomposition.from_records(records)
+        assert back.to_records() == shells.to_records()
+        diff = c.difference_support(model, cm, 0.5)
+        cert = c.certify_pp(shells, diff, 2.0)
+        assert cert.verdict == "certified"
+        assert c.certify_pp(back, diff, 2.0).to_records() == cert.to_records()
+        floors = [t.clearance_floor for t in cert.terms]
+        assert floors == [info.clearance_bound for info in shells.member_info[1:-1]]
 
 
 class TestQuasi1D:
@@ -543,18 +573,16 @@ class TestCertifyAC:
 class TestCertifyPP:
     def test_empty_support_superexponential(self):
         radii = tuple(2.0**n + n / 2.0 for n in range(1, 8))
-        seq = ShellSequence(
-            dimension=1,
-            radii=radii,
-            params={"tail": {"kind": "volume-power", "a": 2.0, "rho": 0.0}},
-        )
+        seq = g.sphere_shell_decomposition(radii, dimension=1)
+        seq.params["tail"] = {"kind": "volume-power", "a": 2.0, "rho": 0.0}
         cert = c.certify_pp(seq, RegionSet.empty(1), gamma=1.0)
         assert cert.verdict == "certified"
         sums = [s.term_sum for s in cert.scales]
         assert all(b < a for a, b in zip(sums, sums[1:]))
 
     def test_equal_radii_not_certified(self):
-        seq = ShellSequence(dimension=1, radii=(2.0, 4.0, 4.0, 8.0))
+        members = tuple(RegionSet.sphere([0.0], r) for r in (2.0, 4.0, 4.0, 8.0))
+        seq = TotalDecomposition(dimension=1, members=members, kind="sphere-shells")
         cert = c.certify_pp(seq, RegionSet.empty(1), gamma=1.0)
         assert cert.verdict == "not-certified"
 

@@ -36,7 +36,7 @@ def certify_cfg(output_dir, seeds=(1, 2)):
     }
 
 
-def quasi1d_cfg(output_dir, seeds=(1, 2), n_range=(2, 4)):
+def quasi1d_cfg(output_dir, seeds=(1, 2), n_range=(2, 5)):
     """certify-quasi1d on a d=2 tube of radius 70 with three gammas."""
     cfg = certify_cfg(output_dir, seeds)
     cfg["pipeline"] = "certify-quasi1d"
@@ -140,6 +140,15 @@ class TestValidation:
         result = CliRunner().invoke(cli.main, ["validate", str(path)])
         assert result.exit_code == 2
         assert "window radius" in result.output
+
+    @pytest.mark.parametrize("box,nodes", [(0.12, 1), (0.16, 2)])
+    def test_box_with_fewer_than_three_nodes_rejected(self, tmp_path, box, nodes):
+        params = {"box": box, "h": 0.1}
+        path = write_config(tmp_path, window_cfg(tmp_path, "spectral-probe", params))
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert (f"$.parameters.box: box {box:g} at spacing 0.1 has {nodes} grid nodes per side, "
+                "fewer than 3") in result.output
 
     def test_window_covering_the_scan_ok(self, tmp_path):
         # gamma=1 in d=1 gives a=2; scale 4 reaches radius 2^5 = 32
@@ -429,7 +438,7 @@ class TestGammaFreeWork:
             parameters={"eps": 0.1, "gammas": [0.9, 0.95, 2.0], "n_range": [1, 5]},
         ),
         # up to scale 4, seed 1 has only gaps: each cap neighbourhood reaches the origin
-        "quasi1d": lambda tmp_path: quasi1d_cfg(tmp_path / "out", n_range=(2, 5)),
+        "quasi1d": lambda tmp_path: quasi1d_cfg(tmp_path / "out"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -452,7 +461,7 @@ class TestGammaFreeWork:
 
         for name in ("distance_between", "closed_form_sigma"):
             monkeypatch.setattr(c, name, counted(getattr(c, name)))
-        cfg = quasi1d_cfg(tmp_path / "out", n_range=(2, 5))
+        cfg = quasi1d_cfg(tmp_path / "out")
         for seed in cfg["seeds"]:
             calls.clear()
             files = cli._certify_cell(cfg, "certify-quasi1d", seed)
@@ -517,6 +526,9 @@ class TestImportBoundary:
     def test_run_imports_nothing(self, tmp_path, pipeline):
         path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
         assert self.fresh_python(self.RUN, path) == []
+        if pipeline == "certify-quasi1d":
+            lines = (tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()
+            assert json.loads(lines[0])["member_count"] > 0
 
     def test_star_import_binds_all(self):
         code = (
@@ -586,24 +598,33 @@ class TestFailuresAndWarnings:
         assert cert["verdict"] in ("certified", "not-certified", "inconclusive")
         assert cert["tail"]["sum_bound"] == math.inf
 
+    @staticmethod
+    def offset_tube_cfg(tmp_path, **params):
+        """quasi1d_cfg at seed 1 on a tube whose cross-section avoids the origin:
+        on the axis every cap neighbourhood reaches the origin site, whose
+        direction is undefined, so no scale builds a member."""
+        cfg = quasi1d_cfg(tmp_path / "out", seeds=(1,), n_range=(2, 4))
+        cfg["model"]["sites"]["offsets"] = [[0.5]]
+        cfg["parameters"].update(params)
+        return cfg
+
     def test_a_near_one_ends_in_a_verdict(self, tmp_path):
         # no scale below 10000 has the n^alpha cheese clearance at a = 1.001
-        cfg = quasi1d_cfg(tmp_path / "out", seeds=(1,))
-        cfg["parameters"]["a"] = 1.001
+        cfg = self.offset_tube_cfg(tmp_path, a=1.001)
         path = write_config(tmp_path, cfg)
         assert CliRunner().invoke(cli.main, ["validate", str(path)]).exit_code == 0
         with pytest.warns(UserWarning, match="free-annulus threshold"):
             result = CliRunner().invoke(cli.main, ["run", str(path)])
         assert result.exit_code == 0, result.output
         certs = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
-        assert [json.loads(line)["verdict"] for line in certs] == ["inconclusive"] * 3
+        assert [json.loads(line)["verdict"] for line in certs] == ["certified"] * 3
         head = json.loads((tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()[0])
+        assert head["member_count"] == 64
         assert head["params"]["clearance_threshold_n"] == math.inf
 
     def test_large_alpha_ends_in_a_verdict(self, tmp_path):
         # the clearance threshold's n^(2 alpha) overflows a float at alpha = 100
-        cfg = quasi1d_cfg(tmp_path / "out", seeds=(1,))
-        cfg["parameters"]["alpha"] = 100.0
+        cfg = self.offset_tube_cfg(tmp_path, alpha=100.0)
         path = write_config(tmp_path, cfg)
         assert CliRunner().invoke(cli.main, ["validate", str(path)]).exit_code == 0
         result = CliRunner().invoke(cli.main, ["run", str(path)])
@@ -611,6 +632,7 @@ class TestFailuresAndWarnings:
         certs = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
         assert [json.loads(line)["verdict"] for line in certs] == ["inconclusive"] * 3
         head = json.loads((tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()[0])
+        assert head["member_count"] == 402
         assert head["params"]["clearance_threshold_n"] == math.inf
 
     @pytest.mark.parametrize("command", ["validate", "run"])

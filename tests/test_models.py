@@ -133,6 +133,31 @@ class TestSiteSets:
         sites = m.SiteSet.explicit([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], r_sigma=1.0)
         assert sites.separation_witness() is not None
 
+    def test_one_tree_serves_separation_and_witness(self, monkeypatch):
+        import scipy.spatial
+
+        built = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        sites = m.SiteSet.explicit([[0.0, 0.0], [0.5, 0.0], [3.0, 0.0]])
+        assert (sites.r_sigma, len(built)) == (0.5, 1)
+        crowded = m.SiteSet.explicit(sites.points, r_sigma=1.0)
+        model = m.RandomPotentialModel(
+            sites=crowded,
+            potential=m.SingleSitePotential.indicator(1.0, 0.5),
+            laws=m.LawAssignment.shared_law(m.CouplingLaw.uniform()),
+        )
+        a2 = m.validate_assumptions(model)["A2"]
+        assert len(built) == 2
+        assert not a2.passed
+        assert a2.witness == (0, 1)
+        assert "min separation 0.5 vs declared r_sigma 1" in a2.detail
+
     def test_indices_in_annulus(self):
         sites = m.SiteSet.lattice(1, 10.0)
         idx = sites.indices_in(make_annulus(2.0, 4.0, 1))

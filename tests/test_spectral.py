@@ -90,6 +90,14 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             sp.discretize(model, cm, box=20.0, h=0.5)
 
+    @pytest.mark.parametrize("box,nodes", [(0.12, 1), (0.16, 2)])
+    def test_fewer_than_three_nodes_refused(self, box, nodes):
+        model = self.single_well_model()
+        cm = m.sample_couplings(model, seed=0)
+        with pytest.raises(ValueError, match=f"has {nodes} grid nodes per side, fewer than 3"):
+            sp.discretize(model, cm, box=box, h=0.1)
+        assert sp.discretize(model, cm, box=0.2, h=0.1).shape == (3,)
+
     def test_deep_well_single_bound_state(self):
         op = sp.GridOperator.free(1, 100, 1.0)
         op.potential[50] = -10.0
@@ -381,7 +389,7 @@ class TestLocalizationReport:
     def test_single_well_cross_check(self):
         model, cm = self.single_well()
         h, box = 0.25, 25.0
-        n_side = int(round(2 * box / h)) - 1
+        n_side = sp.grid_side(box, h)
         free = sp.GridOperator.free(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, free)
         gap_states = report.gap_states()
@@ -401,7 +409,7 @@ class TestLocalizationReport:
         )
         cm = m.sample_couplings(model, seed=0)
         h, box = 0.5, 20.0
-        n_side = int(round(2 * box / h)) - 1
+        n_side = sp.grid_side(box, h)
         free = sp.GridOperator.free(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, free)
         assert report.verdict == "no-gap-states"
@@ -409,7 +417,7 @@ class TestLocalizationReport:
     def test_csv_export(self, tmp_path):
         model, cm = self.single_well()
         h, box = 0.5, 15.0
-        n_side = int(round(2 * box / h)) - 1
+        n_side = sp.grid_side(box, h)
         free = sp.GridOperator.free(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, free)
         cli.run({
