@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import click
-import jsonschema
 
 from . import __version__
 from .certify import (
@@ -47,6 +46,7 @@ from .spectral import (
     discretize,
     grid_side,
     localization_report,
+    require_dense,
     resolvent_decay,
 )
 from .stochastic import borel_cantelli_report, brute_force_a_n
@@ -175,6 +175,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# the schema types a parsed JSON value meets, by its Python type: a bool meets none, 1.0 no integer
+_JSON_TYPES = {dict: ("object",), list: ("array",), str: ("string",),
+               int: ("integer", "number"), float: ("number",)}
+
 
 class ConfigError(Exception):
     """Invalid configuration; `errors` lists field-level diagnostics."""
@@ -182,12 +186,6 @@ class ConfigError(Exception):
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
         self.errors = errors
-
-
-def _json_path(err: jsonschema.ValidationError) -> str:
-    return "$" + "".join(
-        f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-    )
 
 
 def _read_json(path: Path, label: str):
@@ -202,13 +200,44 @@ def _read_json(path: Path, label: str):
         raise ConfigError([f"{label}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
 
 
-def _check_schema(schema: dict, instance, prefix: str = "") -> None:
-    errors = [
-        f"{prefix}{_json_path(e)}: {e.message}"
-        for e in jsonschema.Draft202012Validator(schema).iter_errors(instance)
-    ]
+def _schema_errors(schema: dict, value, path: str = "$"):
+    """`path: message` per violation of `schema` by `value`, in jsonschema's words."""
+    kinds = _JSON_TYPES.get(type(value), ())
+    if "type" in schema and schema["type"] not in kinds:
+        yield f"{path}: {value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield f"{path}: {value!r} is not one of {schema['enum']!r}"
+    if "number" in kinds:  # a missing bound defaults to nan, which no comparison breaks
+        if value < schema.get("minimum", math.nan):
+            yield f"{path}: {value!r} is less than the minimum of {schema['minimum']!r}"
+        if value <= schema.get("exclusiveMinimum", math.nan):
+            yield (f"{path}: {value!r} is less than or equal to the minimum of "
+                   f"{schema['exclusiveMinimum']!r}")
+        if value > schema.get("maximum", math.nan):
+            yield f"{path}: {value!r} is greater than the maximum of {schema['maximum']!r}"
+    if "array" in kinds and len(value) < schema.get("minItems", 0):
+        short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+        yield f"{path}: {value!r} {short}"
+    if "array" in kinds and len(value) > schema.get("maxItems", len(value)):
+        yield f"{path}: {value!r} is too long"
+    for i, item in enumerate(value if "array" in kinds and "items" in schema else ()):
+        yield from _schema_errors(schema["items"], item, f"{path}[{i}]")
+    if "object" in kinds:
+        properties = schema.get("properties", {})
+        yield from (f"{path}: {key!r} is a required property"
+                    for key in schema.get("required", ()) if key not in value)
+        for key in properties.keys() & value.keys():
+            yield from _schema_errors(properties[key], value[key], f"{path}.{key}")
+        extras = sorted(value.keys() - properties.keys())
+        if extras and schema.get("additionalProperties") is False:
+            listed = f"{', '.join(map(repr, extras))} {'was' if len(extras) == 1 else 'were'}"
+            yield f"{path}: Additional properties are not allowed ({listed} unexpected)"
+
+
+def _check_schema(schema: dict, instance, path: str = "$") -> None:
+    errors = sorted(_schema_errors(schema, instance, path))
     if errors:
-        raise ConfigError(sorted(errors))
+        raise ConfigError(errors)
 
 
 def load_config(path: str | Path) -> dict:
@@ -227,7 +256,7 @@ def load_config(path: str | Path) -> dict:
         if not model_path.exists():
             raise ConfigError([f"$.model_file: {cfg['model_file']} does not exist"])
         model = _read_json(model_path, f"model_file {model_path}")
-        _check_schema(MODEL_SCHEMA, model, "model_file ")
+        _check_schema(MODEL_SCHEMA, model, "model_file $")
         cfg = {**cfg, "model": model}
     errors = _semantic_errors(cfg)
     if errors:
@@ -286,7 +315,7 @@ def _semantic_errors(cfg: dict) -> list[str]:
     if "spectral-probe" in stages:
         needed = params["box"] * math.sqrt(d) + model_cfg["potential"]["radius"]
         try:
-            grid_side(params["box"], params["h"])
+            require_dense(grid_side(params["box"], params["h"]) ** d)
             require_window(window, needed, " needed by the box corner plus support")
         except ValueError as exc:  # WindowTooSmallError included
             errors.append(f"$.parameters.box: {exc}")

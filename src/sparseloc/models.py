@@ -507,6 +507,11 @@ class BackgroundPotential:
     values: tuple[float, ...] = ()
     cell: float = 1.0
 
+    def __post_init__(self):
+        if self.kind == "periodic_step" and not (self.values and self.cell > 0):
+            raise ValueError("periodic_step needs at least one value and a positive cell, "
+                             f"got values={list(self.values)} and cell={self.cell}")
+
     @staticmethod
     def zero() -> "BackgroundPotential":
         return BackgroundPotential("zero")
@@ -568,6 +573,11 @@ class RandomPotentialModel:
     p_exponent: float | None = None
     distinguished_site: int | None = None
     site_potentials: dict[int, SingleSitePotential] = field(default_factory=dict)
+
+    def __post_init__(self):
+        laws, sites = len(self.laws.per_site), len(self.sites)
+        if self.laws.kind == "per_site" and laws != sites:
+            raise ValueError(f"per_site lists {laws} laws for {sites} sites")
 
     @property
     def dimension(self) -> int:

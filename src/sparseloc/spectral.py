@@ -28,6 +28,7 @@ __all__ = [
     "StateDiagnostics",
     "LocalizationReport",
     "grid_side",
+    "require_dense",
     "discretize",
     "eigenpairs",
     "spectrum_gaps",
@@ -133,11 +134,7 @@ class GridOperator:
     def all_eigenvalues(self) -> np.ndarray:
         """Full spectrum (dense path; refuses oversized operators)."""
         if self._eigen_cache is None:
-            if self.n_unknowns > DENSE_LIMIT:
-                raise ValueError(
-                    f"{self.n_unknowns} unknowns exceed the dense limit "
-                    f"{DENSE_LIMIT}; probe gaps on a smaller box"
-                )
+            require_dense(self.n_unknowns)
             import scipy.linalg
             self._eigen_cache = (scipy.linalg.eigvalsh(self.matrix().toarray()),)
         return self._eigen_cache[0]
@@ -168,12 +165,15 @@ def grid_side(box: float, h: float) -> int:
     return n_side
 
 
+def require_dense(n_unknowns: int) -> None:
+    """ValueError when `n_unknowns` exceed DENSE_LIMIT, above which no full spectrum is taken."""
+    if n_unknowns > DENSE_LIMIT:
+        raise ValueError(f"{n_unknowns} unknowns exceed the dense limit {DENSE_LIMIT}; "
+                         "probe gaps on a smaller box")
+
+
 def discretize(
-    model: RandomPotentialModel,
-    couplings: CouplingMap,
-    box: float,
-    h: float,
-    include_background: bool = True,
+    model: RandomPotentialModel, couplings: CouplingMap, box: float, h: float
 ) -> GridOperator:
     """Sample the random potential on a centered box and assemble the operator.
 
@@ -191,9 +191,7 @@ def discretize(
     origin = np.full(d, -box + h)
     op = GridOperator(d, shape, h, origin, np.zeros(int(np.prod(shape))))
     nodes = op.node_coordinates()
-    op.potential = np.asarray(
-        evaluate_potential(model, couplings, nodes, include_background=include_background)
-    )
+    op.potential = np.asarray(evaluate_potential(model, couplings, nodes))
     return op
 
 

@@ -1,8 +1,11 @@
 """Config validation, pipeline runs, determinism, and plot-data emission."""
 
+import copy
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +230,169 @@ class TestValidation:
             f"config error: $.parameters.{key}: required for pipeline full-report"
             for key in ["eps", "gammas", "n_range", "a", "trials", "box", "h"]
         ]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "part,key,value,line",
+        [
+            (None, "seeds", [1.0], "$.seeds[0]: 1.0 is not of type 'integer'"),
+            ("parameters", "n_range", [1.0, 3],
+             "$.parameters.n_range[0]: 1.0 is not of type 'integer'"),
+            ("parameters", "trials", 50.0, "$.parameters.trials: 50.0 is not of type 'integer'"),
+            ("model", "dimension", 1.0, "$.model.dimension: 1.0 is not of type 'integer'"),
+        ],
+    )
+    def test_integral_float_is_no_integer(self, tmp_path, command, part, key, value, line):
+        cfg = window_cfg(tmp_path, "lemma-mc", {"a": 2.0, "n_range": [1, 3], "trials": 50})
+        (cfg if part is None else cfg[part])[key] = value
+        result = CliRunner().invoke(cli.main, [command, str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {line}\n"
+
+    @pytest.mark.parametrize(
+        "d,radius,box,h,unknowns",
+        [(1, 40.0, 12.0, 0.007, 3428), (2, 18.0, 12.0, 0.3, 79 * 79)],
+    )
+    def test_grid_above_the_dense_limit_rejected(self, tmp_path, d, radius, box, h, unknowns):
+        cfg = window_cfg(tmp_path, "spectral-probe", {"box": box, "h": h})
+        cfg["model"] = lattice_model_cfg(d=d, radius=radius)
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == (f"config error: $.parameters.box: {unknowns} unknowns exceed "
+                                 "the dense limit 3000; probe gaps on a smaller box\n")
+
+    @pytest.mark.parametrize(
+        "part,fields,message",
+        [
+            ("law", {"kind": "per_site", "laws": [{"kind": "uniform", "segments": [[0, 1, 1]]}]},
+             "per_site lists 1 laws for 81 sites"),
+            ("background", {"kind": "periodic_step", "values": []},
+             "periodic_step needs at least one value and a positive cell, "
+             "got values=[] and cell=1.0"),
+        ],
+    )
+    def test_model_refused_when_built(self, tmp_path, part, fields, message):
+        cfg = window_cfg(tmp_path, "lemma-mc", {"a": 2.0, "n_range": [1, 3], "trials": 50})
+        cfg["model"][part] = fields
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == f"config error: $.model: ValueError: {message}\n"
+
+
+# every keyword `cli._schema_errors` checks; `additionalProperties` only as false
+WALKER_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties", "items",
+                   "minItems", "maxItems", "minimum", "exclusiveMinimum", "maximum"}
+
+# replacement values for the mutation corpus: every JSON type, bounds and their edges
+JSON_VALUES = [None, True, False, 0, 1, -1, 2, 7, 0.0, 1.0, 0.5, -2.5, 1e300, math.inf,
+               -math.inf, math.nan, "", "x", "lattice", "certify-sparse", [], [0], [1, 2],
+               [1.5, 3], [[0.5]], {}, {"kind": "zero"}]
+
+
+def schema_keywords(schema):
+    """(keyword, value) of every keyword of `schema` and of its subschemas."""
+    for key, value in schema.items():
+        yield key, value
+        if key == "properties":
+            for sub in value.values():
+                yield from schema_keywords(sub)
+        elif key == "items":
+            yield from schema_keywords(value)
+
+
+def json_nodes(node, path=()):
+    """(path, node) for `node` and for everything inside it."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_nodes(child, path + (key,))
+
+
+def mutated(doc, path, value=None, delete=False):
+    """A copy of `doc` with the node at `path` replaced by `value` (or deleted)."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+class TestSchemaWalker:
+    """`_check_schema` against jsonschema itself on a corpus of mutated configs."""
+
+    @staticmethod
+    def corpus():
+        """(schema, root path, document) for each mutation of three base documents."""
+        full = full_report_cfg("out")
+        full["model"].update(p_exponent=2.0, distinguished_site=0)
+        full["model"]["law"] = {"kind": "bernoulli", "p": 0.5}
+        full["parameters"].update(window=20.0, alpha=2.0)
+        from_file = {key: value for key, value in certify_cfg("out").items() if key != "model"}
+        from_file["model_file"] = "model.json"
+        bases = [(cli.CONFIG_SCHEMA, "$", full), (cli.CONFIG_SCHEMA, "$", from_file),
+                 (cli.MODEL_SCHEMA, "model_file $", lattice_model_cfg())]
+        for schema, root, base in bases:
+            yield schema, root, base
+            for path, node in json_nodes(base):
+                if path:
+                    yield schema, root, mutated(base, path, delete=True)
+                for value in JSON_VALUES:
+                    yield schema, root, mutated(base, path, value)
+                if isinstance(node, dict):
+                    yield schema, root, mutated(base, path, {**node, "zz": 1})
+                    yield schema, root, mutated(base, path, {**node, "aa": [], "zz": {}})
+
+    @staticmethod
+    def walker_lines(schema, doc, root):
+        try:
+            cli._check_schema(schema, doc, root)
+        except cli.ConfigError as exc:
+            return exc.errors
+        return []
+
+    def test_same_lines_as_jsonschema(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        stock = jsonschema.Draft202012Validator
+        # jsonschema with one change: an integer is a JSON integer, never 1.0
+        strict = jsonschema.validators.extend(stock, type_checker=stock.TYPE_CHECKER.redefine(
+            "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)))
+
+        def oracle(validator, schema, doc, root):
+            return sorted(
+                root + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                               for p in err.absolute_path) + f": {err.message}"
+                for err in validator(schema).iter_errors(doc)
+            )
+
+        docs = differs = 0
+        for schema, root, doc in self.corpus():
+            lines = self.walker_lines(schema, doc, root)
+            assert lines == oracle(strict, schema, doc, root), (root, doc)
+            # stock jsonschema lacks only the type errors of integral floats in integer fields
+            stock_lines = oracle(stock, schema, doc, root)
+            extra = [line for line in lines if line not in stock_lines]
+            floats = [re.search(r": (\S+) is not of type 'integer'$", line) for line in extra]
+            assert all(f and float(f[1]).is_integer() and not f[1].lstrip("-").isdigit()
+                       for f in floats), doc
+            assert [line for line in lines if line not in extra] == stock_lines, doc
+            docs, differs = docs + 1, differs + bool(extra)
+        assert docs > 1000 and differs > 0
+
+    def test_schemas_use_only_walker_keywords(self):
+        source = inspect.getsource(cli._schema_errors)
+        assert all(f'"{key}"' in source for key in WALKER_KEYWORDS)
+        types = {t for kinds in cli._JSON_TYPES.values() for t in kinds}
+        for schema in (cli.CONFIG_SCHEMA, cli.MODEL_SCHEMA):
+            pairs = list(schema_keywords(schema))
+            assert {key for key, _ in pairs} <= WALKER_KEYWORDS
+            assert all(value is False for key, value in pairs if key == "additionalProperties")
+            assert {value for key, value in pairs if key == "type"} <= types
 
 
 class TestRunPipelines:
@@ -476,7 +642,8 @@ class TestGammaFreeWork:
 class TestImportBoundary:
     """scipy serves only the spectral stage and the tree helpers: certify and
     lemma runs never import it, a spectral pipeline imports it when its config
-    is loaded, and no pipeline imports anything inside `run`."""
+    is loaded, and no pipeline imports anything inside `run`.  No pipeline
+    imports jsonschema at all."""
 
     SMALL_PARAMS = {
         "lemma-mc": {"a": 2.0, "n_range": [1, 3], "trials": 50},
@@ -529,6 +696,17 @@ class TestImportBoundary:
         if pipeline == "certify-quasi1d":
             lines = (tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()
             assert json.loads(lines[0])["member_count"] > 0
+
+    @pytest.mark.parametrize("pipeline", sorted(cli.PIPELINES))
+    def test_no_jsonschema_on_any_pipeline(self, tmp_path, pipeline):
+        path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
+        code = (
+            "import json, sys\n"
+            "from sparseloc import cli\n"
+            "cli.run(cli.load_config(sys.argv[1]))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema')))\n"
+        )
+        assert self.fresh_python(code, path) == []
 
     def test_star_import_binds_all(self):
         code = (

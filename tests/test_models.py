@@ -1,6 +1,7 @@
 """Coupling-law exactness, sampling contracts, and assumption validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -445,6 +446,23 @@ class TestValidateAssumptions:
         )
         report = m.validate_assumptions(model)
         assert report["A5"].passed
+
+
+class TestConstructorChecks:
+    def test_per_site_laws_match_the_sites(self):
+        sites = m.SiteSet.lattice(1, 40.0)
+        potential = m.SingleSitePotential.indicator(1.0, 0.5)
+        laws = [m.CouplingLaw.uniform()] * len(sites)
+        m.RandomPotentialModel(sites, potential, m.LawAssignment.per_site_laws(laws))
+        with pytest.raises(ValueError, match="per_site lists 1 laws for 81 sites"):
+            m.RandomPotentialModel(sites, potential, m.LawAssignment.per_site_laws(laws[:1]))
+
+    @pytest.mark.parametrize("values,cell", [([], 1.0), ([0.0, 3.0], 0.0), ([0.0, 3.0], -1.0)])
+    def test_periodic_step_refuses_an_empty_pattern_or_cell(self, values, cell):
+        message = re.escape(f"got values={values} and cell={cell}")
+        with pytest.raises(ValueError, match="periodic_step needs at least one value and a "
+                                             f"positive cell, {message}"):
+            m.BackgroundPotential.periodic_step(values, cell)
 
 
 class TestModelSerialization:

@@ -106,6 +106,23 @@ class TestDiscretize:
         assert np.count_nonzero(vals < 0.0) == 1
 
 
+class TestDenseLimit:
+    def test_require_dense_at_the_limit(self):
+        sp.require_dense(sp.DENSE_LIMIT)
+        with pytest.raises(ValueError, match="3001 unknowns exceed the dense limit 3000"):
+            sp.require_dense(sp.DENSE_LIMIT + 1)
+
+    def test_all_eigenvalues_refuses_above_the_limit(self):
+        with pytest.raises(ValueError, match="3001 unknowns exceed the dense limit 3000"):
+            sp.GridOperator.free(1, 3001).all_eigenvalues()
+
+    def test_discretize_accepts_a_grid_above_the_limit(self):
+        # the windowed shift-invert path of eigenpairs works on such grids
+        model = TestDiscretize().single_well_model()
+        op = sp.discretize(model, m.sample_couplings(model, seed=0), box=12.0, h=0.007)
+        assert op.n_unknowns == 3428 > sp.DENSE_LIMIT
+
+
 class TestEigenpairs:
     def test_free_chain_closed_form(self):
         op = sp.GridOperator.free(1, 100, 1.0)
