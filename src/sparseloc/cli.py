@@ -47,6 +47,7 @@ from .spectral import (
     grid_side,
     localization_report,
     require_dense,
+    require_grid_dimension,
     resolvent_decay,
 )
 from .stochastic import borel_cantelli_report, brute_force_a_n
@@ -313,6 +314,10 @@ def _semantic_errors(cfg: dict) -> list[str]:
         except WindowTooSmallError as exc:
             errors.append(f"$.parameters.n_range: at {label}: {exc}")
     if "spectral-probe" in stages:
+        try:
+            require_grid_dimension(d)
+        except ValueError as exc:
+            return errors + [f"$.model.dimension: {exc}"]
         needed = params["box"] * math.sqrt(d) + model_cfg["potential"]["radius"]
         try:
             require_dense(grid_side(params["box"], params["h"]) ** d)

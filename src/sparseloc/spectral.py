@@ -29,6 +29,7 @@ __all__ = [
     "LocalizationReport",
     "grid_side",
     "require_dense",
+    "require_grid_dimension",
     "discretize",
     "eigenpairs",
     "spectrum_gaps",
@@ -66,8 +67,7 @@ class GridOperator:
     _eigen_cache: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ValueError("grid operators support d in {1, 2}")
+        require_grid_dimension(self.dimension)
         if len(self.shape) != self.dimension:
             raise ValueError("shape rank must match dimension")
         if self.spacing <= 0:
@@ -154,6 +154,12 @@ class GridOperator:
             fp.write(f"{i} {j} {v!r}\n")
 
 
+def require_grid_dimension(d: int) -> None:
+    """ValueError unless the grid operator supports dimension `d` (1 or 2)."""
+    if d not in (1, 2):
+        raise ValueError(f"grid operators support d in {{1, 2}}, not d={d}")
+
+
 def grid_side(box: float, h: float) -> int:
     """Nodes per side, round(2 box / h) - 1; ValueError below MIN_GRID_SIDE."""
     if h <= 0:
@@ -183,8 +189,7 @@ def discretize(
     """
     n_side = grid_side(box, h)
     d = model.dimension
-    if d not in (1, 2):
-        raise ValueError("discretization supports d in {1, 2}")
+    require_grid_dimension(d)
     needed = box * math.sqrt(d) + model.max_support_radius()
     require_window(couplings.window_radius, needed, " needed by the box corner plus support")
     shape = (n_side,) * d

@@ -36,9 +36,10 @@ __all__ = [
 
 ENUMERATION_SITE_BUDGET = 24
 # Columns per block of a sites x columns matrix: at least 256, and more while
-# the block holds under 2^16 entries.  This sizes both the Philox blocks of
-# coupling draws (so the kernel works on large arrays) and the pattern blocks
-# of the 2^m enumeration.
+# the block holds under 2^16 entries.  This bounds the memory of both the
+# blocks of coupling draws and the pattern blocks of the 2^m enumeration, and
+# keeps the coverage sweep on large arrays.  A block of draws spans at least
+# 64 Philox counter blocks per row, so `_rng` draws it with its compiled loop.
 _TRIAL_BATCH, _BLOCK_DRAWS = 256, 1 << 16
 
 

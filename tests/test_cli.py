@@ -261,6 +261,15 @@ class TestValidation:
         assert result.output == (f"config error: $.parameters.box: {unknowns} unknowns exceed "
                                  "the dense limit 3000; probe gaps on a smaller box\n")
 
+    def test_grid_dimension_above_two_rejected(self, tmp_path):
+        cfg = window_cfg(tmp_path, "spectral-probe", {"box": 1.0, "h": 0.5})
+        cfg["parameters"]["eps"] = 0.5
+        cfg["model"] = lattice_model_cfg(d=3, radius=4.0)
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == ("config error: $.model.dimension: "
+                                 "grid operators support d in {1, 2}, not d=3\n")
+
     @pytest.mark.parametrize(
         "part,fields,message",
         [

@@ -1,9 +1,10 @@
-"""The vectorized Philox4x64-10 kernel against numpy's own Philox streams."""
+"""Both Philox4x64-10 loops (vectorized and compiled) against numpy's own Philox streams."""
 
 import numpy as np
 import pytest
 
-from sparseloc._rng import site_uniform_batches, site_uniforms
+from sparseloc import _rng
+from sparseloc._rng import _WIDE_BLOCKS, site_uniform_batches, site_uniforms
 
 SEEDS = [0, 1, 12345, 2**32 + 5, 2**63 - 1, 2**63, 2**63 + 11, 2**64 - 1]
 
@@ -23,6 +24,20 @@ def oracle(seed, indices, trials):
 
 def random_indices(rng, n):
     return np.concatenate([[0, 1, 2**40 + 7, 2**63 - 1], rng.integers(0, 2**62, n)])
+
+
+@pytest.fixture
+def compiled_calls(monkeypatch):
+    """Record the column range of every request the compiled loop draws."""
+    calls = []
+    draw = _rng._compiled_rows
+
+    def spy(seed, indices, start, stop):
+        calls.append((start, stop))
+        return draw(seed, indices, start, stop)
+
+    monkeypatch.setattr(_rng, "_compiled_rows", spy)
+    return calls
 
 
 class TestSiteUniforms:
@@ -79,3 +94,35 @@ class TestSiteUniformBatches:
     def test_empty_indices(self):
         blocks = list(site_uniform_batches(1, np.array([], dtype=np.int64), 5, 2))
         assert [block.shape for _, block in blocks] == [(0, 2), (0, 2), (0, 1)]
+
+
+class TestBothLoops:
+    """Rows of at least _WIDE_BLOCKS counter blocks take the compiled loop."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("blocks", [_WIDE_BLOCKS - 1, _WIDE_BLOCKS, _WIDE_BLOCKS + 1])
+    def test_widths_around_the_threshold(self, seed, blocks, compiled_calls):
+        indices = random_indices(np.random.default_rng(seed % 1000), 6)
+        trials = 4 * blocks
+        assert np.array_equal(site_uniforms(seed, indices, trials), oracle(seed, indices, trials))
+        assert len(compiled_calls) == (blocks >= _WIDE_BLOCKS)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start", [1, 2, 3, 5, 6, 7, 9, 13])
+    def test_wide_rows_off_block_boundaries(self, seed, start, compiled_calls):
+        indices = np.array([2**40 + 7, 3, 17, 2**63 - 1])
+        full = oracle(seed, indices, 4 * _WIDE_BLOCKS + 20)
+        # blocks spanned: exactly _WIDE_BLOCKS, then one more
+        for trials in (4 * _WIDE_BLOCKS - 3, 4 * _WIDE_BLOCKS + 1):
+            window = site_uniforms(seed, indices, trials, start=start)
+            assert np.array_equal(window, full[:, start : start + trials])
+        assert len(compiled_calls) == 2
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batches_wide_then_narrow(self, seed, compiled_calls):
+        # blocks of 270 columns start off block boundaries; the last has 30 columns
+        indices, trials, batch = np.array([5, 2**40 + 7, 0, 9]), 3000, 270
+        pairs = list(site_uniform_batches(seed, indices, trials, batch))
+        full = np.concatenate([block for _, block in pairs], axis=1)
+        assert np.array_equal(full, oracle(seed, indices, trials))
+        assert compiled_calls == [(off, off + batch) for off, _ in pairs[:-1]]

@@ -123,6 +123,25 @@ class TestDenseLimit:
         assert op.n_unknowns == 3428 > sp.DENSE_LIMIT
 
 
+class TestGridDimension:
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_operator_refuses(self, d):
+        message = f"grid operators support d in {{1, 2}}, not d={d}"
+        with pytest.raises(ValueError, match=message):
+            sp.require_grid_dimension(d)
+        with pytest.raises(ValueError, match=message):
+            sp.GridOperator.free(d, 5)
+
+    def test_discretize_refuses_d3(self):
+        model = m.RandomPotentialModel(
+            sites=m.SiteSet.lattice(3, 4.0),
+            potential=m.SingleSitePotential.indicator(1.0, 0.5),
+            laws=m.LawAssignment.shared_law(m.CouplingLaw.bernoulli(0.5)),
+        )
+        with pytest.raises(ValueError, match="grid operators support d in {1, 2}, not d=3"):
+            sp.discretize(model, m.sample_couplings(model, seed=0), box=1.0, h=0.5)
+
+
 class TestEigenpairs:
     def test_free_chain_closed_form(self):
         op = sp.GridOperator.free(1, 100, 1.0)

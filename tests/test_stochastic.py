@@ -267,6 +267,22 @@ class TestEstimateAN:
         with pytest.raises(ValueError):
             st.estimate_a_n(model, 0.5, a=2.0, n=3, trials=10, seed=0)
 
+    def test_wide_draws_match_numpy_philox(self):
+        # 66 relevant sites at n=5: blocks of 992 trials draw wide, the last 24 narrow
+        model = lemma_mc_d1_model()
+        eps, a, n, trials, seed = 0.5, 2.0, 5, 3000, 2**63 + 11
+        lo, hi = a**n, a ** (n + 1) - n
+        indices = st._relevant_site_indices(model, a, n)
+        indices = indices[np.argsort(model.sites.norms[indices], kind="stable")]
+        u = np.array([
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).random(trials)
+            for i in indices
+        ])
+        bad = model.laws.transform(model.sites.points[indices], indices, u) > eps
+        blocked = blocked_by_free_intervals(model.sites.norms[indices], bad, lo, hi, float(n))
+        rec = st.estimate_a_n(model, eps, a, n, trials, seed)
+        assert rec.value == sum(blocked) / trials
+
     def test_monotone_in_p_by_coupling(self):
         # same uniforms drive both models: a_n nonincreasing when p drops
         seeds = [2, 9, 31]
