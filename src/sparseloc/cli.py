@@ -270,7 +270,6 @@ def load_config(path: str | Path) -> dict:
         # the spectral stage's scipy modules load here, before the run starts
         import scipy.linalg  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
-        import scipy.spatial  # noqa: F401
     return cfg
 
 

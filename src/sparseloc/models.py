@@ -8,7 +8,6 @@ draws depend only on (seed, site) and never on iteration order.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -667,6 +666,43 @@ def sample_couplings(
     return CouplingMap(model, indices, values, seed, window_radius)
 
 
+_PAIR_BLOCK = 1024  # nodes per block of _pairs_within: bounds its (nodes x sites) temporaries
+
+
+def _pairs_within(pts: np.ndarray, points: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the pairs with |pts[row] - points[col]| <= rho, node-major with
+    each node's sites ascending: the pairs of a sorted multi-point query_ball_point.
+
+    The test is the k-d tree's own: squared differences added axis by axis, in
+    axis order, against rho * rho.  Each block of nodes is tested only against the
+    sites in its bounding box widened by rho, judged by the same squared
+    differences, so that no pair the test keeps is dropped.
+    """
+    r2 = rho * rho
+    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for start in range(0, len(pts), _PAIR_BLOCK):
+        block = pts[start:start + _PAIR_BLOCK]
+        gap = np.maximum(np.maximum(block.min(axis=0) - points, points - block.max(axis=0)), 0.0)
+        near = np.flatnonzero(np.all(gap * gap <= r2, axis=1))
+        d2 = np.zeros((len(block), near.size))
+        for k in range(points.shape[1]):
+            diff = block[:, k, None] - points[near, k]
+            d2 += diff * diff
+        node, site = np.nonzero(d2 <= r2)
+        rows.append(node + start)
+        cols.append(near[site])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _bump_values(model: RandomPotentialModel, offsets: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """f_i(offset) for each (offset, site index i) pair, with each site's own bump."""
+    values = model.potential.evaluate(offsets)
+    for index, pot in model.site_potentials.items():
+        own = sites == index
+        values[own] = pot.evaluate(offsets[own])
+    return values
+
+
 def evaluate_potential(
     model: RandomPotentialModel,
     couplings: CouplingMap,
@@ -678,7 +714,6 @@ def evaluate_potential(
     Warns when x is within one support radius of the window edge, where
     sites outside the sampled window could contribute.
     """
-    from scipy.spatial import cKDTree
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 1
     rho = model.max_support_radius()
@@ -690,15 +725,8 @@ def evaluate_potential(
             stacklevel=2,
         )
     points = couplings.points
-    neighbor_lists = cKDTree(points).query_ball_point(pts, rho)
-    # (node, site) pairs: nodes in order, each node's neighbours in query order
-    rows = np.repeat(np.arange(pts.shape[0]), [len(nb) for nb in neighbor_lists])
-    cols = np.fromiter(itertools.chain.from_iterable(neighbor_lists), np.intp, rows.size)
-    offsets, sites = pts[rows] - points[cols], couplings.site_indices[cols]
-    terms = model.potential.evaluate(offsets)
-    for index, pot in model.site_potentials.items():
-        own = sites == index
-        terms[own] = pot.evaluate(offsets[own])
+    rows, cols = _pairs_within(pts, points, rho)
+    terms = _bump_values(model, pts[rows] - points[cols], couplings.site_indices[cols])
     out = np.zeros(pts.shape[0])
     # unbuffered and in pair order, so each node's sum is added up as a loop would
     np.add.at(out, rows, terms * couplings.values[cols])
@@ -709,23 +737,20 @@ def evaluate_potential(
 
 def second_moment_profile(model: RandomPotentialModel, x) -> float | np.ndarray:
     """W(x) = E[V(x)^2]^(1/2) from exact per-site first and second moments."""
-    from scipy.spatial import cKDTree
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     scalar = np.asarray(x).ndim == 1
-    rho = model.max_support_radius()
-    tree = cKDTree(model.sites.points)
-    out = np.zeros(pts.shape[0])
-    neighbor_lists = tree.query_ball_point(pts, rho)
-    for row, neighbors in enumerate(neighbor_lists):
-        mean_sum = 0.0
-        var_sum = 0.0
-        for j in neighbors:
-            law = model.laws.law_for(model.sites.points[j], j)
-            f = model.potential_for(j).evaluate(pts[row] - model.sites.points[j])[0]
-            m1, m2 = law.mean(), law.second_moment()
-            mean_sum += m1 * f
-            var_sum += (m2 - m1 * m1) * f * f
-        out[row] = math.sqrt(max(mean_sum * mean_sum + var_sum, 0.0))
+    points = model.sites.points
+    rows, cols = _pairs_within(pts, points, model.max_support_radius())
+    f = _bump_values(model, pts[rows] - points[cols], cols)
+    used, at = np.unique(cols, return_inverse=True)
+    laws = [model.laws.law_for(points[j], j) for j in used]
+    m1 = np.array([law.mean() for law in laws], dtype=float)[at]
+    m2 = np.array([law.second_moment() for law in laws], dtype=float)[at]
+    mean_sum, var_sum = np.zeros(pts.shape[0]), np.zeros(pts.shape[0])
+    # in pair order, as evaluate_potential adds its terms
+    np.add.at(mean_sum, rows, m1 * f)
+    np.add.at(var_sum, rows, (m2 - m1 * m1) * f * f)
+    out = np.sqrt(np.maximum(mean_sum * mean_sum + var_sum, 0.0))
     return float(out[0]) if scalar else out
 
 

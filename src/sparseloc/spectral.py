@@ -287,10 +287,6 @@ def spectrum_gaps(op: GridOperator, resolution: float) -> list[tuple[float, floa
     return gaps
 
 
-def in_any_gap(energy: float, gaps: list[tuple[float, float]], margin: float = 0.0) -> bool:
-    return any(lo + margin < energy < hi - margin for lo, hi in gaps)
-
-
 def ipr(v: np.ndarray) -> float:
     """Inverse participation ratio sum v_j^4 of a unit vector."""
     v = np.asarray(v, dtype=float)
@@ -307,20 +303,37 @@ class DecayFit:
     n_points: int
 
 
-def _loglinear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares line through (x, y): returns (-slope, R^2).  np.polyfit(x, y, 1)'s
-    own steps, so bit-equal to it, without its per-call overhead."""
-    lhs = np.ones((x.size, 2))  # vander(x, 2), C-ordered like it
-    lhs[:, 0] = x
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    coef, _, rank, _ = np.linalg.lstsq(lhs / scale, y, x.size * np.finfo(float).eps)
-    if rank < 2:
-        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
-    slope, intercept = coef / scale
-    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
-    ss_tot = float(((y - y.sum() / y.size) ** 2).sum())  # y.sum() / y.size is np.mean(y)
-    quality = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(-slope), quality
+def _loglinear_fits(x: np.ndarray, y: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares lines through consecutive segments of (x, y), counts[k] points in
+    segment k: (-slope, R^2) per segment.  np.polyfit(x, y, 1)'s own steps on each
+    segment, so bit-equal to it, without its per-call overhead."""
+    counts = np.asarray(counts, dtype=np.intp)
+    seg = np.repeat(np.arange(counts.size), counts)
+    ends = np.cumsum(counts)
+    bounds = list(zip((ends - counts).tolist(), ends.tolist()))
+    # column norms of vander(x, 2): its (lhs * lhs).sum(axis=0) adds in order, as add.at does
+    sumsq = np.zeros(counts.size)
+    np.add.at(sumsq, seg, x * x)
+    scale = np.sqrt(np.column_stack([sumsq, counts.astype(float)]))
+    lhs = np.empty((x.size, 2))
+    lhs[:, 0] = x / scale[seg, 0]
+    lhs[:, 1] = 1.0 / scale[seg, 1]
+    coef = np.empty((counts.size, 2))
+    mean = np.empty(counts.size)
+    for k, (a, b) in enumerate(bounds):
+        coef[k], _, rank, _ = np.linalg.lstsq(lhs[a:b], y[a:b], (b - a) * np.finfo(float).eps)
+        if rank < 2:
+            warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=3)
+        mean[k] = y[a:b].sum() / (b - a)
+    slope, intercept = (coef / scale).T
+    residual = (y - (slope[seg] * x + intercept[seg])) ** 2
+    deviation = (y - mean[seg]) ** 2
+    ss_res = np.array([residual[a:b].sum() for a, b in bounds])
+    ss_tot = np.array([deviation[a:b].sum() for a, b in bounds])
+    quality = np.zeros(counts.size)
+    spread = ss_tot > 0
+    quality[spread] = 1.0 - ss_res[spread] / ss_tot[spread]
+    return -slope, quality
 
 
 def _offset_distances(shape: tuple[int, ...], spacing: float) -> np.ndarray:
@@ -330,20 +343,43 @@ def _offset_distances(shape: tuple[int, ...], spacing: float) -> np.ndarray:
     return (np.linalg.norm(offsets, axis=1) * spacing).reshape(grids[0].shape)
 
 
-def _side_fits(amp, center: int, shape: tuple[int, ...], table: np.ndarray, sides) -> list:
-    """Per side of `center`: (rate, quality, points) of log(amp) against the distance
-    read from `table`, over the nodes above the floor; None if fewer than three."""
-    at = np.unravel_index(center, shape)
-    dist = table[tuple(slice(s - 1 - c, 2 * s - 1 - c) for s, c in zip(shape, at))].ravel()
-    nodes = {"left": slice(0, center + 1), "right": slice(center, None), "both": slice(None)}
-    fits = []
-    for side in sides:
-        part = amp[nodes[side]]
-        keep = part > AMPLITUDE_FLOOR
-        points = int(np.count_nonzero(keep))
-        fit = _loglinear_fit(dist[nodes[side]][keep], np.log(part[keep])) if points >= 3 else None
-        fits.append(None if fit is None else (*fit, points))
-    return fits
+_ON_SIDE = {"left": np.less_equal, "right": np.greater_equal}  # node against centre
+_FIT_BLOCK = 1 << 14  # (states x nodes) entries per block of _decay_fits: bounds its temporaries
+
+
+def _decay_fits(
+    amp: np.ndarray, centers: np.ndarray, shape: tuple[int, ...], spacing: float, sides
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decay fits of many states at once: (rate, quality, points), each (states, sides).
+
+    Row s of `amp` holds |psi_s| on the C-ordered grid `shape`.  Per side (in one
+    dimension 'left' or 'right': the nodes up to or from centers[s]; 'both': every
+    node), log|psi_s| is fitted against the distance to centers[s] over the nodes
+    above AMPLITUDE_FLOOR.  Below three such points the rate is NaN and the quality 0.
+    """
+    table = _offset_distances(shape, spacing).ravel()
+    # flat table index of node offset k is pos[node] - pos[center] + pos of (shape - 1)
+    wide = tuple(2 * s - 1 for s in shape)
+    pos = np.ravel_multi_index(np.unravel_index(np.arange(amp.shape[1]), shape), wide)
+    middle = np.ravel_multi_index(tuple(s - 1 for s in shape), wide)
+    rate = np.full((amp.shape[0], len(sides)), np.nan)
+    quality = np.zeros(rate.shape)
+    points = np.zeros(rate.shape, dtype=np.intp)
+    node = np.arange(amp.shape[1])
+    block = max(1, _FIT_BLOCK // max(1, amp.shape[1]))
+    for lo in range(0, amp.shape[0], block):
+        a, c = amp[lo:lo + block], centers[lo:lo + block]
+        keep = a > AMPLITUDE_FLOOR
+        for k, side in enumerate(sides):
+            mask = keep if side == "both" else keep & _ON_SIDE[side](node, c[:, None])
+            count = np.count_nonzero(mask, axis=1)
+            points[lo:lo + len(a), k] = count
+            fitted = count >= 3
+            state, at = np.nonzero(mask & fitted[:, None])
+            x = table[pos[at] - pos[c[state]] + middle]
+            done = lo + np.flatnonzero(fitted)
+            rate[done, k], quality[done, k] = _loglinear_fits(x, np.log(a[state, at]), count[fitted])
+    return rate, quality, points
 
 
 def decay_rate_fit(
@@ -368,10 +404,12 @@ def decay_rate_fit(
     if shape is not None and side != "both":
         raise ValueError("side selection only applies in one dimension")
     shape = (v.size,) if shape is None else tuple(shape)
-    (fit,) = _side_fits(np.abs(v), center, shape, _offset_distances(shape, spacing), (side,))
-    if fit is None:
+    if not 0 <= center < math.prod(shape):
+        raise ValueError(f"center {center} is not a node of the grid {shape}")
+    rate, quality, points = _decay_fits(np.abs(v)[None], np.array([center]), shape, spacing, (side,))
+    if points[0, 0] < 3:
         raise ValueError("not enough amplitude above the floor to fit a decay rate")
-    return DecayFit(*fit)
+    return DecayFit(float(rate[0, 0]), float(quality[0, 0]), int(points[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -419,8 +457,9 @@ def resolvent_decay(op: GridOperator, energy: float) -> ResolventDecayFit:
     x, y = dist[mask], np.log(np.abs(u[mask]))
     if x.size < 3:
         raise ValueError("resolvent amplitude decays below the floor too quickly to fit")
-    rate, quality = _loglinear_fit(x, y)
-    return ResolventDecayFit(float(energy), rate, quality, spectrum_distance, int(x.size))
+    (rate,), (quality,) = _loglinear_fits(x, y, [x.size])
+    return ResolventDecayFit(float(energy), float(rate), float(quality), spectrum_distance,
+                             int(x.size))
 
 
 def resolvent_decay_table(
@@ -490,38 +529,40 @@ def localization_report(
     # as sitting inside a gap bounded by their own energy
     gap_margin = 1e-6 * float(ref_vals[-1] - ref_vals[0])
     result = eigenpairs(op)
-    boundary = op.boundary_mask()
     rows = np.ascontiguousarray(result.eigenvectors.T)  # eigh's are F-ordered: a free view
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     off = np.abs(norms - 1.0) > 1e-10
     if off.any():
         raise ValueError(f"vector norm {norms[off][0]} is not 1 within 1e-10")
-    table = _offset_distances(op.shape, op.spacing)
+    energies = result.eigenvalues
+    amp = np.abs(rows)
+    centers = np.argmax(amp, axis=1)
+    in_gap = np.zeros(energies.size, dtype=bool)
+    for lo, hi in gaps:
+        in_gap |= (lo + gap_margin < energies) & (energies < hi - gap_margin)
     sides = ("left", "right") if op.dimension == 1 else ("both",)
-    states: list[StateDiagnostics] = []
-    boundary_max = 0.0
-    for energy, row in zip(result.eigenvalues, rows):
-        amp = np.abs(row)
-        center = int(np.argmax(amp))
-        in_gap = in_any_gap(float(energy), gaps, margin=gap_margin)
-        # in d=1 the better-quality side; the first one on a tie
-        fits = [f for f in _side_fits(amp, center, op.shape, table, sides) if f is not None]
-        rate, quality, _ = max(fits, key=lambda f: f[1]) if fits else (math.nan, 0.0, 0)
-        if in_gap:
-            boundary_max = max(boundary_max, float(np.max(amp[boundary])))
-        states.append(
-            StateDiagnostics(float(energy), float(np.sum(row**4)), rate, quality, center, in_gap)
-        )
-    gap_iprs = [s.ipr for s in states if s.in_gap]
-    bulk_iprs = [s.ipr for s in states if not s.in_gap]
-    gap_median = float(np.median(gap_iprs)) if gap_iprs else math.nan
-    bulk_median = float(np.median(bulk_iprs)) if bulk_iprs else math.nan
-    if not gap_iprs:
+    rates, qualities, points = _decay_fits(amp, centers, op.shape, op.spacing, sides)
+    rate, quality = rates[:, 0], qualities[:, 0]
+    if len(sides) == 2:  # the better-quality side; the left one on a tie
+        right = (points[:, 1] >= 3) & ((points[:, 0] < 3) | (qualities[:, 1] > quality))
+        rate = np.where(right, rates[:, 1], rate)
+        quality = np.where(right, qualities[:, 1], quality)
+    iprs = np.sum(rows**4, axis=1)
+    boundary_max = float(amp[in_gap][:, op.boundary_mask()].max(initial=0.0))
+    states = [
+        StateDiagnostics(*fields)
+        for fields in zip(energies.tolist(), iprs.tolist(), rate.tolist(), quality.tolist(),
+                          centers.tolist(), in_gap.tolist())
+    ]
+    gap_iprs, bulk_iprs = iprs[in_gap], iprs[~in_gap]
+    gap_median = float(np.median(gap_iprs)) if gap_iprs.size else math.nan
+    bulk_median = float(np.median(bulk_iprs)) if bulk_iprs.size else math.nan
+    if not gap_iprs.size:
         verdict = "no-gap-states"
     else:
-        quality_frac = np.mean([s.decay_quality >= 0.9 for s in states if s.in_gap])
+        quality_frac = np.mean(quality[in_gap] >= 0.9)
         localized = (
-            bulk_iprs
+            bulk_iprs.size
             and gap_median >= 10.0 * bulk_median
             and quality_frac >= 0.9
         )

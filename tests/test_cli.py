@@ -649,10 +649,11 @@ class TestGammaFreeWork:
 
 
 class TestImportBoundary:
-    """scipy serves only the spectral stage and the tree helpers: certify and
-    lemma runs never import it, a spectral pipeline imports it when its config
-    is loaded, and no pipeline imports anything inside `run`.  No pipeline
-    imports jsonschema at all."""
+    """scipy serves only the spectral stage and the closest-pair k-d tree: certify
+    and lemma runs import none of it unless explicit sites come without r_sigma,
+    a spectral pipeline imports its linear algebra when its config is loaded,
+    and no pipeline imports anything inside `run`.  No pipeline imports
+    jsonschema or scipy.spatial at all."""
 
     SMALL_PARAMS = {
         "lemma-mc": {"a": 2.0, "n_range": [1, 3], "trials": 50},
@@ -716,6 +717,37 @@ class TestImportBoundary:
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema')))\n"
         )
         assert self.fresh_python(code, path) == []
+
+    @pytest.mark.parametrize("pipeline", sorted(cli.PIPELINES))
+    def test_no_spatial_on_any_pipeline(self, tmp_path, pipeline):
+        path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
+        code = (
+            "import json, sys\n"
+            "from sparseloc import cli\n"
+            "cfg = cli.load_config(sys.argv[1])\n"
+            "loaded = 'scipy.spatial' in sys.modules\n"
+            "cli.run(cfg)\n"
+            "print(json.dumps([loaded, 'scipy.spatial' in sys.modules]))\n"
+        )
+        assert self.fresh_python(code, path) == [False, False]
+
+    @pytest.mark.parametrize("r_sigma", [0.5, None])
+    def test_explicit_sites_take_a_tree_only_without_r_sigma(self, tmp_path, r_sigma):
+        """Without r_sigma, building the model measures the closest pair with a k-d
+        tree, so load_config imports scipy.spatial even for a certify run."""
+        cfg = certify_cfg(tmp_path / "out", seeds=(1,))
+        cfg["model"] = lattice_model_cfg(d=1)
+        cfg["model"]["sites"] = {"generator": "explicit",
+                                 "points": [[-4.0], [-2.0], [0.0], [2.0], [4.0]]}
+        if r_sigma is not None:
+            cfg["model"]["sites"]["r_sigma"] = r_sigma
+        path = write_config(tmp_path, cfg)
+        loaded = self.fresh_python(self.LOAD, path)
+        if r_sigma is None:
+            assert "scipy.spatial" in loaded
+        else:
+            assert loaded == []
+        assert self.fresh_python(self.RUN, path) == []
 
     def test_star_import_binds_all(self):
         code = (

@@ -310,6 +310,80 @@ class TestEvaluatePotentialPairOracle:
         assert m.evaluate_potential(model, cm, [0.1]) == got[1]
 
 
+def tree_pairs(pts, points, rho):
+    """(rows, cols) of a sorted multi-point cKDTree.query_ball_point: the pair oracle."""
+    lists = cKDTree(points).query_ball_point(pts, rho, return_sorted=True)
+    rows = np.repeat(np.arange(len(pts)), [len(nb) for nb in lists])
+    cols = np.array([j for nb in lists for j in nb], dtype=np.intp)
+    return rows, cols
+
+
+def assert_pairs_equal(pts, points, rho):
+    got, want = m._pairs_within(pts, points, rho), tree_pairs(pts, points, rho)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    return got[0].size
+
+
+class TestPairsWithin:
+    """The numpy pair kernel returns the k-d tree's pairs, in the tree's order."""
+
+    @given(
+        d=st.integers(1, 3),
+        n_nodes=st.integers(1, 60),
+        n_sites=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+        rho=st.floats(0.0, 3.0),
+        snap=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_tree(self, d, n_nodes, n_sites, seed, rho, snap):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-4.0, 4.0, (n_nodes, d))
+        points = rng.uniform(-5.0, 5.0, (n_sites, d))
+        if snap:  # quarter-integer points and radius: many pairs exactly at rho
+            pts, points, rho = np.round(4 * pts) / 4, np.round(2 * points) / 2, round(4 * rho) / 4
+        assert_pairs_equal(pts, points, rho)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.25])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_lattice_against_grid_nodes(self, d, h, rho):
+        box = 4.0 if d == 1 else 2.0
+        axis = -box + h + h * np.arange(round(2 * box / h) - 1)
+        nodes = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+        assert assert_pairs_equal(nodes, m.SiteSet.lattice(d, box + 2.0).points, rho) > 0
+
+    def test_several_blocks(self):
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-6.0, 6.0, (3 * m._PAIR_BLOCK + 17, 2))
+        sites = m.SiteSet.lattice(2, 8.0).points
+        assert_pairs_equal(pts, sites, 1.0)
+        assert m._pairs_within(pts, sites, 1.0)[0][-1] >= 3 * m._PAIR_BLOCK  # the fourth block has pairs
+
+    def test_no_sites_no_nodes(self):
+        assert assert_pairs_equal(np.zeros((4, 2)), np.empty((0, 2)), 1.0) == 0
+        rows, cols = m._pairs_within(np.empty((0, 2)), np.zeros((3, 2)), 1.0)
+        assert rows.size == cols.size == 0
+
+
+def tree_loop_second_moment(model, pts):
+    """second_moment_profile as a loop over each node's k-d tree neighbours: the
+    bit-level oracle."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out = np.zeros(pts.shape[0])
+    lists = cKDTree(model.sites.points).query_ball_point(pts, model.max_support_radius())
+    for row, neighbors in enumerate(lists):
+        mean_sum = var_sum = 0.0
+        for j in neighbors:
+            law = model.laws.law_for(model.sites.points[j], j)
+            f = model.potential_for(j).evaluate(pts[row] - model.sites.points[j])[0]
+            m1, m2 = law.mean(), law.second_moment()
+            mean_sum += m1 * f
+            var_sum += (m2 - m1 * m1) * f * f
+        out[row] = math.sqrt(max(mean_sum * mean_sum + var_sum, 0.0))
+    return out
+
+
 class TestSecondMoment:
     def test_uniform_law_single_site(self):
         model = m.RandomPotentialModel(
@@ -330,6 +404,21 @@ class TestSecondMoment:
     def test_all_delta0_zero(self):
         model = lattice_model(d=1, radius=5.0, law=m.CouplingLaw.delta(0.0))
         assert m.second_moment_profile(model, [0.0]) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equals_tree_loop(self, d):
+        sites = m.SiteSet.lattice(d, 7.0)
+        near = np.where(np.linalg.norm(sites.points, axis=1) < 3.0)[0][::4]
+        model = m.RandomPotentialModel(
+            sites=sites,
+            potential=TestEvaluatePotentialPairOracle.wavy(2.2, 0.6),
+            laws=m.LawAssignment.radial_bernoulli(1.5),
+            site_potentials={int(i): TestEvaluatePotentialPairOracle.wavy(2.9, -0.4) for i in near},
+        )
+        axis = np.arange(-4.0, 4.0, 0.173 if d == 1 else 0.41)
+        pts = axis[:, None] if d == 1 else np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
+        assert np.array_equal(m.second_moment_profile(model, pts), tree_loop_second_moment(model, pts))
+        assert m.second_moment_profile(model, pts[3]) == tree_loop_second_moment(model, pts[3])[0]
 
     def test_decay_fit_detects_fast_decay(self):
         model = m.RandomPotentialModel(

@@ -243,6 +243,11 @@ class TestDecayRateFit:
         with pytest.raises(ValueError):
             sp.decay_rate_fit(np.full(50, 1e-15), 25)
 
+    @pytest.mark.parametrize("center", [-1, 50])
+    def test_centre_off_the_grid_rejected(self, center):
+        with pytest.raises(ValueError):
+            sp.decay_rate_fit(np.full(50, 0.1), center)
+
     def test_spacing_scales_rate(self):
         j = np.arange(201)
         v = np.exp(-np.abs(j - 100.0))
@@ -275,8 +280,14 @@ def masked_decay_fit(v, center, spacing=1.0, shape=None, side="both"):
     return rate, quality, int(np.count_nonzero(mask))
 
 
+def one_fit(x, y):
+    """_loglinear_fits on one segment."""
+    rate, quality = sp._loglinear_fits(x, y, [x.size])
+    return float(rate[0]), float(quality[0])
+
+
 class TestLoglinearFitBits:
-    """_loglinear_fit takes np.polyfit's own steps, so it is bit-equal to it."""
+    """_loglinear_fits takes np.polyfit's own steps per segment, so it is bit-equal to it."""
 
     @given(
         n=st.integers(3, 3000),
@@ -297,7 +308,7 @@ class TestLoglinearFitBits:
             y = np.full(n, rng.integers(-8, 8) / 4.0)
         with warnings.catch_warnings(record=True) as ours:
             warnings.simplefilter("always")
-            got = sp._loglinear_fit(x, y)
+            got = one_fit(x, y)
         with warnings.catch_warnings(record=True) as theirs:
             warnings.simplefilter("always")
             want = polyfit_loglinear(x, y)
@@ -306,10 +317,24 @@ class TestLoglinearFitBits:
         if kind == "constant":
             assert got[1] == 0.0
 
+    @given(
+        sizes=st.lists(st.integers(3, 300), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_segments_equal_polyfit_each(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([np.sort(rng.uniform(0.0, 3.0 * n, n)) for n in sizes])
+        y = rng.normal(0.0, 2.0) * x + rng.normal(0.0, 1.0, x.size)
+        rates, qualities = sp._loglinear_fits(x, y, sizes)
+        ends = np.cumsum(sizes)
+        for k, (a, b) in enumerate(zip(ends - sizes, ends)):
+            assert (rates[k], qualities[k]) == polyfit_loglinear(x[a:b], y[a:b])
+
     def test_constant_y_quality_zero(self):
         x = np.arange(40) * 0.05
         y = np.full(40, -1.25)
-        got = sp._loglinear_fit(x, y)
+        got = one_fit(x, y)
         assert got == polyfit_loglinear(x, y)
         assert got[1] == 0.0
 
@@ -317,7 +342,7 @@ class TestLoglinearFitBits:
         x = np.full(5, 2.5)
         y = np.array([0.1, -0.3, 0.2, 0.0, 0.4])
         with pytest.warns(np.exceptions.RankWarning):
-            got = sp._loglinear_fit(x, y)
+            got = one_fit(x, y)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", np.exceptions.RankWarning)
             assert got == polyfit_loglinear(x, y)
@@ -325,7 +350,7 @@ class TestLoglinearFitBits:
     def test_full_rank_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sp._loglinear_fit(np.arange(3.0), np.array([1.0, 0.5, 0.1]))
+            one_fit(np.arange(3.0), np.array([1.0, 0.5, 0.1]))
 
 
 class TestResolventDecay:
@@ -411,6 +436,135 @@ class TestLocalizationReportBits:
             want = self.oracle_state(v, op, shape)
             assert got == want or (math.isnan(got[1]) and math.isnan(want[1]))
         assert any(s.in_gap for s in report.states)
+
+    @pytest.mark.parametrize("site, amplitude", [(-9.0, -5.0), (9.0, -5.0), (0.0, -1e8)])
+    def test_edge_states_equal_per_state_oracle(self, site, amplitude):
+        """A well at the first or last node centres the ground state there; a
+        very deep one leaves fewer than three nodes above the floor on each side."""
+        model = m.RandomPotentialModel(
+            sites=m.SiteSet.explicit([[site]]),
+            potential=m.SingleSitePotential.indicator(amplitude, 0.3),
+            laws=m.LawAssignment.shared_law(m.CouplingLaw.delta(1.0)),
+        )
+        cm = m.sample_couplings(model, seed=0)
+        h, box = 1.0, 10.0
+        free = sp.GridOperator.free(1, sp.grid_side(box, h), h)
+        report = sp.localization_report(model, cm, box, h, free)
+        op = sp.discretize(model, cm, box, h)
+        result = sp.eigenpairs(op)
+        for state, v in zip(report.states, result.eigenvectors.T):
+            got = (state.ipr, state.decay_rate, state.decay_quality, state.center)
+            want = self.oracle_state(v, op, None)
+            assert got == want or (math.isnan(got[1]) and math.isnan(want[1]) and got[2:] == want[2:])
+        ground = min(report.states, key=lambda s: s.energy)
+        assert ground.in_gap
+        if amplitude == -1e8:
+            assert math.isnan(ground.decay_rate) and ground.decay_quality == 0.0
+        else:
+            assert ground.center == (0 if site < 0 else op.n_unknowns - 1)
+            assert not math.isnan(ground.decay_rate)
+
+
+def side_oracle(amp, center, spacing, shape, side):
+    """(rate, quality, points) of one state and side: masked_decay_fit, or (NaN, 0, points)
+    below three points above the floor."""
+    keep = amp > sp.AMPLITUDE_FLOOR
+    if side != "both":
+        j = np.arange(amp.size)
+        keep &= (j <= center) if side == "left" else (j >= center)
+    points = int(np.count_nonzero(keep))
+    if points < 3:
+        return math.nan, 0.0, points
+    return masked_decay_fit(amp, center, spacing, shape if len(shape) > 1 else None, side)
+
+
+def assert_fits_equal_oracle(amp, centers, shape, spacing, sides):
+    got = sp._decay_fits(amp, centers, shape, spacing, sides)
+    for s, (a, c) in enumerate(zip(amp, centers)):
+        for k, side in enumerate(sides):
+            want = side_oracle(a, c, spacing, shape, side)
+            fit = (got[0][s, k], got[1][s, k], got[2][s, k])
+            assert fit == want or (math.isnan(fit[0]) and math.isnan(want[0]) and fit[1:] == want[1:])
+    return got
+
+
+class TestDecayFitsEdges:
+    """The batched decay fits at the edges: short sides, states under the floor,
+    rank-deficient fits, d=2 grids and several blocks, each against np.polyfit."""
+
+    @staticmethod
+    def states(shape, centers, rates, floor_share, seed):
+        rng = np.random.default_rng(seed)
+        idx = np.array(np.unravel_index(np.arange(int(np.prod(shape))), shape)).T
+        rows = []
+        for c, rate in zip(centers, rates):
+            dist = np.linalg.norm(idx - idx[c], axis=1)
+            amp = np.exp(-rate * dist) * rng.uniform(0.5, 1.5, dist.size)
+            amp[rng.random(dist.size) < floor_share] = 1e-13
+            amp[c] = 2.0
+            rows.append(amp)
+        return np.array(rows)
+
+    def test_centre_at_either_end(self):
+        n = 40
+        amp = self.states((n,), [0, n - 1, 1, n - 2, 17], [0.3, 0.4, 0.2, 0.5, 0.3], 0.0, 1)
+        rate, quality, points = assert_fits_equal_oracle(
+            amp, np.array([0, n - 1, 1, n - 2, 17]), (n,), 0.1, ("left", "right"))
+        assert points[0, 0] == points[1, 1] == 1 and points[2, 0] == points[3, 1] == 2
+        assert np.isnan(rate[:4]).sum() == 4 and np.all(quality[[0, 1, 2, 3], [0, 1, 0, 1]] == 0.0)
+        with pytest.raises(ValueError):
+            sp.decay_rate_fit(amp[0], 0, spacing=0.1, side="left")
+        fit = sp.decay_rate_fit(amp[0], 0, spacing=0.1, side="right")
+        assert (fit.rate, fit.quality, fit.n_points) == masked_decay_fit(amp[0], 0, 0.1, None, "right")
+
+    def test_state_nearly_all_below_floor(self):
+        amp = np.full((3, 30), 1e-13)
+        amp[0, [4, 5]] = [1.0, 0.5]  # two points: no fit on any side
+        amp[1, [4, 5, 6]] = [1.0, 0.5, 0.2]  # three on the right, two on the left
+        amp[2, 4] = 1.0
+        rate, quality, points = assert_fits_equal_oracle(
+            amp, np.array([4, 4, 4]), (30,), 0.5, ("left", "right", "both"))
+        assert np.isnan(rate[0]).all() and (quality[0] == 0.0).all()
+        assert points.tolist() == [[1, 2, 2], [1, 3, 3], [1, 1, 1]]
+        assert not np.isnan(rate[1, 1]) and np.isnan(rate[1, 0])
+
+    def test_rank_deficient_warns_as_polyfit(self):
+        shape = (7, 7)
+        amp = self.states(shape, [24, 24, 10, 24], [0.5, 0.5, 0.5, 0.5], 0.0, 2)
+        # rows 0 and 3: only the four nodes at distance 1 from the centre stay above the floor
+        for s in (0, 3):
+            amp[s] = 1e-13
+            amp[s, [17, 23, 25, 31]] = [0.5, 0.4, 0.3, 0.2]
+        centers = np.array([24, 24, 10, 24])
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            sp._decay_fits(amp, centers, shape, 0.25, ("both",))
+        with warnings.catch_warnings(record=True) as theirs:
+            warnings.simplefilter("always")
+            for a, c in zip(amp, centers):
+                masked_decay_fit(a, c, 0.25, shape, "both")
+        assert [w.category for w in ours] == [w.category for w in theirs]
+        assert [w.category for w in ours] == [np.exceptions.RankWarning] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
+            assert_fits_equal_oracle(amp, centers, shape, 0.25, ("both",))
+            fit = sp.decay_rate_fit(amp[0], 24, spacing=0.25, shape=shape)
+            assert (fit.rate, fit.quality, fit.n_points) == masked_decay_fit(amp[0], 24, 0.25, shape)
+        with pytest.warns(np.exceptions.RankWarning):
+            sp.decay_rate_fit(amp[0], 24, spacing=0.25, shape=shape)
+
+    @pytest.mark.parametrize("shape", [(9, 13), (25,)])
+    def test_grid_states_in_several_blocks(self, shape, monkeypatch):
+        n = int(np.prod(shape))
+        rng = np.random.default_rng(3)
+        centers = rng.integers(0, n, 23)
+        amp = self.states(shape, centers, rng.uniform(0.05, 2.0, 23), 0.2, 4)
+        sides = ("both",) if len(shape) > 1 else ("left", "right", "both")
+        whole = assert_fits_equal_oracle(amp, centers, shape, 0.3, sides)
+        monkeypatch.setattr(sp, "_FIT_BLOCK", 4 * n)  # four states per block
+        blocked = sp._decay_fits(amp, centers, shape, 0.3, sides)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestLocalizationReport:
