@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "ipr",
     "decay_rate_fit",
     "resolvent_decay",
-    "resolvent_decay_table",
     "localization_report",
 ]
 
@@ -125,12 +124,6 @@ class GridOperator:
         a = self.matrix()
         return float(np.max(np.abs(a).sum(axis=1)))
 
-    def shifted(self, c: float) -> "GridOperator":
-        return GridOperator(
-            self.dimension, self.shape, self.spacing, self.origin.copy(),
-            self.potential + c,
-        )
-
     def all_eigenvalues(self) -> np.ndarray:
         """Full spectrum (dense path; refuses oversized operators)."""
         if self._eigen_cache is None:
@@ -145,13 +138,6 @@ class GridOperator:
         for k in range(self.dimension):
             mask |= (idx[k] == 0) | (idx[k] == self.shape[k] - 1)
         return mask
-
-    def write_triplets(self, fp: IO[str]) -> None:
-        """Sparse export: header 'n n nnz', then one 'i j value' per line."""
-        a = self.matrix().tocoo()
-        fp.write(f"{a.shape[0]} {a.shape[1]} {a.nnz}\n")
-        for i, j, v in zip(a.row, a.col, a.data):
-            fp.write(f"{i} {j} {v!r}\n")
 
 
 def require_grid_dimension(d: int) -> None:
@@ -205,8 +191,7 @@ class SpectralWindowResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, unit l2 norm
     residuals: np.ndarray
-    window: tuple[float, float] | int | None
-    method: str
+    method: str  # always "dense"
     norm_bound: float
 
     @property
@@ -221,54 +206,20 @@ class SpectralWindowResult:
         return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
-def eigenpairs(
-    op: GridOperator, window: tuple[float, float] | int | None = None
-) -> SpectralWindowResult:
-    """Eigenpairs in an energy window, the lowest-k, or the full spectrum.
+def eigenpairs(op: GridOperator) -> SpectralWindowResult:
+    """Full spectrum of `op` from the dense solver, with each pair's residual.
 
-    Dense solver below DENSE_LIMIT unknowns; otherwise shift-invert
-    Lanczos around the window center, growing the subspace until the
-    window is bracketed on both sides.
+    Refuses operators above DENSE_LIMIT unknowns (`require_dense`), like
+    `all_eigenvalues` and `resolvent_decay`.
     """
-    n = op.n_unknowns
+    require_dense(op.n_unknowns)
+    import scipy.linalg
     a = op.matrix()
-    bound = op.norm_bound()
-    if n <= DENSE_LIMIT:
-        import scipy.linalg
-        vals, vecs = scipy.linalg.eigh(a.toarray())
-        method = "dense"
-    else:
-        vals, vecs = _sparse_window_eigs(a, n, window)
-        method = "shift-invert"
-    if isinstance(window, tuple):
-        keep = (vals >= window[0]) & (vals <= window[1])
-        vals, vecs = vals[keep], vecs[:, keep]
-    elif isinstance(window, int):
-        order = np.argsort(vals)[: window]
-        vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = scipy.linalg.eigh(a.toarray())
     r = a @ vecs
     r -= vecs * vals
     residuals = np.sqrt(np.einsum("ij,ij->j", r, r))
-    return SpectralWindowResult(vals, vecs, residuals, window, method, bound)
-
-
-def _sparse_window_eigs(a: sp.csr_matrix, n: int, window) -> tuple[np.ndarray, np.ndarray]:
-    if window is None:
-        raise ValueError(
-            f"full spectrum of {n} unknowns is a dense-only query; pass a window"
-        )
-    import scipy.sparse.linalg as spla
-    if isinstance(window, int):
-        return spla.eigsh(a, k=window, which="SA")
-    lo, hi = window
-    sigma = 0.5 * (lo + hi)
-    k = min(64, n - 2)
-    while True:
-        vals, vecs = spla.eigsh(a, k=k, sigma=sigma, which="LM")
-        bracketed = (vals.min() < lo or k >= n - 2) and (vals.max() > hi or k >= n - 2)
-        if bracketed:
-            return vals, vecs
-        k = min(2 * k, n - 2)
+    return SpectralWindowResult(vals, vecs, residuals, "dense", op.norm_bound())
 
 
 def spectrum_gaps(op: GridOperator, resolution: float) -> list[tuple[float, float]]:
@@ -287,13 +238,16 @@ def spectrum_gaps(op: GridOperator, resolution: float) -> list[tuple[float, floa
     return gaps
 
 
-def ipr(v: np.ndarray) -> float:
-    """Inverse participation ratio sum v_j^4 of a unit vector."""
+def ipr(v: np.ndarray) -> float | np.ndarray:
+    """Inverse participation ratio sum v_j^4 of a unit vector, or of each row
+    of a (states x nodes) matrix: a float for a vector, an array for a matrix."""
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"vector norm {norm} is not 1 within 1e-10")
-    return float(np.sum(v**4))
+    norms = np.atleast_1d(np.sqrt(np.einsum("...j,...j->...", v, v)))
+    off = np.abs(norms - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"vector norm {norms[off][0]} is not 1 within 1e-10")
+    sums = np.sum(v**4, axis=-1)
+    return float(sums) if v.ndim == 1 else sums
 
 
 @dataclass(frozen=True)
@@ -427,16 +381,12 @@ def resolvent_decay(op: GridOperator, energy: float) -> ResolventDecayFit:
     Solves one sparse system at y = n // 2 and fits log-amplitude against
     the distance to y, skipping nodes near the boundary and below the
     amplitude floor.  Energies within MIN_SPECTRUM_DISTANCE of an
-    eigenvalue are refused as ill-conditioned.
+    eigenvalue are refused as ill-conditioned; the distance comes from the
+    full spectrum, so operators above DENSE_LIMIT unknowns are refused too.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    vals = op.all_eigenvalues() if op.n_unknowns <= DENSE_LIMIT else None
-    if vals is not None:
-        spectrum_distance = float(np.min(np.abs(vals - energy)))
-    else:
-        near = spla.eigsh(op.matrix(), k=1, sigma=energy, which="LM", return_eigenvectors=False)
-        spectrum_distance = float(np.abs(near[0] - energy))
+    spectrum_distance = float(np.min(np.abs(op.all_eigenvalues() - energy)))
     if spectrum_distance < MIN_SPECTRUM_DISTANCE:
         raise ValueError(
             f"energy {energy} is within {spectrum_distance:.3g} of the spectrum; "
@@ -462,23 +412,6 @@ def resolvent_decay(op: GridOperator, energy: float) -> ResolventDecayFit:
                              int(x.size))
 
 
-def resolvent_decay_table(
-    op: GridOperator, energies
-) -> tuple[list[ResolventDecayFit], bool]:
-    """Fits for several energies plus a monotonicity flag.
-
-    The flag is True when the fitted rate strictly increases with the
-    distance to the spectrum, the qualitative signature of
-    Combes-Thomas-type decay.
-    """
-    fits = [resolvent_decay(op, float(e)) for e in energies]
-    by_dist = sorted(fits, key=lambda f: f.spectrum_distance)
-    monotone = all(
-        b.rate > a.rate for a, b in zip(by_dist, by_dist[1:])
-    )
-    return fits, monotone
-
-
 @dataclass(frozen=True)
 class StateDiagnostics:
     energy: float
@@ -499,9 +432,6 @@ class LocalizationReport:
     boundary_max_amplitude: float
     resolvent_checks: tuple[tuple[float, float, float], ...]  # (energy, state rate, resolvent rate)
     params: dict = field(default_factory=dict)
-
-    def gap_states(self) -> list[StateDiagnostics]:
-        return [s for s in self.states if s.in_gap]
 
 
 def localization_report(
@@ -529,11 +459,11 @@ def localization_report(
     # as sitting inside a gap bounded by their own energy
     gap_margin = 1e-6 * float(ref_vals[-1] - ref_vals[0])
     result = eigenpairs(op)
+    if not result.residual_ok:
+        raise ValueError(f"eigenpair residual {result.residuals.max():.3g} exceeds "
+                         f"1e-8 times the norm bound {result.norm_bound:.3g}")
     rows = np.ascontiguousarray(result.eigenvectors.T)  # eigh's are F-ordered: a free view
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    off = np.abs(norms - 1.0) > 1e-10
-    if off.any():
-        raise ValueError(f"vector norm {norms[off][0]} is not 1 within 1e-10")
+    iprs = ipr(rows)
     energies = result.eigenvalues
     amp = np.abs(rows)
     centers = np.argmax(amp, axis=1)
@@ -547,7 +477,6 @@ def localization_report(
         right = (points[:, 1] >= 3) & ((points[:, 0] < 3) | (qualities[:, 1] > quality))
         rate = np.where(right, rates[:, 1], rate)
         quality = np.where(right, qualities[:, 1], quality)
-    iprs = np.sum(rows**4, axis=1)
     boundary_max = float(amp[in_gap][:, op.boundary_mask()].max(initial=0.0))
     states = [
         StateDiagnostics(*fields)

@@ -750,14 +750,19 @@ class TestImportBoundary:
         assert self.fresh_python(self.RUN, path) == []
 
     def test_star_import_binds_all(self):
+        """The package and every submodule with an __all__: a stale export fails here."""
         code = (
-            "import json\n"
-            "import sparseloc\n"
-            "names = {}\n"
-            "exec('from sparseloc import *', names)\n"
-            "print(json.dumps([n for n in sparseloc.__all__ if n not in names]))\n"
+            "import importlib, json\n"
+            "missing = {}\n"
+            "for name in ['sparseloc', 'sparseloc.geometry', 'sparseloc.models',\n"
+            "             'sparseloc.certify', 'sparseloc.stochastic', 'sparseloc.spectral']:\n"
+            "    names = {}\n"
+            "    exec(f'from {name} import *', names)\n"
+            "    missing[name] = [n for n in importlib.import_module(name).__all__ if n not in names]\n"
+            "print(json.dumps(missing))\n"
         )
-        assert self.fresh_python(code) == []
+        missing = self.fresh_python(code)
+        assert len(missing) == 6 and not any(missing.values()), missing
 
 
 class TestStageLayout:

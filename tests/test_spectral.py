@@ -1,6 +1,5 @@
 """Spectral oracles: closed-form chains, Bloch bands, lattice Green decay."""
 
-import io
 import math
 import warnings
 
@@ -41,7 +40,7 @@ class TestGridOperator:
 
     def test_constant_shift_exact(self):
         op = sp.GridOperator.free(1, 50, 1.0)
-        shifted = op.shifted(3.5)
+        shifted = sp.GridOperator(1, op.shape, 1.0, op.origin, op.potential + 3.5)
         a, b = np.sort(op.all_eigenvalues()), np.sort(shifted.all_eigenvalues())
         assert np.allclose(b - a, 3.5, atol=1e-10)
 
@@ -52,15 +51,6 @@ class TestGridOperator:
         ey = free_chain_eigenvalues(6)
         want = np.sort((ex[:, None] + ey[None, :]).ravel())
         assert np.allclose(vals, want, atol=1e-10)
-
-    def test_triplet_export(self):
-        op = sp.GridOperator.free(1, 4, 1.0)
-        buf = io.StringIO()
-        op.write_triplets(buf)
-        lines = buf.getvalue().splitlines()
-        n, n2, nnz = map(int, lines[0].split())
-        assert (n, n2) == (4, 4)
-        assert len(lines) == 1 + nnz
 
 
 class TestDiscretize:
@@ -117,10 +107,15 @@ class TestDenseLimit:
             sp.GridOperator.free(1, 3001).all_eigenvalues()
 
     def test_discretize_accepts_a_grid_above_the_limit(self):
-        # the windowed shift-invert path of eigenpairs works on such grids
+        # discretize builds such a grid; every spectral query on it refuses with one message
         model = TestDiscretize().single_well_model()
         op = sp.discretize(model, m.sample_couplings(model, seed=0), box=12.0, h=0.007)
         assert op.n_unknowns == 3428 > sp.DENSE_LIMIT
+        message = "3428 unknowns exceed the dense limit 3000"
+        with pytest.raises(ValueError, match=message):
+            sp.eigenpairs(op)
+        with pytest.raises(ValueError, match=message):
+            sp.resolvent_decay(op, -5.0)
 
 
 class TestGridDimension:
@@ -150,29 +145,7 @@ class TestEigenpairs:
         assert np.max(np.abs(np.sort(result.eigenvalues) - want)) < 1e-10
         assert result.residual_ok
         assert result.orthonormality_defect < 1e-8
-
-    def test_window_below_spectrum_empty(self):
-        op = sp.GridOperator.free(1, 40, 1.0)
-        result = sp.eigenpairs(op, window=(-5.0, -1.0))
-        assert result.eigenvalues.size == 0
-
-    def test_lowest_k(self):
-        op = sp.GridOperator.free(1, 60, 1.0)
-        result = sp.eigenpairs(op, window=5)
-        want = np.sort(free_chain_eigenvalues(60))[:5]
-        assert np.allclose(np.sort(result.eigenvalues), want, atol=1e-10)
-
-    def test_sparse_window_matches_closed_form(self):
-        n = 3500
-        op = sp.GridOperator.free(1, n, 1.0)
-        lo, hi = 0.001, 0.01
-        result = sp.eigenpairs(op, window=(lo, hi))
-        assert result.method == "shift-invert"
-        want = free_chain_eigenvalues(n)
-        want = np.sort(want[(want >= lo) & (want <= hi)])
-        assert result.eigenvalues.size == want.size
-        assert np.allclose(np.sort(result.eigenvalues), want, atol=1e-9)
-        assert result.residual_ok
+        assert result.method == "dense"
 
 
 class TestSpectrumGaps:
@@ -197,7 +170,8 @@ class TestSpectrumGaps:
         assert 4.9 < hi < 5.1
 
     def test_constant_shift_moves_principal_gap(self):
-        op = sp.GridOperator.free(1, 100, 1.0).shifted(5.0)
+        free = sp.GridOperator.free(1, 100, 1.0)
+        op = sp.GridOperator(1, free.shape, 1.0, free.origin, np.full(100, 5.0))
         gaps = sp.spectrum_gaps(op, resolution=0.5)
         assert gaps[0][1] == pytest.approx(5.0, abs=0.01)
 
@@ -219,6 +193,18 @@ class TestIPR:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             sp.ipr(np.array([1.0, 1.0]))
+
+    def test_matrix_rows_equal_vector_ipr(self):
+        rows = np.ascontiguousarray(sp.eigenpairs(sp.GridOperator.free(2, (5, 7), 0.5)).eigenvectors.T)
+        got = sp.ipr(rows)
+        assert isinstance(got, np.ndarray) and got.shape == (35,)
+        assert got.tolist() == [sp.ipr(row) for row in rows]
+
+    def test_matrix_rejects_one_unnormalized_row(self):
+        rows = np.eye(4)
+        rows[2] *= 1.5
+        with pytest.raises(ValueError, match="vector norm 1.5 is not 1 within 1e-10"):
+            sp.ipr(rows)
 
 
 class TestDecayRateFit:
@@ -368,10 +354,10 @@ class TestResolventDecay:
 
     def test_monotone_in_gap_depth(self):
         op = sp.GridOperator.free(1, 100, 1.0)
-        fits, monotone = sp.resolvent_decay_table(op, [-0.5, -1.0, -2.0])
-        assert monotone
-        rates = {f.energy: f.rate for f in fits}
-        assert rates[-2.0] > rates[-1.0] > rates[-0.5]
+        fits = [sp.resolvent_decay(op, e) for e in (-1.0, -2.0, -0.5)]
+        by_distance = sorted(fits, key=lambda f: f.spectrum_distance)
+        assert [f.energy for f in by_distance] == [-0.5, -1.0, -2.0]
+        assert by_distance[0].rate < by_distance[1].rate < by_distance[2].rate
 
     def test_refuses_energy_in_spectrum(self):
         op = sp.GridOperator.free(1, 100, 1.0)
@@ -582,7 +568,7 @@ class TestLocalizationReport:
         n_side = sp.grid_side(box, h)
         free = sp.GridOperator.free(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, free)
-        gap_states = report.gap_states()
+        gap_states = [s for s in report.states if s.in_gap]
         assert len(gap_states) >= 1
         assert all(s.energy < 0 for s in gap_states)
         # the two decay estimators agree within 15 percent
@@ -590,6 +576,23 @@ class TestLocalizationReport:
         for energy, state_rate, resolvent_rate in report.resolvent_checks:
             assert state_rate == pytest.approx(resolvent_rate, rel=0.15)
             assert state_rate >= 0.5 * resolvent_rate
+
+    def test_residual_beyond_the_bound_raises(self, monkeypatch):
+        import scipy.linalg
+        eigh = scipy.linalg.eigh
+
+        def perturbed_eigh(a):
+            vals, vecs = eigh(a)
+            t = 1e-3  # turn the ground state towards the next one: still unit, no longer an eigenvector
+            vecs[:, 0] = math.cos(t) * vecs[:, 0] + math.sin(t) * vecs[:, 1]
+            return vals, vecs
+
+        model, cm = self.single_well()
+        h, box = 0.5, 15.0
+        free = sp.GridOperator.free(1, sp.grid_side(box, h), h)
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed_eigh)
+        with pytest.raises(ValueError, match=r"eigenpair residual \S+ exceeds 1e-8 times the norm bound"):
+            sp.localization_report(model, cm, box, h, free)
 
     def test_zero_couplings_no_gap_states(self):
         model = m.RandomPotentialModel(
