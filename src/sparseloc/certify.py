@@ -1,7 +1,7 @@
 """Free-region search, shell constructions, and summability certificates.
 
 Given sampled couplings, this module finds annuli where every coupling is
-at most eps, places decomposition surfaces through them, and certifies
+below eps, places decomposition surfaces through them, and certifies
 that the weighted surface series sum_n sigma(S_n) exp(-gamma delta_n)
 converges.  A verdict of "certified" combines the computed partial sum
 with a tail argument: either an empirical geometric-ratio test over the
@@ -73,10 +73,10 @@ _TINY = 1e-300
 
 
 def is_epsilon_free(couplings: CouplingMap, region: RegionSet, eps: float) -> bool:
-    """True when every site in the region carries a coupling <= eps."""
+    """True when every coupling in the region is below eps (eps itself is bad)."""
     couplings.require_window(region)
     inside = region.contains(couplings.points)
-    return bool(np.all(couplings.values[inside] <= eps))
+    return bool(np.all(couplings.values[inside] < eps))
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,10 @@ def find_free_subannulus(
 ) -> FreeAnnulusRecord:
     """Scan [a^n, a^(n+1) - n] for the first r with A_{r,r+n} eps-free.
 
-    The event is piecewise constant in r with breakpoints at site norms
-    minus the width, so the scan is exact.  The representative of a free
-    piece is its left endpoint when attained, else its midpoint.
+    Sites with coupling >= eps block (the rule of `is_epsilon_free`).  The
+    event is piecewise constant in r with breakpoints at site norms minus
+    the width, so the scan is exact.  The representative of a free piece
+    is its left endpoint when attained, else its midpoint.
 
     When the width exceeds the host annulus (small scales for a near 1)
     the candidate range would be empty; the scan still tries r = a^n so
@@ -200,7 +201,7 @@ def find_free_subannulus(
     lo, hi, _ = require_scale_window(couplings.window_radius, a, n)
     host = (lo, a ** (n + 1))
     degenerate = hi < lo
-    bad = couplings.norms[couplings.values > eps]
+    bad = couplings.norms[couplings.values >= eps]
     pieces = free_intervals(bad, lo, max(hi, lo), float(n))
     if not pieces:
         return FreeAnnulusRecord(n, math.nan, float(n), host, False, None, degenerate)
@@ -227,11 +228,11 @@ def difference_support(
 ) -> RegionSet:
     """Conservative superset of where V differs from its eps-truncation.
 
-    Union of balls B(i, rho_i) over sites with coupling > eps; distances
+    Union of balls B(i, rho_i) over sites with coupling >= eps; distances
     measured against it underestimate true clearances, which keeps
     certificates sound.
     """
-    mask = couplings.values > eps
+    mask = couplings.values >= eps
     shapes = [
         Ball(tuple(point), model.potential_for(int(idx)).support_radius)
         for idx, point in zip(couplings.site_indices[mask], couplings.points[mask])

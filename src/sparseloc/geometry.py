@@ -4,11 +4,8 @@ The primitives supported here (points, balls, spheres, origin-centered
 annuli, spherical caps, punctured spheres, axis-aligned boxes) are exactly
 the shapes needed to build shell decompositions around sparse scatterer
 configurations.  Surfaces are kept symbolic, so the measure-zero invariant
-of decomposition members is exact rather than voxel-approximate.
-
-Shell measures are computed by deterministic grid quadrature: results are
-bit-reproducible for a fixed resolution, which downstream summability
-certificates rely on.
+of decomposition members is exact rather than voxel-approximate, and a
+distance between two shapes is exact or refused (see `distance_between`).
 """
 
 from __future__ import annotations
@@ -107,9 +104,6 @@ class _Surface:
     def volume(self) -> float:
         return 0.0
 
-    def is_surface(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Point(_Centered, _Surface):
@@ -149,9 +143,6 @@ class Ball(_Centered):
 
     def volume(self) -> float:
         return ball_volume(self.radius, self.dimension)
-
-    def is_surface(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -210,9 +201,6 @@ class Annulus:
     def volume(self) -> float:
         d = self.dimension_
         return ball_volume(self.outer, d) - ball_volume(self.inner, d)
-
-    def is_surface(self) -> bool:
-        return self.outer == self.inner
 
 
 def _chord_distance(r, R: float, separation) -> np.ndarray:
@@ -294,12 +282,6 @@ class SphericalCap(_Surface):
         if t >= math.pi / 2.0:
             return 2.0 * self.sphere_radius
         return 2.0 * self.sphere_radius * math.sin(t)
-
-    def arc_length(self) -> float:
-        """Length of the cap in d=2 (an arc spanning twice the half angle)."""
-        if self.dimension != 2:
-            raise ValueError("arc_length is a d=2 accessor")
-        return 2.0 * self.sphere_radius * self.half_angle
 
 
 @dataclass(frozen=True)
@@ -484,9 +466,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
-    def is_surface(self) -> bool:
-        return self.volume() == 0.0
-
 
 Primitive = Point | Ball | Sphere | Annulus | SphericalCap | PuncturedSphere | Box
 
@@ -579,9 +558,6 @@ class RegionSet:
     def volume(self) -> float:
         """Sum of primitive volumes (exact when solids do not overlap)."""
         return sum(s.volume() for s in self.shapes)
-
-    def is_surface(self) -> bool:
-        return all(s.is_surface() for s in self.shapes)
 
     # -- serialization ----------------------------------------------------
 
@@ -846,7 +822,7 @@ def closed_form_sigma(region: RegionSet, grid: float = 1e-3) -> float | None:
     The maximum over r = 0, grid, 2 grid, ... can fall short of the
     supremum by the variation of the ratio within one grid step.
     Returns None when the region is not a single point/sphere/ball/annulus;
-    callers fall back to grid quadrature or a volume bound.
+    callers fall back to a volume bound (`sanity_bound`).
     """
     if len(region.shapes) != 1:
         return None
@@ -893,14 +869,16 @@ def sanity_bound(region: RegionSet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def distance_between(a: RegionSet, b: RegionSet, sample_step: float = 0.01) -> float:
+def distance_between(a: RegionSet, b: RegionSet) -> float:
     """inf over pairs of points of the two sets; +inf if either is empty.
 
     Exact for every pair in which one side is a point, a ball, or an
-    origin-radial set (annulus or centered sphere), and for
-    sphere-sphere pairs.  Remaining pairs use surface sampling at
-    `sample_step` spacing: the result then overshoots the true distance by
-    at most `sample_step`.
+    origin-radial set (annulus or centered sphere), and for sphere-sphere
+    pairs.  Two cases give a lower bound instead: a punctured sphere in
+    d >= 3 (see `PuncturedSphere`), and a radial set against a d=1
+    off-centre sphere (two points, whose norms the radial rule treats as
+    one interval).  Any other pair raises TypeError, so a clearance never
+    overshoots.
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
@@ -917,11 +895,11 @@ def distance_between(a: RegionSet, b: RegionSet, sample_step: float = 0.01) -> f
             best = min(best, float(np.min(np.maximum(q.point_distance(centres) - radii, 0.0))))
             rest = [p for p in a.shapes if not isinstance(p, Ball)]
         for p in rest:
-            best = min(best, _primitive_distance(p, q, sample_step))
+            best = min(best, _primitive_distance(p, q))
     return max(best, 0.0)
 
 
-def _primitive_distance(p: Primitive, q: Primitive, step: float) -> float:
+def _primitive_distance(p: Primitive, q: Primitive) -> float:
     if isinstance(q, (Point, Ball)):
         p, q = q, p
     if isinstance(p, Point):
@@ -938,63 +916,7 @@ def _primitive_distance(p: Primitive, q: Primitive, step: float) -> float:
         dist = float(np.linalg.norm(np.asarray(p.center) - np.asarray(q.center)))
         r1, r2 = p.radius, q.radius
         return max(0.0, dist - r1 - r2, r1 - dist - r2, r2 - dist - r1)
-    samples = _surface_samples(p, step)
-    d1 = float(np.min(q.point_distance(samples)))
-    samples_q = _surface_samples(q, step)
-    d2 = float(np.min(p.point_distance(samples_q)))
-    return min(d1, d2)
-
-
-def _surface_samples(shape: Primitive, step: float) -> np.ndarray:
-    """Points on the shape with spacing about `step` (fallback distances)."""
-    d = shape.dimension
-    if isinstance(shape, Sphere):
-        c = np.asarray(shape.center)
-        R = shape.radius
-        if R == 0.0:
-            return c[None, :]
-        if d == 1:
-            return c[None, :] + np.array([[-R], [R]])
-        if d == 2:
-            n = max(8, int(math.ceil(2.0 * math.pi * R / step)))
-            t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-            return c + R * np.column_stack([np.cos(t), np.sin(t)])
-        if d == 3:
-            n = max(32, int(math.ceil(4.0 * math.pi * R**2 / step**2)))
-            k = np.arange(n)
-            phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-            z = 1.0 - 2.0 * (k + 0.5) / n
-            rho = np.sqrt(np.maximum(1.0 - z**2, 0.0))
-            return c + R * np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    if isinstance(shape, SphericalCap) and d == 2:
-        R, theta = shape.sphere_radius, shape.half_angle
-        phi0 = math.atan2(shape.direction[1], shape.direction[0])
-        n = max(4, int(math.ceil(2.0 * theta * R / step)) + 1)
-        t = np.linspace(phi0 - theta, phi0 + theta, n)
-        return R * np.column_stack([np.cos(t), np.sin(t)])
-    if isinstance(shape, PuncturedSphere) and d == 2:
-        R = shape.radius
-        pts = []
-        for lo, hi in shape._kept_arcs:
-            n = max(4, int(math.ceil((hi - lo) * R / step)) + 1)
-            t = np.linspace(lo, hi, n)
-            pts.append(R * np.column_stack([np.cos(t), np.sin(t)]))
-        return np.concatenate(pts) if pts else np.empty((0, 2))
-    if isinstance(shape, Box):
-        axes = [
-            np.linspace(l, h, max(2, int(math.ceil((h - l) / step)) + 1))
-            for l, h in zip(shape.lo, shape.hi)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        on_boundary = np.zeros(pts.shape[0], dtype=bool)
-        for axis, (l, h) in enumerate(zip(shape.lo, shape.hi)):
-            on_boundary |= (pts[:, axis] == l) | (pts[:, axis] == h)
-        return pts[on_boundary] if on_boundary.any() else pts
-    raise NotImplementedError(
-        f"no sampling rule for {type(shape).__name__} in d={d}; "
-        "use point/ball/radial pairs for exact distances"
-    )
+    raise TypeError(f"no exact distance between a {_KIND_OF[type(p)]} and a {_KIND_OF[type(q)]}")
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +957,12 @@ class TotalDecomposition:
         return list(range(len(self.members)))
 
     def validate(self) -> list[str]:
-        """Structural invariant check; returns a list of violation messages."""
+        """Structural invariant check; returns a list of violation messages.
+
+        `sphere-shells` members must be single origin-centered spheres with
+        strictly increasing radii; every other kind's members must have
+        volume 0, an exact test since each primitive's volume is closed-form.
+        """
         problems: list[str] = []
         for i, m in enumerate(self.members):
             if m.dimension != self.dimension:
@@ -1051,19 +978,10 @@ class TotalDecomposition:
                 radii.append(m.shapes[0].radius)
             if any(b <= a for a, b in zip(radii, radii[1:])):
                 problems.append("sphere radii not strictly increasing")
-        elif self.kind == "cap-cheese":
-            for i, m in enumerate(self.members):
-                if not m.is_surface():
-                    problems.append(f"member {i}: has positive volume")
         else:
-            # weaker sampled check for arbitrary families
             for i, m in enumerate(self.members):
-                if m.is_empty() or m.is_surface():
-                    continue
-                est = shell_measure(m, 0.0, 0.05)
-                body = m.volume()
-                if body > 0.0 or est.value <= 0.0:
-                    problems.append(f"member {i}: sampled measure-zero check failed")
+                if m.volume() > 0.0:
+                    problems.append(f"member {i}: has positive volume")
         return problems
 
     def to_records(self) -> list[dict]:

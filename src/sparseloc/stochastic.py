@@ -74,7 +74,7 @@ def estimate_free_probability(
     trials: int,
     seed: int,
 ) -> EstimateRecord:
-    """Frequency of the eps-free event over independent coupling draws.
+    """Frequency of the eps-free event (every coupling below eps) over draws.
 
     Also returns the exact value prod_i (1 - p_i(eps)) over the sites in
     the annulus (couplings are independent).
@@ -91,7 +91,7 @@ def estimate_free_probability(
     batch = max(_TRIAL_BATCH, _BLOCK_DRAWS // indices.size)
     for _offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
         values = model.laws.transform(points, indices, block)
-        hits += int(np.count_nonzero(np.all(values <= eps, axis=0)))
+        hits += int(np.count_nonzero(np.all(values < eps, axis=0)))
     return _binomial_record(hits, trials, seed, exact)
 
 
@@ -112,6 +112,7 @@ def estimate_a_n(
 ) -> EstimateRecord:
     """Monte Carlo frequency of 'no eps-free annulus of width n at scale n'.
 
+    A site is bad when its coupling is >= eps, an event of mass p_i(eps).
     Degenerate scales (candidate range empty) are defined as a_n = 0 and
     returned without sampling, with zero standard error.
     """
@@ -130,7 +131,7 @@ def estimate_a_n(
     hits = 0
     batch = max(_TRIAL_BATCH, _BLOCK_DRAWS // indices.size)
     for _offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
-        bad = model.laws.transform(points, indices, block) > eps
+        bad = model.laws.transform(points, indices, block) >= eps
         hits += int(np.count_nonzero(_coverage_sweep(norms, bad, lo, hi, float(n))))
     return _binomial_record(hits, trials, seed, None)
 
@@ -141,7 +142,7 @@ def brute_force_a_n(
     """Exact a_n by enumerating the bad/good pattern of every relevant site.
 
     The blocked event depends on couplings only through the indicators
-    {omega_i > eps}, so each site is a two-state variable with weights
+    {omega_i >= eps}, so each site is a two-state variable with weights
     (1 - p_i(eps), p_i(eps)).  Sites with p on {0, 1} are resolved up
     front; the 2^m budget applies to the undecided remainder.  A site
     window short of the scale's reach raises WindowTooSmallError.

@@ -57,9 +57,13 @@ class TestEpsilonFree:
         assert c.is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
 
     def test_inclusive_at_eps(self):
+        # the bad set is [eps, 1], the set whose mass is p_eps, so a coupling
+        # equal to eps blocks the free event, the scan and the truncation support
         model = chain_model()
         cm = explicit_couplings(model, {(3.0,): 0.1})
-        assert c.is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
+        assert not c.is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
+        assert not c.find_free_subannulus(cm, 0.1, a=2.0, n=1).free
+        assert c.difference_support(model, cm, 0.1).shapes == (g.Ball((3.0,), 1.0),)
 
     def test_exceeding_value_blocks(self):
         model = chain_model()

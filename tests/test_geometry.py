@@ -87,12 +87,15 @@ class TestDistance:
         b = g.RegionSet.sphere([0, 0], 10.0)
         assert g.distance_between(a, b) == pytest.approx(8.5)
 
-    def test_sampled_fallback_box_to_cap(self):
-        box = g.RegionSet.box([11.0, -1.0], [12.0, 1.0])
-        cap = g.spherical_cap(10.0, [1, 0], 1.0)
-        est = g.distance_between(box, cap, sample_step=0.002)
-        # nearest pair: box face x=11 against cap point (10, 0)
-        assert est == pytest.approx(1.0, abs=5e-3)
+    @pytest.mark.parametrize("c1,r1,c2,r2,want", [
+        ((3.0, 1.0), 1.0, (3.0, 6.0), 1.5, 2.5),  # apart
+        ((1.0, 1.0), 5.0, (2.0, 1.0), 1.0, 3.0),  # nested
+        ((1.0, 1.0), 2.0, (3.0, 1.0), 1.0, 0.0),  # crossing
+    ])
+    def test_offcentre_sphere_pairs(self, c1, r1, c2, r2, want):
+        # neither sphere is origin-radial, so the sphere-sphere rule decides
+        a, b = g.RegionSet.sphere(c1, r1), g.RegionSet.sphere(c2, r2)
+        assert g.distance_between(a, b) == g.distance_between(b, a) == want
 
     @given(
         st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 3), st.floats(0.1, 3)
@@ -114,9 +117,9 @@ class TestDistance:
         assert g.distance_between(a, c) > 0.0
 
 
-def pair_loop_distance(a, b, step=0.01):
+def pair_loop_distance(a, b):
     """distance_between as one _primitive_distance per pair, clamped at 0."""
-    pairs = [g._primitive_distance(p, q, step) for p in a.shapes for q in b.shapes]
+    pairs = [g._primitive_distance(p, q) for p in a.shapes for q in b.shapes]
     return max(min(pairs, default=math.inf), 0.0)
 
 
@@ -211,40 +214,43 @@ class TestClearanceKernel:
         assert checked > 20
 
 
-class TestSampledDistance:
-    """An off-centre sphere against a d=2 cap or punctured sphere takes the
-    surface-sampling branch, which overshoots the distance by at most
-    `sample_step`.  The oracle samples the circle R = 10 every 1e-4, keeps
-    the points of the other set, and takes their exact distance to the
-    sphere, so it overshoots by at most 1e-4 itself."""
+class TestNoExactRule:
+    """Pairs with no exact distance rule are refused, not estimated: a sampled
+    estimate can overshoot, and a clearance must be a lower bound."""
 
     R = 10.0
-    SPHERES = [((3.0, 1.0), 2.0), ((0.0, 4.0), 1.5), ((-2.0, -3.0), 1.0), ((8.5, 4.0), 1.0)]
+    CAP = g.SphericalCap(R, (1.0, 0.2), 4.0)
+    CHEESE = g.PuncturedSphere(2, R, (((1.0, 0.0), 4.0), ((0.0, 1.0), 4.0)))
 
-    def check(self, center, radius, member, keep):
-        t = np.arange(0.0, 2.0 * math.pi, 1e-4 / self.R)
-        circle = self.R * np.column_stack([np.cos(t), np.sin(t)])
-        kept = circle[keep(circle)]
-        oracle = float(np.min(np.abs(np.linalg.norm(kept - center, axis=1) - radius)))
-        got = g.distance_between(g.RegionSet.sphere(center, radius), g.RegionSet(2, (member,)))
-        assert oracle - 1e-4 <= got <= oracle + 0.01
+    def refused(self, a, b, kinds):
+        """Both orders raise TypeError naming the two kinds in call order."""
+        for (x, y), (k, m) in zip(((a, b), (b, a)), (kinds, kinds[::-1])):
+            with pytest.raises(TypeError, match=f"no exact distance between a {k} and a {m}"):
+                g.distance_between(x, y)
 
-    @pytest.mark.parametrize("center,radius", SPHERES)
-    def test_cap(self, center, radius):
-        u = np.array([1.0, 0.2]) / math.hypot(1.0, 0.2)
-        cap = g.SphericalCap(self.R, (1.0, 0.2), 4.0)
-        self.check(center, radius, cap, lambda p: np.linalg.norm(p - self.R * u, axis=1) <= 4.0)
+    @pytest.mark.parametrize("center,radius", [((3.0, 1.0), 2.0), ((0.0, 4.0), 1.5)])
+    def test_offcentre_sphere_against_cap(self, center, radius):
+        self.refused(g.RegionSet.sphere(center, radius), g.RegionSet(2, (self.CAP,)), ("sphere", "cap"))
 
-    @pytest.mark.parametrize("center,radius", SPHERES)
-    def test_punctured_sphere(self, center, radius):
-        cuts = (((1.0, 0.0), 4.0), ((0.0, 1.0), 4.0))
-        cheese = g.PuncturedSphere(2, self.R, cuts)
+    def test_sphere_crossing_the_cap(self):
+        # the two circles cross inside the cap, so the sets meet; a surface
+        # sample every 1e-2 once put them 1.68e-3 apart
+        center = np.array([8.5, 4.0])
+        dist = float(np.linalg.norm(center))
+        t = math.atan2(4.0, 8.5) + math.acos((self.R**2 + dist**2 - 1.0) / (2.0 * self.R * dist))
+        crossing = self.R * np.array([[math.cos(t), math.sin(t)]])
+        sphere = g.RegionSet.sphere(center, 1.0)
+        assert sphere.distance(crossing)[0] < 1e-12
+        assert g.RegionSet(2, (self.CAP,)).contains(crossing)[0]
+        self.refused(sphere, g.RegionSet(2, (self.CAP,)), ("sphere", "cap"))
 
-        def keep(p):  # open caps removed, their rims kept
-            return np.all([np.linalg.norm(p - self.R * np.array(u), axis=1) >= b
-                           for u, b in cuts], axis=0)
+    def test_offcentre_sphere_against_punctured_sphere(self):
+        cheese = g.RegionSet(2, (self.CHEESE,))
+        self.refused(g.RegionSet.sphere((3.0, 1.0), 2.0), cheese, ("sphere", "punctured_sphere"))
 
-        self.check(center, radius, cheese, keep)
+    def test_box_against_cap(self):
+        box = g.RegionSet.box([11.0, -1.0], [12.0, 1.0])
+        self.refused(box, g.spherical_cap(10.0, [1, 0], 1.0), ("box", "cap"))
 
 
 class TestShellMeasure:
@@ -470,23 +476,6 @@ class TestSphericalCap:
         with pytest.raises(ValueError):
             g.spherical_cap(10.0, [0.0, 0.0], 1.0)
 
-    def test_arc_length_chord_relation(self):
-        # chord condition 2 R sin(t/2) = c gives half-angle t = 2 asin(c / 2R)
-        region = g.spherical_cap(10.0, [1, 0], 2.0)
-        cap = region.shapes[0]
-        expected = 2.0 * 10.0 * 2.0 * math.asin(2.0 / 20.0)
-        assert cap.arc_length() == pytest.approx(expected, rel=1e-12)
-
-    def test_arc_length_against_sampled_membership(self):
-        # independent oracle: integrate arc length over circle samples
-        region = g.spherical_cap(10.0, [1, 0], 2.0)
-        n = 2_000_000
-        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        pts = 10.0 * np.column_stack([np.cos(t), np.sin(t)])
-        inside = region.contains(pts, tol=1e-9)
-        sampled = inside.mean() * 2.0 * math.pi * 10.0
-        assert region.shapes[0].arc_length() == pytest.approx(sampled, rel=1e-3)
-
     def test_cap_membership_boundary(self):
         region = g.spherical_cap(5.0, [0, 1], 3.0)
         cap = region.shapes[0]
@@ -550,7 +539,16 @@ class TestSphereShellDecomposition:
     def test_custom_validate_flags_a_solid_member(self):
         members = (g.RegionSet.sphere([0.0, 0.0], 2.0), g.RegionSet.ball([5.0, 0.0], 1.0))
         td = g.TotalDecomposition(2, members, kind="custom")
-        assert td.validate() == ["member 1: sampled measure-zero check failed"]
+        assert td.validate() == ["member 1: has positive volume"]
+
+    @pytest.mark.parametrize("kind", ["cap-cheese", "custom"])
+    def test_validate_judges_members_by_volume_under_every_kind(self, kind):
+        point_ball = g.RegionSet.ball([5.0, 0.0], 0.0)
+        solid = g.RegionSet.ball([5.0, 0.0], 1.0)
+        cap = g.spherical_cap(5.0, [0.0, 1.0], 1.0)
+        assert g.TotalDecomposition(2, (cap, point_ball), kind=kind).validate() == []
+        td = g.TotalDecomposition(2, (cap, point_ball, solid), kind=kind)
+        assert td.validate() == ["member 2: has positive volume"]
 
 
 class TestSerialization:

@@ -33,6 +33,16 @@ def lemma_mc_d1_model():
     )
 
 
+def atom_at_eps_lattice():
+    """d=1 lattice whose couplings are 0 or 0.5 with equal weight: at eps = 0.5
+    every bad coupling sits exactly on eps."""
+    return m.RandomPotentialModel(
+        sites=m.SiteSet.lattice(1, 16.0),
+        potential=m.SingleSitePotential.indicator(1.0, 1.0),
+        laws=m.LawAssignment.shared_law(m.CouplingLaw.point_masses({0.0: 0.5, 0.5: 0.5})),
+    )
+
+
 def enumerate_a_n_oracle(norms, probs, lo, hi, width, grid=2001):
     """Independent exact a_n: every pattern, dense-grid free scan."""
     total = 0.0
@@ -56,6 +66,13 @@ class TestFreeProbability:
         annulus = make_annulus(4.0, 8.0, 1)  # sites +-4..+-8: ten of them
         rec = st.estimate_free_probability(model, annulus, 0.5, trials=10_000, seed=42)
         assert rec.exact == pytest.approx(0.9**10, rel=1e-12)
+        assert rec.within(rec.exact, 3.0)
+
+    def test_coupling_at_eps_is_bad(self):
+        # p_eps = mu([eps, 1]) = 1/2 counts the atom at eps, for ten sites
+        annulus = make_annulus(4.0, 8.0, 1)
+        rec = st.estimate_free_probability(atom_at_eps_lattice(), annulus, 0.5, 20_000, seed=42)
+        assert rec.exact == 0.5**10
         assert rec.within(rec.exact, 3.0)
 
     def test_p_zero_gives_one(self):
@@ -160,7 +177,7 @@ class TestCoverageSweep:
         indices = indices[np.argsort(model.sites.norms[indices], kind="stable")]
         norms = model.sites.norms[indices]
         u = _rng.site_uniforms(seed, indices, trials)
-        bad = model.laws.transform(model.sites.points[indices], indices, u) > eps
+        bad = model.laws.transform(model.sites.points[indices], indices, u) >= eps
         got = st._coverage_sweep(norms, bad, lo, hi, float(n))
         assert got.tolist() == blocked_by_free_intervals(norms, bad, lo, hi, float(n))
         rec = st.estimate_a_n(model, eps, a, n, trials, seed)
@@ -245,6 +262,17 @@ class TestEstimateAN:
         rec = st.estimate_a_n(model, 0.5, a=2.0, n=2, trials=10_000, seed=17)
         assert abs(rec.value - exact) <= 3.0 * rec.std_error
 
+    @pytest.mark.parametrize("model,eps", [
+        (atom_at_eps_lattice, 0.5),
+        (bernoulli_lattice, 1.0),  # couplings 0 or 1, half of them on eps = 1
+    ])
+    def test_coupling_at_eps_is_bad(self, model, eps):
+        model = model()
+        exact = st.brute_force_a_n(model, eps, a=2.0, n=2)
+        assert exact == 0.890625
+        rec = st.estimate_a_n(model, eps, a=2.0, n=2, trials=20_000, seed=17)
+        assert rec.within(exact, 3.0)
+
     def test_all_zero_probability(self):
         model = bernoulli_lattice(p=0.0)
         rec = st.estimate_a_n(model, 0.5, a=2.0, n=2, trials=500, seed=3)
@@ -278,7 +306,7 @@ class TestEstimateAN:
             np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).random(trials)
             for i in indices
         ])
-        bad = model.laws.transform(model.sites.points[indices], indices, u) > eps
+        bad = model.laws.transform(model.sites.points[indices], indices, u) >= eps
         blocked = blocked_by_free_intervals(model.sites.norms[indices], bad, lo, hi, float(n))
         rec = st.estimate_a_n(model, eps, a, n, trials, seed)
         assert rec.value == sum(blocked) / trials
