@@ -51,10 +51,8 @@ from .models import (
     RandomPotentialModel,
     SingleSitePotential,
     SiteSet,
-    ac_mass,
     evaluate_potential,
     model_from_dict,
-    model_to_dict,
     p_epsilon,
     quasi_dimension_bound,
     sample_couplings,
@@ -102,13 +100,11 @@ __all__ = [
     "CouplingMap",
     "AssumptionReport",
     "p_epsilon",
-    "ac_mass",
     "sample_couplings",
     "evaluate_potential",
     "second_moment_profile",
     "quasi_dimension_bound",
     "validate_assumptions",
-    "model_to_dict",
     "model_from_dict",
     "FreeAnnulusRecord",
     "DecompositionCertificate",

@@ -35,7 +35,7 @@ from .geometry import (
     surface_volume_bound,
 )
 from .models import (
-    CouplingMap, RandomPotentialModel, WindowTooSmallError, quasi_dimension_bound, require_window,
+    CouplingMap, RandomPotentialModel, quasi_dimension_bound, require_window,
 )
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "require_scale_window",
     "sphere_sigma_bound",
     "quasi1d_clearance_threshold",
+    "quasi1d_threshold",
 ]
 
 TAIL_WINDOW = 5  # scales used by the empirical geometric-ratio test
@@ -261,23 +262,10 @@ def growth_ratio(power: int, gamma: float) -> tuple[int, float]:
 
 
 def _free_scan(
-    couplings: CouplingMap, eps: float, a: float, n_range: tuple[int, int] | None
+    couplings: CouplingMap, eps: float, a: float, n_range: tuple[int, int]
 ) -> list[FreeAnnulusRecord]:
-    """find_free_subannulus at every scale, in scale order.
-
-    Without `n_range` the scales run from 1 up to the last whose reach the
-    window covers (reach grows with n), or to 12 for an unbounded window.
-    """
-    if n_range is not None:
-        scales = range(n_range[0], n_range[1] + 1)
-        return [find_free_subannulus(couplings, eps, a, n) for n in scales]
-    records = []
-    for n in range(1, 200 if math.isfinite(couplings.window_radius) else 13):
-        try:
-            records.append(find_free_subannulus(couplings, eps, a, n))
-        except WindowTooSmallError:
-            break
-    return records
+    """find_free_subannulus at every scale of `n_range` (both ends included), in scale order."""
+    return [find_free_subannulus(couplings, eps, a, n) for n in range(n_range[0], n_range[1] + 1)]
 
 
 def _sphere_shells(
@@ -285,7 +273,7 @@ def _sphere_shells(
     eps: float,
     ratio: tuple[int, float],
     tail_kind: str,
-    n_range: tuple[int, int] | None,
+    n_range: tuple[int, int],
 ) -> TotalDecomposition:
     """Spheres through the middles of the eps-free annuli at growth ratio (ell, a).
 
@@ -330,7 +318,8 @@ def build_decomposition_sparse(
     couplings: CouplingMap,
     eps: float,
     gamma: float,
-    n_range: tuple[int, int] | None = None,
+    *,
+    n_range: tuple[int, int],
 ) -> TotalDecomposition:
     """Spheres through the middles of eps-free annuli at dyadic-like scales.
 
@@ -348,7 +337,8 @@ def build_shell_sequence_pp(
     eps: float,
     gamma: float,
     excluded_site: int | None = None,
-    n_range: tuple[int, int] | None = None,
+    *,
+    n_range: tuple[int, int],
 ) -> TotalDecomposition:
     """The spheres S_n bounding nested balls A_n, ignoring one distinguished site.
 
@@ -389,12 +379,22 @@ def quasi1d_clearance_threshold(a: float, alpha: float) -> float:
     return math.inf
 
 
+def quasi1d_threshold(delta: float, c_quasi: float) -> float:
+    """Minimal growth ratio (1-delta)^(-C) for quasi-1D free-annulus summability."""
+    if not (0.0 <= delta < 1.0):
+        raise ValueError("delta must lie in [0, 1)")
+    if c_quasi < 1.0:
+        raise ValueError("quasi-1D constant must be >= 1")
+    return (1.0 - delta) ** (-c_quasi)
+
+
 def build_decomposition_quasi1d(
     couplings: CouplingMap,
     eps: float,
     alpha: float = 2.0,
     a: float = 2.0,
-    n_range: tuple[int, int] | None = None,
+    *,
+    n_range: tuple[int, int],
 ) -> TotalDecomposition:
     """Cap/cheese refinement of the free-annulus spheres for quasi-1D sites.
 
@@ -420,7 +420,7 @@ def build_decomposition_quasi1d(
         )
     c_quasi = max(qreport.constant, 1.0)
     delta_sup = float(np.max(model.tail_masses(couplings.site_indices, eps))) if len(couplings) else 0.0
-    threshold = (1.0 - delta_sup) ** (-c_quasi) if delta_sup < 1.0 else math.inf
+    threshold = quasi1d_threshold(delta_sup, c_quasi) if delta_sup < 1.0 else math.inf
     if a <= threshold:
         warnings.warn(
             f"a={a} is not above the free-annulus threshold {threshold:.4g}; "

@@ -570,10 +570,11 @@ STAGES = {
 def _run_stage(cfg: dict, stage: str) -> dict:
     """Run the stage's cells; each data file gets the cells' rows in cell order."""
     jobs = [(STAGES[stage].cell, cfg, stage, seed) for seed in cfg["seeds"]]
-    if _workers() <= 1 or len(jobs) <= 1:
+    workers = min(_workers(), len(jobs))
+    if workers <= 1:
         results = [_call_cell(job) for job in jobs]
     else:
-        with multiprocessing.Pool(_workers()) as pool:
+        with multiprocessing.Pool(workers) as pool:
             # imap yields in cell order, so the first failing cell is reported
             results = list(pool.imap(_call_cell, jobs))
     files: dict[str, list] = {}

@@ -872,13 +872,11 @@ def sanity_bound(region: RegionSet) -> float:
 def distance_between(a: RegionSet, b: RegionSet) -> float:
     """inf over pairs of points of the two sets; +inf if either is empty.
 
-    Exact for every pair in which one side is a point, a ball, or an
-    origin-radial set (annulus or centered sphere), and for sphere-sphere
-    pairs.  Two cases give a lower bound instead: a punctured sphere in
-    d >= 3 (see `PuncturedSphere`), and a radial set against a d=1
-    off-centre sphere (two points, whose norms the radial rule treats as
-    one interval).  Any other pair raises TypeError, so a clearance never
-    overshoots.
+    Exact for every pair in which one side is a point, a ball, a d=1
+    sphere (two points) or an origin-radial set (annulus or centered
+    sphere), and for sphere-sphere pairs.  A punctured sphere in d >= 3
+    gives a lower bound instead (see `PuncturedSphere`).  Any other pair
+    raises TypeError, so a clearance never overshoots.
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
@@ -908,6 +906,11 @@ def _primitive_distance(p: Primitive, q: Primitive) -> float:
     if isinstance(p, Ball):
         pts = np.asarray(p.center)[None, :]
         return max(0.0, float(q.point_distance(pts)[0]) - p.radius)
+    if isinstance(q, Sphere) and q.dimension == 1:
+        p, q = q, p
+    if isinstance(p, Sphere) and p.dimension == 1:
+        # a 1-D sphere is the two points center -+ radius
+        return min(_primitive_distance(Point((p.center[0] + s,)), q) for s in (-p.radius, p.radius))
     if _is_radial(q):
         p, q = q, p
     if _is_radial(p):

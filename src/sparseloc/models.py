@@ -31,14 +31,12 @@ __all__ = [
     "WindowTooSmallError",
     "require_window",
     "p_epsilon",
-    "ac_mass",
     "sample_couplings",
     "evaluate_potential",
     "second_moment_profile",
     "second_moment_decay_fit",
     "quasi_dimension_bound",
     "validate_assumptions",
-    "model_to_dict",
     "model_from_dict",
 ]
 
@@ -209,13 +207,6 @@ class CouplingLaw:
             out[seg] = xs[j - 1] + frac * (xs[j] - xs[j - 1])
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "atoms": [[x, w] for x, w in self.atoms],
-            "segments": [[lo, hi, m] for lo, hi, m in self.segments],
-        }
-
     @staticmethod
     def from_dict(rec: dict) -> "CouplingLaw":
         return CouplingLaw(
@@ -230,11 +221,6 @@ def p_epsilon(law: CouplingLaw, eps: float) -> float:
     if eps <= 0.0 or eps > 1.0:
         raise ValueError("eps must lie in (0, 1]")
     return law.tail_mass(eps)
-
-
-def ac_mass(law: CouplingLaw) -> float:
-    """Total mass of the absolutely continuous component of the law."""
-    return law.ac_mass()
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +293,6 @@ class LawAssignment:
         for row, i in enumerate(indices):
             out[row] = self.per_site[i].quantile(u[row])
         return out
-
-    def to_dict(self) -> dict:
-        rec: dict = {"kind": self.kind}
-        if self.kind == "shared":
-            rec["law"] = self.shared.to_dict()
-        elif self.kind == "radial_bernoulli":
-            rec["tau"] = self.tau
-            rec["cap"] = self.cap
-        else:
-            rec["laws"] = [l.to_dict() for l in self.per_site]
-        return rec
 
     @staticmethod
     def from_dict(rec: dict) -> "LawAssignment":
@@ -403,6 +378,9 @@ class SiteSet:
         r_sigma = 1.0
         if len(offs) > 1:
             d = np.linalg.norm(offs[:, None, :] - offs[None, :, :], axis=-1)
+            repeats = np.argwhere(np.triu(d == 0.0, k=1))
+            if len(repeats):
+                raise ValueError(f"tube offset {offs[repeats[0, 0]].tolist()} is repeated")
             r_sigma = min(1.0, float(np.min(d[d > 0])))
         return SiteSet(dimension, pts, "tube", r_sigma, float(radius))
 
@@ -462,7 +440,6 @@ class SingleSitePotential:
     p_norm_bound: float
     sign: str = "indefinite"  # nonnegative | nonpositive | indefinite
     lower_bump: tuple[float, float] | None = None
-    description: dict = field(default_factory=dict)
 
     @staticmethod
     def indicator(amplitude: float, radius: float) -> "SingleSitePotential":
@@ -476,7 +453,6 @@ class SingleSitePotential:
             p_norm_bound=abs(amp) * 2.0 * rad + 1.0,
             sign=sign,
             lower_bump=(abs(amp), rad) if amp != 0.0 else None,
-            description={"kind": "indicator", "amplitude": amp, "radius": rad},
         )
 
     def evaluate(self, offsets: np.ndarray) -> np.ndarray:
@@ -533,15 +509,6 @@ class BackgroundPotential:
         if self.kind == "periodic_step":
             idx = np.floor(pts[:, 0] / self.cell).astype(int) % len(self.values)
             return np.asarray(self.values)[idx]
-        raise ValueError(f"unknown background kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        if self.kind == "zero":
-            return {"kind": "zero"}
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "periodic_step":
-            return {"kind": "periodic_step", "values": list(self.values), "cell": self.cell}
         raise ValueError(f"unknown background kind {self.kind!r}")
 
     @staticmethod
@@ -641,7 +608,7 @@ class CouplingMap:
 def sample_couplings(
     model: RandomPotentialModel,
     seed: int,
-    window: RegionSet | float | None = None,
+    window: float | None = None,
     trial: int = 0,
 ) -> CouplingMap:
     """Independent coupling draws for every site inside the window.
@@ -654,9 +621,6 @@ def sample_couplings(
     if window is None:
         indices = np.arange(len(sites))
         window_radius = sites.window_radius
-    elif isinstance(window, RegionSet):
-        indices = sites.indices_in(window)
-        window_radius = min(window.circumradius(), sites.window_radius)
     else:
         window_radius = float(window)
         require_window(sites.window_radius, window_radius, " requested as the sampling window")
@@ -791,10 +755,6 @@ class QuasiDimensionReport:
     m: float
     constant: float
     passed: bool
-    cumulative_constant: float
-    cumulative_passed: bool
-    radii: np.ndarray
-    normalized_counts: np.ndarray
 
 
 def quasi_dimension_bound(sites: SiteSet, m: float, r_max: float) -> QuasiDimensionReport:
@@ -803,7 +763,6 @@ def quasi_dimension_bound(sites: SiteSet, m: float, r_max: float) -> QuasiDimens
     `constant` is the max of count / max(R, 1)^(m-1) over R in
     {0, 0.5, 1, ...}; `passed` requires no growth trend over the upper half
     of the range (least-squares slope small relative to the level).
-    Also reports the cumulative variant #(Sigma cap B(0,R)) <= C R.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -816,16 +775,7 @@ def quasi_dimension_bound(sites: SiteSet, m: float, r_max: float) -> QuasiDimens
     denom = np.maximum(radii, 1.0) ** (m - 1.0)
     normalized = counts / denom
     constant = float(np.max(normalized)) if normalized.size else 0.0
-    passed = _no_growth_trend(radii, normalized)
-
-    r_cum = np.arange(1.0, r_max + 0.25, 0.5)
-    cum_counts = np.searchsorted(norms, r_cum, side="right")
-    cum_norm = cum_counts / r_cum
-    cum_constant = float(np.max(cum_norm)) if cum_norm.size else 0.0
-    cum_passed = _no_growth_trend(r_cum, cum_norm)
-    return QuasiDimensionReport(
-        m, constant, passed, cum_constant, cum_passed, radii, normalized
-    )
+    return QuasiDimensionReport(m, constant, _no_growth_trend(radii, normalized))
 
 
 def _no_growth_trend(x: np.ndarray, y: np.ndarray) -> bool:
@@ -960,37 +910,8 @@ def _background_local_norm(model: RandomPotentialModel, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Model description (de)serialization
+# Model descriptions (read from configs)
 # ---------------------------------------------------------------------------
-
-
-def model_to_dict(model: RandomPotentialModel) -> dict:
-    sites = model.sites
-    if sites.generator == "lattice":
-        site_rec = {"generator": "lattice", "radius": sites.window_radius}
-    elif sites.generator == "tube":
-        offsets = sorted({tuple(p[1:]) for p in sites.points.tolist()})
-        site_rec = {"generator": "tube", "radius": sites.window_radius, "offsets": [list(o) for o in offsets]}
-    else:
-        site_rec = {
-            "generator": "explicit",
-            "points": sites.points.tolist(),
-            "r_sigma": sites.r_sigma,
-            "window_radius": sites.window_radius,
-        }
-    pot = model.potential.description or {"kind": "indicator", "amplitude": 1.0, "radius": 1.0}
-    rec = {
-        "dimension": model.dimension,
-        "sites": site_rec,
-        "law": model.laws.to_dict(),
-        "potential": pot,
-        "background": model.background.to_dict(),
-    }
-    if model.p_exponent is not None:
-        rec["p_exponent"] = model.p_exponent
-    if model.distinguished_site is not None:
-        rec["distinguished_site"] = model.distinguished_site
-    return rec
 
 
 def model_from_dict(rec: dict) -> RandomPotentialModel:
@@ -1003,9 +924,11 @@ def model_from_dict(rec: dict) -> RandomPotentialModel:
         offsets = site_rec.get("offsets", [[0.0] * (d - 1)])
         sites = SiteSet.tube(d, site_rec["radius"], offsets)
     elif gen == "explicit":
-        sites = SiteSet.explicit(
-            site_rec["points"], site_rec.get("r_sigma"), site_rec.get("window_radius")
-        )
+        points = np.atleast_2d(np.asarray(site_rec["points"], dtype=float))
+        if points.shape[1] != d:
+            raise ValueError(f"explicit points have dimension {points.shape[1]}, "
+                             f"but the model has dimension {d}")
+        sites = SiteSet.explicit(points, site_rec.get("r_sigma"), site_rec.get("window_radius"))
     else:
         raise ValueError(f"unknown site generator {gen!r}")
     pot_rec = rec["potential"]

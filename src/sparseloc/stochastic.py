@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
-from .certify import require_scale_window, scale_window
+from .certify import quasi1d_threshold, require_scale_window, scale_window
 from .geometry import RegionSet
 from .models import RandomPotentialModel
 
@@ -232,15 +232,6 @@ def a_n_bound(a: float, eta: float, n: int) -> tuple[float, bool]:
     exponent = (1.0 - eta) ** n * (a**n * (a - 1.0) / n - 1.0)
     bound = math.exp(-exponent)
     return bound, bound >= 1.0
-
-
-def quasi1d_threshold(delta: float, c_quasi: float) -> float:
-    """Minimal growth ratio (1-delta)^(-C) for quasi-1D free-annulus summability."""
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
-    if c_quasi < 1.0:
-        raise ValueError("quasi-1D constant must be >= 1")
-    return (1.0 - delta) ** (-c_quasi)
 
 
 @dataclass(frozen=True)

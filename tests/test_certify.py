@@ -282,6 +282,15 @@ class TestTruncateAndSupport:
         assert all(s.radius == 1.0 for s in region.shapes)
 
 
+@pytest.mark.parametrize("builder", [
+    c.build_decomposition_sparse, c.build_shell_sequence_pp, c.build_decomposition_quasi1d,
+])
+def test_builders_require_a_scale_range(builder):
+    cm = explicit_couplings(chain_model(radius=40.0, d=2), {})
+    with pytest.raises(TypeError, match="n_range"):
+        builder(cm, 0.5, 2.0)
+
+
 class TestSparseConstruction:
     def test_ell_and_a_adapt_to_gamma(self):
         model = chain_model(radius=40.0, d=2)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,15 @@ class TestValidation:
         assert result.exit_code == 2
         assert result.output == f"config error: $.model: ValueError: {message}\n"
 
+    @pytest.mark.parametrize("points, dim", [([[3.0], [7.0]], 1), ([], 0)])
+    def test_explicit_points_of_another_dimension_refused(self, tmp_path, points, dim):
+        cfg = certify_cfg(tmp_path / "out")
+        cfg["model"]["sites"] = {"generator": "explicit", "points": points, "window_radius": 10.0}
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == ("config error: $.model: ValueError: explicit points have "
+                                 f"dimension {dim}, but the model has dimension 2\n")
+
 
 # every keyword `cli._schema_errors` checks; `additionalProperties` only as false
 WALKER_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties", "items",
@@ -512,6 +522,27 @@ class TestRunPipelines:
                  "free_annuli.csv", "member_counts.csv"]
         for name in names:
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class FakePool:  # runs the cells in this process, so no worker starts
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, jobs):
+                return map(func, jobs)
+
+        monkeypatch.setattr(cli, "multiprocessing", types.SimpleNamespace(Pool=FakePool))
+        monkeypatch.setenv("SPARSELOC_WORKERS", "64")
+        cli.run(certify_cfg(tmp_path / "out", seeds=(1, 2)))
+        assert started == [2]
 
 
 class TestSeedFreeMemo:

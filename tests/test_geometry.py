@@ -97,6 +97,15 @@ class TestDistance:
         a, b = g.RegionSet.sphere(c1, r1), g.RegionSet.sphere(c2, r2)
         assert g.distance_between(a, b) == g.distance_between(b, a) == want
 
+    @pytest.mark.parametrize("other, want", [
+        (g.make_annulus(4.5, 5.5, 1), 0.5),     # {4, 6} against [-5.5, -4.5] and [4.5, 5.5]
+        (g.RegionSet.sphere([0.0], 4.5), 0.5),  # {4, 6} against {-4.5, 4.5}
+        (g.RegionSet.sphere([9.0], 2.0), 1.0),  # {4, 6} against {7, 11}
+    ])
+    def test_d1_sphere_is_two_points(self, other, want):
+        sphere = g.RegionSet.sphere([5.0], 1.0)
+        assert g.distance_between(other, sphere) == g.distance_between(sphere, other) == want
+
     @given(
         st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 3), st.floats(0.1, 3)
     )

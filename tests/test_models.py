@@ -37,10 +37,10 @@ class TestCouplingLaw:
             m.p_epsilon(m.CouplingLaw.uniform(), 0.0)
 
     def test_ac_mass(self):
-        assert m.ac_mass(m.CouplingLaw.bernoulli(0.7)) == 0.0
-        assert m.ac_mass(m.CouplingLaw.uniform()) == 1.0
+        assert m.CouplingLaw.bernoulli(0.7).ac_mass() == 0.0
+        assert m.CouplingLaw.uniform().ac_mass() == 1.0
         mix = m.CouplingLaw.mixture([(m.CouplingLaw.delta(0.0), 0.5), (m.CouplingLaw.uniform(), 0.5)])
-        assert m.ac_mass(mix) == pytest.approx(0.5)
+        assert mix.ac_mass() == pytest.approx(0.5)
 
     def test_mass_identity(self):
         laws = [
@@ -116,7 +116,8 @@ class TestCouplingLaw:
 
     def test_law_dict_roundtrip(self):
         law = m.CouplingLaw.bernoulli_times_uniform(0.4, 0.2, 0.9)
-        assert m.CouplingLaw.from_dict(law.to_dict()) == law
+        rec = {"kind": "bernoulli_times_density", "atoms": [[0.0, 0.6]], "segments": [[0.2, 0.9, 0.4]]}
+        assert m.CouplingLaw.from_dict(rec) == law
 
 
 class TestSiteSets:
@@ -124,6 +125,11 @@ class TestSiteSets:
         sites = m.SiteSet.lattice(2, 5.0)
         assert sites.r_sigma == 1.0
         assert sites.min_separation() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("offsets", [[[0.5], [0.5]], [[0.5], [-0.5], [0.5]]])
+    def test_tube_refuses_a_repeated_offset(self, offsets):
+        with pytest.raises(ValueError, match=re.escape("tube offset [0.5] is repeated")):
+            m.SiteSet.tube(2, 5.0, offsets)
 
     def test_tube_counts(self):
         sites = m.SiteSet.tube(2, 10.0)
@@ -448,11 +454,6 @@ class TestQuasiDimension:
         assert report.passed
         assert report.constant <= 8.0 * math.pi
 
-    def test_cumulative_variant_tube(self):
-        report = m.quasi_dimension_bound(m.SiteSet.tube(2, 60.0), m=1.0, r_max=55.0)
-        assert report.cumulative_passed
-        assert report.cumulative_constant <= 3.0
-
 
 class TestModel1Remark:
     def test_bernoulli_tail_is_p_for_every_eps(self):
@@ -562,11 +563,18 @@ class TestModelSerialization:
             laws=m.LawAssignment.radial_bernoulli(1.5),
             background=m.BackgroundPotential.constant(2.0),
         )
-        back = m.model_from_dict(m.model_to_dict(model))
-        assert back.dimension == 2
+        back = m.model_from_dict({
+            "dimension": 2,
+            "sites": {"generator": "lattice", "radius": 6.0},
+            "law": {"kind": "radial_bernoulli", "tau": 1.5},
+            "potential": {"kind": "indicator", "amplitude": -3.0, "radius": 1.0},
+            "background": {"kind": "constant", "value": 2.0},
+        })
+        assert back.dimension == model.dimension == 2
         assert np.array_equal(back.sites.points, model.sites.points)
-        assert back.laws.tau == 1.5
-        assert back.background.value == 2.0
+        assert (back.laws.kind, back.laws.tau, back.laws.cap) == ("radial_bernoulli", 1.5, 1.0)
+        assert (back.background.kind, back.background.value) == ("constant", 2.0)
+        assert back.potential.lower_bump == model.potential.lower_bump == (3.0, 1.0)
 
     def test_roundtrip_tube(self):
         model = m.RandomPotentialModel(
@@ -574,5 +582,12 @@ class TestModelSerialization:
             potential=m.SingleSitePotential.indicator(1.0, 0.5),
             laws=m.LawAssignment.shared_law(m.CouplingLaw.uniform()),
         )
-        back = m.model_from_dict(m.model_to_dict(model))
+        back = m.model_from_dict({
+            "dimension": 2,
+            "sites": {"generator": "tube", "radius": 7.0},
+            "law": {"kind": "uniform"},
+            "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
+        })
         assert np.array_equal(back.sites.points, model.sites.points)
+        assert back.laws.shared == model.laws.shared
+        assert back.background.kind == "zero"

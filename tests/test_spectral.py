@@ -615,7 +615,12 @@ class TestLocalizationReport:
         report = sp.localization_report(model, cm, box, h, free)
         cli.run({
             "pipeline": "spectral-probe",
-            "model": m.model_to_dict(model),
+            "model": {
+                "dimension": 1,
+                "sites": {"generator": "explicit", "points": [[0.0]]},
+                "law": {"kind": "point_masses", "atoms": [[1.0, 1.0]]},
+                "potential": {"kind": "indicator", "amplitude": -3.0, "radius": 1.0},
+            },
             "seeds": [0],
             "output_dir": str(tmp_path),
             "parameters": {"eps": 0.5, "box": box, "h": h},

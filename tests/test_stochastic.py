@@ -422,7 +422,12 @@ class TestBorelCantelliReport:
         report = st.borel_cantelli_report(model, 0.5, 2.0, (2, 4), trials=100, seed=2)
         cli.run({
             "pipeline": "lemma-mc",
-            "model": m.model_to_dict(model),
+            "model": {
+                "dimension": 1,
+                "sites": {"generator": "lattice", "radius": 70.0},
+                "law": {"kind": "bernoulli", "p": 0.2},
+                "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 1.0},
+            },
             "seeds": [2],
             "output_dir": str(tmp_path),
             "parameters": {"eps": 0.5, "a": 2.0, "n_range": [2, 4], "trials": 100},
