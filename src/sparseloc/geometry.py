@@ -10,9 +10,10 @@ distance between two shapes is exact or refused (see `distance_between`).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -178,7 +179,7 @@ class Annulus:
     outer: float
 
     def __post_init__(self):
-        if self.inner < 0 or self.outer < self.inner:
+        if not 0 <= self.inner <= self.outer:  # also refuses NaN
             raise ValueError("annulus requires 0 <= inner <= outer")
 
     @property
@@ -785,60 +786,116 @@ def generalized_surface_area(
 # ---------------------------------------------------------------------------
 
 
-def closed_form_shell_measure(shape: Primitive, r):
-    """Exact |{x : r <= dist(x, shape) <= r+1}| for point/sphere/ball/annulus.
-
-    `r` may be an array of distances; a scalar `r` gives a float.  Each
-    shape is an outer radius, an inner radius (0 when solid) and the
-    volume it adds at r = 0.
-    """
+def _shell_radii(shape: Primitive) -> tuple[float, float, float] | None:
+    """Outer radius, inner radius (0 when solid) and the volume added at r = 0
+    of a point, sphere, ball or annulus; None for any other shape."""
     if isinstance(shape, Point):
-        outer, inner, body = 0.0, 0.0, 0.0
-    elif isinstance(shape, Sphere):
-        outer, inner, body = shape.radius, shape.radius, 0.0
-    elif isinstance(shape, Ball):
-        outer, inner, body = shape.radius, 0.0, shape.volume()
-    elif isinstance(shape, Annulus):
-        outer, inner, body = shape.outer, shape.inner, shape.volume()
-    else:
-        raise TypeError(f"no closed-form shell measure for {type(shape).__name__}")
-    d, r = shape.dimension, np.asarray(r, dtype=float)
+        return 0.0, 0.0, 0.0
+    if isinstance(shape, Sphere):
+        return shape.radius, shape.radius, 0.0
+    if isinstance(shape, Ball):
+        return shape.radius, 0.0, shape.volume()
+    if isinstance(shape, Annulus):
+        return shape.outer, shape.inner, shape.volume()
+    return None
 
+
+def _shell_volume(outer: float, inner: float, body: float, d: int, r: np.ndarray) -> np.ndarray:
     def vol(radius):  # ball_volume, elementwise
         return unit_ball_volume(d) * np.maximum(radius, 0.0) ** d
 
     out = (vol(outer + r + 1.0) - vol(outer + r)) + (vol(inner - r) - vol(inner - r - 1.0))
-    out = out + np.where(r == 0.0, body, 0.0)
+    return out + np.where(r == 0.0, body, 0.0)
+
+
+def closed_form_shell_measure(shape: Primitive, r):
+    """Exact |{x : r <= dist(x, shape) <= r+1}| for point/sphere/ball/annulus.
+
+    `r` may be an array of distances; a scalar `r` gives a float.
+    """
+    radii = _shell_radii(shape)
+    if radii is None:
+        raise TypeError(f"no closed-form shell measure for {type(shape).__name__}")
+    out = _shell_volume(*radii, shape.dimension, np.asarray(r, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
-# r-values per block of the closed-form sigma scan (bounds its memory).
-_SIGMA_BLOCK = 1 << 16
+# r-values per leaf of the pruned sigma search.
+_SIGMA_LEAF = 256
+
+
+def _ratio_bound(outer: float, inner: float, d: int, grid: float, lo: int, hi: int) -> float:
+    """Upper bound on the computed ratio at r = k * grid, lo <= k < hi.
+
+    The outer part of the shell volume grows with r and the inner part
+    shrinks, so on [r_a, r_b] the ratio is at most (outer(r_b) + inner(r_a))
+    / (r_a^d + 1), plus a slack of a few hundred ulps of the largest volume
+    term for rounding.  The body is added at r = 0, so that has no bound.
+    """
+    if lo == 0:
+        return math.inf
+    w = unit_ball_volume(d)
+    ra, rb = lo * grid, (hi - 1) * grid
+    radii = (outer + rb + 1.0, outer + rb, inner - ra, inner - ra - 1.0)
+    a, b, c, e = (w * max(x, 0.0) ** d for x in radii)
+    return (a - b + c - e + 64 * (d + 2) * 2.0**-52 * max(a, c)) / (ra**d + 1.0)
+
+
+@lru_cache(maxsize=1024)
+def _grid_sigma(outer: float, inner: float, body: float, d: int, diameter: float, grid: float) -> float:
+    """Best-first branch and bound over intervals of grid indices, split into
+    leaves of at most _SIGMA_LEAF points; a leaf is evaluated only while its
+    bound exceeds the best value found."""
+    span = (diameter + d + 2.0 + grid / 2.0) / grid
+    # Past 2^53 the outer radius has no unit digit, so the volume differences
+    # have none either; past 2^63 the grid has no int64 index.  Also NaN.
+    if not (outer < 2.0**53 and span < 2.0**63):
+        return math.inf
+    count = math.ceil(span)  # the length of np.arange(0.0, r_max + grid / 2.0, grid)
+    # headroom for the sums of volume terms in the leaves and the bounds
+    if not math.isfinite(16.0 * unit_ball_volume(d) * (outer + (count - 1) * grid + 1.0) ** d):
+        return math.inf
+    best = -math.inf
+    heap = [(-math.inf, 0, count)]
+    while heap and -heap[0][0] > best:
+        _, lo, hi = heapq.heappop(heap)
+        if hi - lo > _SIGMA_LEAF:
+            mid = (lo + hi) // 2
+            for a, b in ((lo, mid), (mid, hi)):
+                heapq.heappush(heap, (-_ratio_bound(outer, inner, d, grid, a, b), a, b))
+        else:
+            r = np.arange(lo, hi) * grid
+            ratio = _shell_volume(outer, inner, body, d, r) / (r**d + 1.0)
+            best = max(best, float(np.max(ratio)))
+    return best
 
 
 def closed_form_sigma(region: RegionSet, grid: float = 1e-3) -> float | None:
     """Generalized surface area of a single basic primitive, maximized on an r-grid.
 
-    The maximum over r = 0, grid, 2 grid, ... can fall short of the
-    supremum by the variation of the ratio within one grid step.
-    Returns None when the region is not a single point/sphere/ball/annulus;
-    callers fall back to a volume bound (`sanity_bound`).
+    The maximum over r = 0, grid, 2 grid, ... up to diam + d + 2 is the same
+    float as a scan of every grid point, found by a branch and bound that
+    skips the grid points provably below it, and cached per shape.  It can
+    fall short of the supremum by the variation of the ratio within one grid
+    step.  It is inf when a volume term overflows, the outer radius reaches
+    2^53 or the grid has 2^63 points.  Returns None when the region is not a
+    single point/sphere/ball/annulus; callers fall back to a volume bound
+    (`sanity_bound`).
     """
+    if not (math.isfinite(grid) and grid > 0):
+        raise ValueError(f"sigma grid must be finite and > 0, got {grid!r}")
     if len(region.shapes) != 1:
         return None
     shape = region.shapes[0]
-    if not isinstance(shape, (Point, Sphere, Ball, Annulus)):
-        return None
-    d = region.dimension
-    r_max = shape.diameter() + d + 2.0
-    # the length of np.arange(0.0, r_max + grid / 2.0, grid), whose i-th value is i * grid
-    count = math.ceil((r_max + grid / 2.0) / grid)
-    peaks = []
-    for lo in range(0, count, _SIGMA_BLOCK):
-        r_values = np.arange(lo, min(lo + _SIGMA_BLOCK, count)) * grid
-        vals = closed_form_shell_measure(shape, r_values)
-        peaks.append(np.max(vals / (r_values**d + 1.0)))
-    return float(np.max(peaks))
+    try:
+        radii = _shell_radii(shape)
+        if radii is None:
+            return None
+        # Python floats raise OverflowError where numpy scalars warn
+        outer, inner, body = map(float, radii)
+        return _grid_sigma(outer, inner, body, shape.dimension, float(shape.diameter()), float(grid))
+    except OverflowError:  # a volume term beyond the float range
+        return math.inf
 
 
 def surface_volume_bound(diameter: float, dimension: int) -> float:

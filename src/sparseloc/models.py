@@ -389,6 +389,8 @@ class SiteSet:
         """Explicit site list; by default it is taken as the complete
         configuration, so the window is unbounded."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.size == 0:
+            raise ValueError("explicit site list is empty")
         pts = pts[_canonical_order(pts)]
         if r_sigma is None:
             r_sigma = _closest_pair(pts)[0]

@@ -37,6 +37,8 @@ class TestAnnulus:
             g.make_annulus(2.0, 1.0, 2)
         with pytest.raises(ValueError):
             g.make_annulus(-1.0, 1.0, 2)
+        with pytest.raises(ValueError):
+            g.Annulus(2, math.nan, 1.0)
 
 
 class TestDistance:
@@ -432,25 +434,162 @@ class TestClosedFormSigmaScan:
         got = g.closed_form_shell_measure(shape, r)
         assert np.array_equal(got, [scalar_shell_measure(shape, float(x)) for x in r])
 
-    @pytest.mark.parametrize("block", [7, 1000, 1 << 16])
-    def test_blocks_cover_the_arange_grid(self, monkeypatch, block):
+    @pytest.mark.parametrize("leaf", [7, 1000, 1 << 16])
+    def test_blocks_cover_the_arange_grid(self, monkeypatch, leaf):
         seen = []
-        measure = g.closed_form_shell_measure
+        volume = g._shell_volume
 
-        def record(shape, r):
+        def record(outer, inner, body, d, r):
             seen.append(np.array(r))
-            return measure(shape, r)
+            return volume(outer, inner, body, d, r)
 
-        monkeypatch.setattr(g, "_SIGMA_BLOCK", block)
-        monkeypatch.setattr(g, "closed_form_shell_measure", record)
+        monkeypatch.setattr(g, "_SIGMA_LEAF", leaf)
+        monkeypatch.setattr(g, "_shell_volume", record)
+        g._grid_sigma.cache_clear()
         for R, grid in ((2.5, 1e-3), (9.5, 1e-3), (1.0, 0.07), (0.3, 0.01)):
             seen.clear()
             region = g.RegionSet.sphere([0.0], R)
             sigma = g.closed_form_sigma(region, grid=grid)
-            r_max = region.shapes[0].diameter() + 3.0
-            assert np.array_equal(np.concatenate(seen), np.arange(0.0, r_max + grid / 2.0, grid))
-            assert all(len(r) <= block for r in seen)
+            full = np.arange(0.0, region.shapes[0].diameter() + 3.0 + grid / 2.0, grid)
+            # each leaf is a run of the full grid, no grid point is evaluated twice
+            starts = [int(np.searchsorted(full, r[0])) for r in seen]
+            for lo, r in zip(starts, seen):
+                assert 0 < len(r) <= leaf
+                assert np.array_equal(r, full[lo : lo + len(r)])
+            assert sum(map(len, seen)) == len(np.unique(np.concatenate(seen)))
+            assert seen[0][0] == 0.0
             assert sigma == scalar_sigma(region.shapes[0], grid)
+        g._grid_sigma.cache_clear()
+
+
+def full_scan_sigma(shape, grid=1e-3):
+    """The scan that the pruned search replaced: the ratio at every grid point."""
+    d = shape.dimension
+    r_max = shape.diameter() + d + 2.0
+    count = math.ceil((r_max + grid / 2.0) / grid)
+    peaks = []
+    for lo in range(0, count, 1 << 16):
+        r_values = np.arange(lo, min(lo + (1 << 16), count)) * grid
+        vals = g.closed_form_shell_measure(shape, r_values)
+        peaks.append(np.max(vals / (r_values**d + 1.0)))
+    return float(np.max(peaks))
+
+
+RADII = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.floats(1.0, 30.0),
+    st.floats(30.0, 1e3),
+)
+GRIDS = st.sampled_from([1e-3, 1.7e-3, 0.01, 0.0625, 0.3, 1.0, 2.5])
+
+
+@st.composite
+def sigma_shapes(draw):
+    d = draw(st.integers(1, 3))
+    center = tuple([0.0] * d)
+    R = draw(RADII)
+    kind = draw(st.sampled_from(["point", "sphere", "ball", "annulus"]))
+    if kind == "point":
+        return g.Point(center)
+    if kind == "sphere":
+        return g.Sphere(center, R)
+    if kind == "ball":
+        return g.Ball(center, R)
+    # inner anywhere in [0, R], and often within a few ulps to 1e-3 of R
+    gap = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-15, 1e-9, 1e-3])))
+    return g.Annulus(d, max(R - gap * max(R, 1.0), 0.0), R)
+
+
+class TestPrunedSigma:
+    @settings(max_examples=150, deadline=None)
+    @given(sigma_shapes(), GRIDS)
+    def test_bit_equal_to_the_full_scan(self, shape, grid):
+        region = g.RegionSet(shape.dimension, (shape,))
+        assert g.closed_form_sigma(region, grid=grid) == full_scan_sigma(shape, grid)
+
+    @pytest.mark.parametrize("R", [0.0, 1e-300, 0.999, 1.0, 1e3])
+    def test_bit_equal_at_edge_radii(self, R):
+        for d in (1, 2, 3):
+            center = tuple([0.0] * d)
+            for shape in (g.Sphere(center, R), g.Ball(center, R), g.Annulus(d, R * 0.999, R)):
+                region = g.RegionSet(d, (shape,))
+                for grid in (1e-3, 0.37):
+                    assert g.closed_form_sigma(region, grid=grid) == full_scan_sigma(shape, grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sigma_shapes(),
+        st.sampled_from([1e-3, 0.0137, 0.5]),
+        st.floats(1e3, 1e15),
+        st.integers(1, 4000),
+        st.integers(1, 4000),
+    )
+    def test_interval_bound_covers_its_leaves(self, shape, grid, scale, start, length):
+        # radii up to 1e15 as well, where rounding of the volume terms is largest
+        if isinstance(shape, (g.Sphere, g.Ball)) and scale > 1e6:
+            shape = type(shape)(shape.center, shape.radius * scale)
+        outer, inner, body = g._shell_radii(shape)
+        d = shape.dimension
+        # intervals at the start of the grid and around the inner radius
+        for lo in (start, start + int(inner / grid)):
+            hi = lo + length
+            r = np.arange(lo, hi) * grid
+            leaf = g._shell_volume(outer, inner, body, d, r) / (r**d + 1.0)
+            assert g._ratio_bound(outer, inner, d, grid, lo, hi) >= np.max(leaf)
+
+    def test_interval_at_zero_is_unbounded(self):
+        assert g._ratio_bound(5.0, 5.0, 2, 1e-3, 0, 10) == math.inf
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("R", [10.0, 1e3, 1e5])
+    def test_large_spheres_evaluate_few_grid_points(self, monkeypatch, R, d):
+        # the full scan evaluates (2R + d + 2) / grid points: 2.5e4 to 2e8 here
+        evaluated = []
+        volume = g._shell_volume
+
+        def record(outer, inner, body, d, r):
+            evaluated.append(np.size(r))
+            return volume(outer, inner, body, d, r)
+
+        monkeypatch.setattr(g, "_shell_volume", record)
+        g._grid_sigma.cache_clear()
+        sigma = g.closed_form_sigma(g.RegionSet.sphere([0.0] * d, R))
+        assert 0 < sum(evaluated) <= 512
+        at_zero = g.closed_form_shell_measure(g.Sphere((0.0,) * d, R), 0.0)  # the ratio at r = 0
+        assert at_zero <= sigma <= at_zero * (1.0 + 1e-3)
+
+    def test_repeated_shapes_are_cached(self):
+        g._grid_sigma.cache_clear()
+        for center in ([0.0, 0.0], [3.0, -1.0], [0.0, 0.0]):
+            g.closed_form_sigma(g.RegionSet.sphere(center, 7.5))
+        info = g._grid_sigma.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+    @pytest.mark.parametrize("grid", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_bad_grid_refused(self, grid):
+        with pytest.raises(ValueError, match="sigma grid must be finite and > 0"):
+            g.closed_form_sigma(g.RegionSet.sphere([0.0, 0.0], 2.0), grid=grid)
+
+    @pytest.mark.parametrize(
+        "region,grid",
+        [
+            (g.RegionSet.sphere([0.0, 0.0], 1e160), 1e-3),  # a volume term overflows
+            (g.RegionSet.ball([0.0, 0.0], 1e160), 1e-3),  # so does the body
+            (g.RegionSet.sphere([0.0, 0.0, 0.0], 1e110), 1e95),
+            (g.RegionSet.sphere([0.0] * 40, 1e9), 1e-3),  # (R + r + 1)^40 overflows
+            (g.RegionSet.sphere([0.0] * 40, 1e9), np.float64(1e-3)),  # as a numpy scalar
+            (g.RegionSet.ball([0.0] * 40, 1e9), 1e-3),  # so does the body
+            (g.RegionSet.sphere([0.0], 1e15), 1e-5),  # 2e20 grid points: no int64 index
+            (g.RegionSet.sphere([0.0, 0.0], 1e150), 1e140),  # no unit digit in the radius
+            (g.RegionSet.sphere([0.0, 0.0], math.inf), 1e-3),
+            (g.RegionSet.sphere([0.0, 0.0], math.nan), 1e-3),
+        ],
+    )
+    def test_huge_members_are_inf_without_warnings(self, region, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.closed_form_sigma(region, grid=grid) == math.inf
 
 
 class TestSurfaceVolumeBound:

@@ -140,6 +140,11 @@ class TestSiteSets:
         sites = m.SiteSet.explicit([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], r_sigma=1.0)
         assert sites.separation_witness() is not None
 
+    @pytest.mark.parametrize("points", [[], [[]], np.zeros((0, 2))])
+    def test_explicit_refuses_an_empty_list(self, points):
+        with pytest.raises(ValueError, match="explicit site list is empty"):
+            m.SiteSet.explicit(points, r_sigma=1.0)
+
     def test_one_tree_serves_separation_and_witness(self, monkeypatch):
         import scipy.spatial
 
