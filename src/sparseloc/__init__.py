@@ -4,8 +4,7 @@ The package splits into five functional layers:
 
 - :mod:`sparseloc.geometry`   compact sets, shell measures, surface area,
   total decompositions;
-- :mod:`sparseloc.models`     scatterer configurations, coupling laws,
-  random potentials, assumption validation;
+- :mod:`sparseloc.models`     scatterer configurations, coupling laws, random potentials;
 - :mod:`sparseloc.certify`    eps-free annulus search, shell constructions,
   summability certificates;
 - :mod:`sparseloc.stochastic` Monte Carlo estimates against exact
@@ -43,7 +42,6 @@ from .geometry import (
     spherical_cap,
 )
 from .models import (
-    AssumptionReport,
     BackgroundPotential,
     CouplingLaw,
     CouplingMap,
@@ -57,7 +55,6 @@ from .models import (
     quasi_dimension_bound,
     sample_couplings,
     second_moment_profile,
-    validate_assumptions,
 )
 from .spectral import (
     GridOperator,
@@ -98,13 +95,11 @@ __all__ = [
     "BackgroundPotential",
     "RandomPotentialModel",
     "CouplingMap",
-    "AssumptionReport",
     "p_epsilon",
     "sample_couplings",
     "evaluate_potential",
     "second_moment_profile",
     "quasi_dimension_bound",
-    "validate_assumptions",
     "model_from_dict",
     "FreeAnnulusRecord",
     "DecompositionCertificate",

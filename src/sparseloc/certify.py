@@ -706,7 +706,7 @@ class DecompositionCertificate:
         return [head] + rows
 
 
-def _member_sigma(member: RegionSet) -> float:
+def _surface_weight(member: RegionSet) -> float:
     if member.is_empty():
         return 0.0
     exact = closed_form_sigma(member)
@@ -847,7 +847,7 @@ def _ac_rows(decomposition: TotalDecomposition, diff_support: RegionSet) -> tupl
     """certify_ac's gamma-free rows, once per (decomposition by identity, support)."""
     return tuple(
         (info.scale, idx, info.role, distance_between(diff_support, member),
-         _member_sigma(member), info.clearance_bound)
+         _surface_weight(member), info.clearance_bound)
         for idx, (member, info) in enumerate(zip(decomposition.members, _member_infos(decomposition)))
     )
 

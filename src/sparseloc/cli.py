@@ -78,7 +78,6 @@ MODEL_SCHEMA = {
                 "radius": {"type": "number", "exclusiveMinimum": 0},
                 "offsets": {"type": "array"},
                 "points": {"type": "array"},
-                "r_sigma": {"type": "number", "exclusiveMinimum": 0},
                 "window_radius": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -129,7 +128,6 @@ MODEL_SCHEMA = {
                 "cell": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "p_exponent": {"type": "number", "exclusiveMinimum": 0},
         "distinguished_site": {"type": "integer", "minimum": 0},
     },
 }
@@ -190,13 +188,21 @@ class ConfigError(Exception):
 
 
 def _read_json(path: Path, label: str):
-    """Parse the JSON file `path`; a syntax error is reported as `label:line:col: msg`."""
+    """Parse the JSON file `path`; a syntax error is reported as `label:line:col: msg`.
+
+    The literals NaN, Infinity and -Infinity, which `json` accepts but JSON
+    does not define, are refused, so every number in a config is finite.
+    """
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
+
+    def refuse(literal: str):
+        raise ConfigError([f"{label}: {literal} is not a JSON number"])
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{label}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
 

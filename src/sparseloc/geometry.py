@@ -62,7 +62,7 @@ def ball_volume(radius: float, dimension: int) -> float:
     """Lebesgue volume of a closed ball of the given radius in R^d."""
     if radius <= 0.0:
         return 0.0
-    return unit_ball_volume(dimension) * radius**dimension
+    return unit_ball_volume(dimension) * float(radius) ** dimension
 
 
 def _as_points(x, dimension: int) -> np.ndarray:

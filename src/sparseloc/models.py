@@ -2,8 +2,10 @@
 
 A model is a uniformly discrete site set, a compactly supported bump per
 site, a coupling distribution per site (supported in [0,1]) and a
-deterministic background.  Sampling is counter-based per site, so coupling
-draws depend only on (seed, site) and never on iteration order.
+deterministic background.  The constructors refuse repeated sites, laws
+off [0,1] and a distinguished site whose bump is 0 at its centre.  Sampling
+is counter-based per site, so coupling draws depend only on (seed, site)
+and never on iteration order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import _rng
-from .geometry import RegionSet, ball_volume
+from .geometry import RegionSet
 
 __all__ = [
     "CouplingLaw",
@@ -27,7 +29,6 @@ __all__ = [
     "BackgroundPotential",
     "RandomPotentialModel",
     "CouplingMap",
-    "AssumptionReport",
     "WindowTooSmallError",
     "require_window",
     "p_epsilon",
@@ -36,7 +37,6 @@ __all__ = [
     "second_moment_profile",
     "second_moment_decay_fit",
     "quasi_dimension_bound",
-    "validate_assumptions",
     "model_from_dict",
 ]
 
@@ -251,6 +251,8 @@ class LawAssignment:
     def radial_bernoulli(tau: float, cap: float = 1.0) -> "LawAssignment":
         if tau < 0:
             raise ValueError("tau must be >= 0")
+        if not (0.0 <= cap <= 1.0):
+            raise ValueError(f"radial_bernoulli cap {cap} is outside [0,1]")
         return LawAssignment("radial_bernoulli", tau=tau, cap=cap)
 
     @staticmethod
@@ -325,16 +327,6 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
-def _closest_pair(points: np.ndarray) -> tuple[float, tuple[int, int] | None]:
-    """(min separation, a closest pair); (inf, None) below two points."""
-    if len(points) < 2:
-        return math.inf, None
-    from scipy.spatial import cKDTree
-    dist, idx = cKDTree(points).query(points, k=2)
-    j = int(np.argmin(dist[:, 1]))
-    return float(dist[j, 1]), (j, int(idx[j, 1]))
-
-
 @dataclass(frozen=True, eq=False)
 class SiteSet:
     """Finite window of a uniformly discrete scatterer configuration.
@@ -342,12 +334,13 @@ class SiteSet:
     `points` are stored in canonical (lexicographic) order; the canonical
     index of a site keys its random stream.  `window_radius` is the radius
     up to which the window is complete: queries beyond it are refused.
+    Every generator yields distinct points, so the finite set is uniformly
+    discrete.
     """
 
     dimension: int
     points: np.ndarray
     generator: str
-    r_sigma: float
     window_radius: float
 
     @staticmethod
@@ -358,7 +351,7 @@ class SiteSet:
         pts = np.column_stack([a.ravel() for a in grids]).astype(float)
         pts = pts[np.linalg.norm(pts, axis=1) <= radius]
         pts = pts[_canonical_order(pts)]
-        return SiteSet(dimension, pts, "lattice", 1.0, float(radius))
+        return SiteSet(dimension, pts, "lattice", float(radius))
 
     @staticmethod
     def tube(dimension: int, radius: float, offsets=((0.0,),)) -> "SiteSet":
@@ -375,45 +368,32 @@ class SiteSet:
         )
         pts = pts[np.linalg.norm(pts, axis=1) <= radius]
         pts = pts[_canonical_order(pts)]
-        r_sigma = 1.0
         if len(offs) > 1:
             d = np.linalg.norm(offs[:, None, :] - offs[None, :, :], axis=-1)
             repeats = np.argwhere(np.triu(d == 0.0, k=1))
             if len(repeats):
                 raise ValueError(f"tube offset {offs[repeats[0, 0]].tolist()} is repeated")
-            r_sigma = min(1.0, float(np.min(d[d > 0])))
-        return SiteSet(dimension, pts, "tube", r_sigma, float(radius))
+        return SiteSet(dimension, pts, "tube", float(radius))
 
     @staticmethod
-    def explicit(points, r_sigma: float | None = None, window_radius: float | None = None) -> "SiteSet":
-        """Explicit site list; by default it is taken as the complete
-        configuration, so the window is unbounded."""
+    def explicit(points, window_radius: float | None = None) -> "SiteSet":
+        """Explicit list of distinct sites; by default it is taken as the
+        complete configuration, so the window is unbounded."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValueError("explicit site list is empty")
         pts = pts[_canonical_order(pts)]
-        if r_sigma is None:
-            r_sigma = _closest_pair(pts)[0]
+        # canonical order puts equal points next to each other
+        repeats = np.flatnonzero(np.all(pts[1:] == pts[:-1], axis=1))
+        if repeats.size:
+            raise ValueError(f"explicit site {pts[repeats[0]].tolist()} is repeated")
         if window_radius is None:
             window_radius = math.inf
-        return SiteSet(pts.shape[1], pts, "explicit", float(r_sigma), float(window_radius))
+        return SiteSet(pts.shape[1], pts, "explicit", float(window_radius))
 
     @cached_property
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.points, axis=1)
-
-    @cached_property
-    def closest_pair(self) -> tuple[float, tuple[int, int] | None]:
-        """(min separation, indices of a closest pair), from one k-d tree query."""
-        return _closest_pair(self.points)
-
-    def min_separation(self) -> float:
-        return self.closest_pair[0]
-
-    def separation_witness(self) -> tuple[int, int] | None:
-        """Indices of a closest pair violating r_sigma, if any."""
-        sep, pair = self.closest_pair
-        return pair if sep < self.r_sigma - 1e-12 else None
 
     def indices_in(self, region: RegionSet) -> np.ndarray:
         require_window(self.window_radius, region.circumradius(), " needed by the region")
@@ -433,46 +413,24 @@ class SingleSitePotential:
     """Radial bump supported in B(0, support_radius).
 
     `profile` maps radius to value and is only consulted inside the
-    support.  `lower_bump` certifies |f| >= c on B(0, s) for the
-    distinguished-site hypothesis.
+    support: `evaluate` gives 0 beyond it, whatever the profile says.
     """
 
     support_radius: float
     profile: Callable[[np.ndarray], np.ndarray]
-    p_norm_bound: float
-    sign: str = "indefinite"  # nonnegative | nonpositive | indefinite
-    lower_bump: tuple[float, float] | None = None
 
     @staticmethod
     def indicator(amplitude: float, radius: float) -> "SingleSitePotential":
         """amplitude * indicator of B(0, radius)."""
-        sign = "nonnegative" if amplitude >= 0 else "nonpositive"
         amp = float(amplitude)
         rad = float(radius)
-        return SingleSitePotential(
-            support_radius=rad,
-            profile=lambda r: np.where(r <= rad, amp, 0.0),
-            p_norm_bound=abs(amp) * 2.0 * rad + 1.0,
-            sign=sign,
-            lower_bump=(abs(amp), rad) if amp != 0.0 else None,
-        )
+        return SingleSitePotential(rad, lambda r: np.where(r <= rad, amp, 0.0))
 
     def evaluate(self, offsets: np.ndarray) -> np.ndarray:
         """f(x - site) for offset vectors, zero outside the support."""
         r = np.linalg.norm(np.atleast_2d(offsets), axis=1)
         vals = np.asarray(self.profile(r), dtype=float)
         return np.where(r <= self.support_radius, vals, 0.0)
-
-    def p_norm(self, p: float, dimension: int) -> float:
-        """L^p norm via radial quadrature such that the check is deterministic."""
-        r = np.linspace(0.0, self.support_radius, 2001)
-        vals = np.abs(np.where(r <= self.support_radius, self.profile(r), 0.0)) ** p
-        if dimension == 1:
-            integrand = 2.0 * vals
-        else:
-            surface = dimension * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0 + 1.0)
-            integrand = surface * vals * r ** (dimension - 1)
-        return float(np.trapezoid(integrand, r) ** (1.0 / p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,13 +490,13 @@ class BackgroundPotential:
 
 @dataclass(frozen=True, eq=False)
 class RandomPotentialModel:
-    """Sites + per-site bumps + coupling laws + background."""
+    """Sites + per-site bumps + coupling laws + background.  A `distinguished_site`
+    is a site index whose bump is not 0 at its centre (an indicator's amplitude)."""
 
     sites: SiteSet
     potential: SingleSitePotential
     laws: LawAssignment
     background: BackgroundPotential = field(default_factory=BackgroundPotential.zero)
-    p_exponent: float | None = None
     distinguished_site: int | None = None
     site_potentials: dict[int, SingleSitePotential] = field(default_factory=dict)
 
@@ -546,16 +504,17 @@ class RandomPotentialModel:
         laws, sites = len(self.laws.per_site), len(self.sites)
         if self.laws.kind == "per_site" and laws != sites:
             raise ValueError(f"per_site lists {laws} laws for {sites} sites")
+        k = self.distinguished_site
+        if k is None:
+            return
+        if not 0 <= k < sites:
+            raise ValueError(f"distinguished_site {k} is not a site index of the {sites} sites")
+        if self.potential_for(k).evaluate(np.zeros(self.dimension))[0] == 0.0:
+            raise ValueError(f"distinguished_site {k} has a bump that is 0 at its centre")
 
     @property
     def dimension(self) -> int:
         return self.sites.dimension
-
-    def default_p_exponent(self) -> float:
-        if self.p_exponent is not None:
-            return self.p_exponent
-        d = self.dimension
-        return 2.0 if d <= 3 else d / 2.0 + 0.5
 
     def potential_for(self, index: int) -> SingleSitePotential:
         return self.site_potentials.get(index, self.potential)
@@ -793,125 +752,6 @@ def _no_growth_trend(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Assumption validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    detail: str
-    witness: object = None
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate_assumptions(model: RandomPotentialModel) -> AssumptionReport:
-    """Check the standing hypotheses; failures carry witnesses, not errors.
-
-    A1: background locally uniformly L^p with an admissible exponent.
-    A2: uniform discreteness of the sites.
-    A3: compact support and L^p bound (within 1 %) of every single-site potential.
-    A4: coupling laws supported in [0,1] with total mass one.
-    A5: distinguished-site bump of definite sign (only when one is set).
-    """
-    checks: list[AssumptionCheck] = []
-    d = model.dimension
-    p = model.default_p_exponent()
-
-    p_ok = (p >= 2.0) if d <= 3 else (p > d / 2.0)
-    norm_val = _background_local_norm(model, p)
-    checks.append(
-        AssumptionCheck(
-            "A1",
-            passed=bool(p_ok and math.isfinite(norm_val)),
-            detail=f"p={p}, ||V0||_p,unif ~ {norm_val:.6g}"
-            + ("" if p_ok else f" (p inadmissible for d={d})"),
-        )
-    )
-
-    sep = model.sites.min_separation()
-    witness = model.sites.separation_witness()
-    a2_ok = model.sites.r_sigma > 0 and sep + 1e-12 >= model.sites.r_sigma
-    checks.append(
-        AssumptionCheck(
-            "A2",
-            passed=bool(a2_ok),
-            detail=f"min separation {sep:.6g} vs declared r_sigma {model.sites.r_sigma:.6g}",
-            witness=witness,
-        )
-    )
-
-    a3_ok = True
-    a3_detail = []
-    for idx, pot in [(None, model.potential)] + sorted(model.site_potentials.items()):
-        # probe the raw profile past the declared support
-        probe_r = pot.support_radius * 1.0001 + 1e-9
-        outside = float(np.max(np.abs(pot.profile(np.linspace(probe_r, probe_r + 1.0, 16)))))
-        norm = pot.p_norm(p, d)
-        ok = outside == 0.0 and norm <= pot.p_norm_bound * 1.01
-        a3_ok &= ok
-        a3_detail.append(f"site={idx}: ||f||_{p:g}={norm:.4g} bound={pot.p_norm_bound:.4g} ok={ok}")
-    checks.append(AssumptionCheck("A3", passed=bool(a3_ok), detail="; ".join(a3_detail)))
-
-    a4_ok = True
-    a4_detail = "laws supported in [0,1] with unit mass"
-    try:
-        probe = model.laws.law_for(model.sites.points[0] if len(model.sites) else np.zeros(d), 0)
-        del probe
-    except Exception as exc:  # construction errors surface here
-        a4_ok = False
-        a4_detail = str(exc)
-    checks.append(AssumptionCheck("A4", passed=a4_ok, detail=a4_detail))
-
-    if model.distinguished_site is not None:
-        pot = model.potential_for(model.distinguished_site)
-        ok = pot.sign != "indefinite" and pot.lower_bump is not None
-        detail = f"sign={pot.sign}, lower_bump={pot.lower_bump}"
-        checks.append(AssumptionCheck("A5", passed=bool(ok), detail=detail))
-
-    return AssumptionReport(tuple(checks))
-
-
-def _background_local_norm(model: RandomPotentialModel, p: float) -> float:
-    """sup over window centers of the L^p norm of V0 on unit balls (sampled)."""
-    bg = model.background
-    if bg.kind == "zero":
-        return 0.0
-    if bg.kind == "constant":
-        return abs(bg.value) * ball_volume(1.0, model.dimension) ** (1.0 / p)
-    # sampled sup over a coarse center grid
-    d = model.dimension
-    radius = min(model.sites.window_radius, 20.0)
-    centers = np.linspace(-radius, radius, 41)
-    grid = np.linspace(-1.0, 1.0, 21)
-    best = 0.0
-    for c in centers:
-        center = np.zeros(d)
-        center[0] = c
-        offsets = np.zeros((len(grid), d))
-        offsets[:, 0] = grid
-        vals = np.abs(bg.evaluate(center + offsets)) ** p
-        cell = (grid[1] - grid[0]) * (2.0 ** (d - 1))
-        best = max(best, float(np.sum(vals) * cell) ** (1.0 / p))
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Model descriptions (read from configs)
 # ---------------------------------------------------------------------------
 
@@ -930,7 +770,7 @@ def model_from_dict(rec: dict) -> RandomPotentialModel:
         if points.shape[1] != d:
             raise ValueError(f"explicit points have dimension {points.shape[1]}, "
                              f"but the model has dimension {d}")
-        sites = SiteSet.explicit(points, site_rec.get("r_sigma"), site_rec.get("window_radius"))
+        sites = SiteSet.explicit(points, site_rec.get("window_radius"))
     else:
         raise ValueError(f"unknown site generator {gen!r}")
     pot_rec = rec["potential"]
@@ -943,6 +783,5 @@ def model_from_dict(rec: dict) -> RandomPotentialModel:
         potential=potential,
         laws=LawAssignment.from_dict(rec["law"]),
         background=BackgroundPotential.from_dict(rec.get("background", {"kind": "zero"})),
-        p_exponent=rec.get("p_exponent"),
         distinguished_site=rec.get("distinguished_site"),
     )

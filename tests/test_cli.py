@@ -279,6 +279,10 @@ class TestValidation:
             ("background", {"kind": "periodic_step", "values": []},
              "periodic_step needs at least one value and a positive cell, "
              "got values=[] and cell=1.0"),
+            ("sites", {"generator": "explicit", "points": [[0.0], [3.0], [0.0]]},
+             "explicit site [0.0] is repeated"),
+            ("distinguished_site", 100000,
+             "distinguished_site 100000 is not a site index of the 81 sites"),
         ],
     )
     def test_model_refused_when_built(self, tmp_path, part, fields, message):
@@ -287,6 +291,67 @@ class TestValidation:
         result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
         assert result.exit_code == 2
         assert result.output == f"config error: $.model: ValueError: {message}\n"
+
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0])
+    def test_distinguished_site_needs_a_bump(self, tmp_path, amplitude):
+        cfg = certify_cfg(tmp_path / "out")
+        cfg["model"]["potential"]["amplitude"] = amplitude
+        cfg["model"]["distinguished_site"] = 316  # the last of the 317 sites
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        if amplitude:
+            assert (result.exit_code, result.output) == (0, "ok\n")
+        else:
+            assert result.exit_code == 2
+            assert result.output == ("config error: $.model: ValueError: distinguished_site 316 "
+                                     "has a bump that is 0 at its centre\n")
+
+    @pytest.mark.parametrize("sites", [False, True])
+    def test_deleted_model_keys_refused(self, tmp_path, sites):
+        cfg = certify_cfg(tmp_path / "out")
+        if sites:
+            cfg["model"]["sites"]["r_sigma"] = 1.0
+            line = "$.model.sites: Additional properties are not allowed ('r_sigma' was unexpected)"
+        else:
+            cfg["model"]["p_exponent"] = 2.0
+            line = "$.model: Additional properties are not allowed ('p_exponent' was unexpected)"
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {line}\n"
+
+    @pytest.mark.parametrize(
+        "part,fields,literal",
+        [
+            ("potential", {"kind": "indicator", "amplitude": -1.0, "radius": math.nan}, "NaN"),
+            ("law", {"kind": "radial_bernoulli", "tau": math.nan}, "NaN"),
+            ("background", {"kind": "constant", "value": math.inf}, "Infinity"),
+            ("background", {"kind": "constant", "value": -math.inf}, "-Infinity"),
+        ],
+    )
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_non_finite_literal_refused(self, tmp_path, from_file, part, fields, literal):
+        cfg = certify_cfg(tmp_path / "out")
+        cfg["model"][part] = fields
+        if from_file:
+            model_path = tmp_path / "model.json"
+            model_path.write_text(json.dumps(cfg.pop("model"), indent=1))
+            cfg["model_file"] = "model.json"
+        path = write_config(tmp_path, cfg)
+        label = f"model_file {model_path}" if from_file else str(path)
+        for command in ("validate", "run"):
+            result = CliRunner().invoke(cli.main, [command, str(path)])
+            assert result.exit_code == 2
+            assert result.output == f"config error: {label}: {literal} is not a JSON number\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("keys", [("model", "model_file"), ()])
+    def test_exactly_one_of_model_and_model_file(self, tmp_path, keys):
+        (tmp_path / "model.json").write_text(json.dumps(lattice_model_cfg()))
+        cfg = certify_cfg(tmp_path / "out")
+        both = {"model": cfg.pop("model"), "model_file": "model.json"}
+        cfg.update((key, both[key]) for key in keys)
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == "config error: $.model: exactly one of model / model_file is required\n"
 
     @pytest.mark.parametrize("points, dim", [([[3.0], [7.0]], 1), ([], 0)])
     def test_explicit_points_of_another_dimension_refused(self, tmp_path, points, dim):
@@ -349,7 +414,7 @@ class TestSchemaWalker:
     def corpus():
         """(schema, root path, document) for each mutation of three base documents."""
         full = full_report_cfg("out")
-        full["model"].update(p_exponent=2.0, distinguished_site=0)
+        full["model"].update(distinguished_site=0)
         full["model"]["law"] = {"kind": "bernoulli", "p": 0.5}
         full["parameters"].update(window=20.0, alpha=2.0)
         from_file = {key: value for key, value in certify_cfg("out").items() if key != "model"}
@@ -499,6 +564,18 @@ class TestRunPipelines:
         assert (out / "states.csv").exists()
         assert (out / "resolvent_rates.csv").exists()
         assert (out / "localization.jsonl").exists()
+
+    def test_energy_on_the_reference_spectrum_is_skipped(self, tmp_path):
+        """An energy within 1e-6 of an eigenvalue of the reference operator gets
+        no resolvent_rates.csv row; the run still exits 0."""
+        cfg = window_cfg(tmp_path, "spectral-probe", {"box": 6.0, "h": 0.2})
+        op, _ = cli._reference(cli._canonical(cfg["model"]), None, 6.0, 0.2, ())
+        eigenvalue = float(op.all_eigenvalues()[3])
+        cfg["parameters"]["energies"] = [eigenvalue, -1.0, eigenvalue + 5e-7]
+        result = CliRunner().invoke(cli.main, ["run", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "out" / "resolvent_rates.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "-1.0"], ["2", "-1.0"]]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -680,11 +757,10 @@ class TestGammaFreeWork:
 
 
 class TestImportBoundary:
-    """scipy serves only the spectral stage and the closest-pair k-d tree: certify
-    and lemma runs import none of it unless explicit sites come without r_sigma,
-    a spectral pipeline imports its linear algebra when its config is loaded,
-    and no pipeline imports anything inside `run`.  No pipeline imports
-    jsonschema or scipy.spatial at all."""
+    """scipy serves only the spectral stage: certify and lemma runs import none
+    of it, whatever their sites, a spectral pipeline imports its linear algebra
+    when its config is loaded, and no pipeline imports anything inside `run`.
+    No pipeline imports jsonschema or scipy.spatial at all."""
 
     SMALL_PARAMS = {
         "lemma-mc": {"a": 2.0, "n_range": [1, 3], "trials": 50},
@@ -762,23 +838,24 @@ class TestImportBoundary:
         )
         assert self.fresh_python(code, path) == [False, False]
 
-    @pytest.mark.parametrize("r_sigma", [0.5, None])
-    def test_explicit_sites_take_a_tree_only_without_r_sigma(self, tmp_path, r_sigma):
-        """Without r_sigma, building the model measures the closest pair with a k-d
-        tree, so load_config imports scipy.spatial even for a certify run."""
+    def test_explicit_sites_need_no_scipy(self, tmp_path):
+        """An explicit-site certify config loads and runs in an interpreter in
+        which every scipy import fails: building the sites measures nothing."""
         cfg = certify_cfg(tmp_path / "out", seeds=(1,))
         cfg["model"] = lattice_model_cfg(d=1)
         cfg["model"]["sites"] = {"generator": "explicit",
                                  "points": [[-4.0], [-2.0], [0.0], [2.0], [4.0]]}
-        if r_sigma is not None:
-            cfg["model"]["sites"]["r_sigma"] = r_sigma
-        path = write_config(tmp_path, cfg)
-        loaded = self.fresh_python(self.LOAD, path)
-        if r_sigma is None:
-            assert "scipy.spatial" in loaded
-        else:
-            assert loaded == []
-        assert self.fresh_python(self.RUN, path) == []
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from sparseloc import cli\n"
+            "cli.run(cli.load_config(sys.argv[1]))\n"
+            "print(json.dumps(sorted(m for m, v in sys.modules.items()\n"
+            "                        if m.split('.')[0] == 'scipy' and v is not None)))\n"
+        )
+        assert self.fresh_python(code, write_config(tmp_path, cfg)) == []
+        lines = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
+        assert len(lines) == 2 and all('"verdict"' in line for line in lines)
 
     def test_star_import_binds_all(self):
         """The package and every submodule with an __all__: a stale export fails here."""

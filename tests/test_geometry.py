@@ -584,12 +584,21 @@ class TestPrunedSigma:
             (g.RegionSet.sphere([0.0, 0.0], 1e150), 1e140),  # no unit digit in the radius
             (g.RegionSet.sphere([0.0, 0.0], math.inf), 1e-3),
             (g.RegionSet.sphere([0.0, 0.0], math.nan), 1e-3),
+            (g.RegionSet(40, (g.Ball((0.0,) * 40, np.float64(1e9)),)), 1e-3),  # numpy radius
         ],
     )
     def test_huge_members_are_inf_without_warnings(self, region, grid):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert g.closed_form_sigma(region, grid=grid) == math.inf
+
+    @pytest.mark.parametrize("radius", [1e9, np.float64(1e9), np.float32(1e9)])
+    def test_ball_volume_overflows_alike_for_every_float_type(self, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                g.ball_volume(radius, 40)
+            assert g.ball_volume(radius, 2) == math.pi * 1e18
 
 
 class TestSurfaceVolumeBound:

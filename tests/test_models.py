@@ -1,4 +1,4 @@
-"""Coupling-law exactness, sampling contracts, and assumption validation."""
+"""Coupling-law exactness, sampling contracts, and the standing hypotheses."""
 
 import math
 import re
@@ -123,8 +123,8 @@ class TestCouplingLaw:
 class TestSiteSets:
     def test_lattice_separation(self):
         sites = m.SiteSet.lattice(2, 5.0)
-        assert sites.r_sigma == 1.0
-        assert sites.min_separation() == pytest.approx(1.0)
+        gaps = np.linalg.norm(sites.points[:, None] - sites.points[None, :], axis=-1)
+        assert np.min(gaps[~np.eye(len(sites), dtype=bool)]) == 1.0
 
     @pytest.mark.parametrize("offsets", [[[0.5], [0.5]], [[0.5], [-0.5], [0.5]]])
     def test_tube_refuses_a_repeated_offset(self, offsets):
@@ -137,38 +137,22 @@ class TestSiteSets:
         assert len(sites) == 21
 
     def test_duplicate_site_witness(self):
-        sites = m.SiteSet.explicit([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], r_sigma=1.0)
-        assert sites.separation_witness() is not None
+        for points, repeated in [
+            ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [0.0, 0.0]),
+            ([[3.0, 1.0], [0.0, 2.0], [-0.0, 2.0], [3.0, 1.0]], [0.0, 2.0]),  # -0.0 is 0.0
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"explicit site {repeated} is repeated")):
+                m.SiteSet.explicit(points)
+
+    def test_explicit_keeps_distinct_points(self):
+        sites = m.SiteSet.explicit([[2.0, 0.0], [0.0, 1e-300], [0.0, 0.0]])
+        assert sites.points.tolist() == [[0.0, 0.0], [0.0, 1e-300], [2.0, 0.0]]
+        assert sites.window_radius == math.inf
 
     @pytest.mark.parametrize("points", [[], [[]], np.zeros((0, 2))])
     def test_explicit_refuses_an_empty_list(self, points):
         with pytest.raises(ValueError, match="explicit site list is empty"):
-            m.SiteSet.explicit(points, r_sigma=1.0)
-
-    def test_one_tree_serves_separation_and_witness(self, monkeypatch):
-        import scipy.spatial
-
-        built = []
-
-        class CountingTree(scipy.spatial.cKDTree):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
-        sites = m.SiteSet.explicit([[0.0, 0.0], [0.5, 0.0], [3.0, 0.0]])
-        assert (sites.r_sigma, len(built)) == (0.5, 1)
-        crowded = m.SiteSet.explicit(sites.points, r_sigma=1.0)
-        model = m.RandomPotentialModel(
-            sites=crowded,
-            potential=m.SingleSitePotential.indicator(1.0, 0.5),
-            laws=m.LawAssignment.shared_law(m.CouplingLaw.uniform()),
-        )
-        a2 = m.validate_assumptions(model)["A2"]
-        assert len(built) == 2
-        assert not a2.passed
-        assert a2.witness == (0, 1)
-        assert "min separation 0.5 vs declared r_sigma 1" in a2.detail
+            m.SiteSet.explicit(points)
 
     def test_indices_in_annulus(self):
         sites = m.SiteSet.lattice(1, 10.0)
@@ -252,6 +236,19 @@ class TestEvaluatePotential:
         v2 = m.evaluate_potential(model, doubled, xs, include_background=False)
         assert np.allclose(v2, 2.0 * v1)
 
+    def test_profile_beyond_the_support_is_ignored(self):
+        """A profile that reads 1 out to radius 2 but declares support 1 gives the
+        potential of the indicator of radius 1."""
+        wide = m.SingleSitePotential(1.0, lambda r: np.where(r <= 2.0, 1.0, 0.0))
+        models = [m.RandomPotentialModel(m.SiteSet.lattice(1, 8.0), bump,
+                                         m.LawAssignment.shared_law(m.CouplingLaw.uniform()))
+                  for bump in (wide, m.SingleSitePotential.indicator(1.0, 1.0))]
+        xs = np.arange(-5.0, 5.0, 0.05)[:, None]
+        got, want = (m.evaluate_potential(model, m.sample_couplings(model, seed=4), xs)
+                     for model in models)
+        assert np.array_equal(got, want)
+        assert wide.evaluate(np.array([[0.5], [1.5], [-1.9]])).tolist() == [1.0, 0.0, 0.0]
+
     def test_background_flag(self):
         model = m.RandomPotentialModel(
             sites=m.SiteSet.explicit([[0.0]]),
@@ -287,7 +284,6 @@ class TestEvaluatePotentialPairOracle:
         return m.SingleSitePotential(
             support_radius=radius,
             profile=lambda r: scale * np.cos(1.3 * r) + 0.1 * r,
-            p_norm_bound=1.0,
         )
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -477,70 +473,49 @@ class TestModel1Remark:
             assert np.allclose(got, want)
 
 
-class TestBackgroundLocalNorm:
-    """A1's sup over unit balls of the L^2 norm of the background."""
-
-    @staticmethod
-    def with_background(d, background):
-        return m.RandomPotentialModel(
-            sites=m.SiteSet.lattice(d, 40.0),
-            potential=m.SingleSitePotential.indicator(1.0, 0.5),
-            laws=m.LawAssignment.shared_law(m.CouplingLaw.bernoulli(0.5)),
-            background=background,
-        )
-
-    @pytest.mark.parametrize("d,want", [(1, 2.0 * math.sqrt(2.0)), (2, 2.0 * math.sqrt(math.pi))])
-    def test_constant_is_exact(self, d, want):
-        # |c| w_d^(1/p): the unit ball has volume 2 in d=1 and pi in d=2
-        model = self.with_background(d, m.BackgroundPotential.constant(2.0))
-        assert m._background_local_norm(model, 2.0) == pytest.approx(want, rel=1e-15)
-
-    def test_periodic_step_near_its_supremum(self):
-        # every unit ball of the d=1 pattern [0, 3] covers exactly one cell of 3: norm 3
-        model = self.with_background(1, m.BackgroundPotential.periodic_step([0.0, 3.0]))
-        assert 3.0 <= m._background_local_norm(model, 2.0) <= 3.3
-
-
 class TestValidateAssumptions:
+    """The standing hypotheses hold by construction: the model's constructors,
+    which `validate` runs on every config, refuse a model that breaks one."""
+
     def test_lattice_bernoulli_all_pass(self):
         model = lattice_model(d=2, radius=8.0)
-        report = m.validate_assumptions(model)
-        assert report.passed
-        assert report["A2"].detail.startswith("min separation 1")
+        m.RandomPotentialModel(model.sites, model.potential, model.laws, distinguished_site=0)
 
     def test_duplicate_site_fails_a2(self):
-        model = m.RandomPotentialModel(
-            sites=m.SiteSet.explicit([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]], r_sigma=1.0),
-            potential=m.SingleSitePotential.indicator(1.0, 1.0),
-            laws=m.LawAssignment.shared_law(m.CouplingLaw.bernoulli(0.5)),
-        )
-        report = m.validate_assumptions(model)
-        assert not report["A2"].passed
-        assert report["A2"].witness is not None
+        with pytest.raises(ValueError, match=re.escape("explicit site [0.0, 0.0] is repeated")):
+            m.model_from_dict({
+                "dimension": 2,
+                "sites": {"generator": "explicit", "points": [[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]]},
+                "law": {"kind": "bernoulli", "p": 0.5},
+                "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 1.0},
+            })
 
-    def test_support_violation_fails_a3(self):
-        bad = m.SingleSitePotential(
-            support_radius=1.0,
-            profile=lambda r: np.where(r <= 2.0, 1.0, 0.0),
-            p_norm_bound=10.0,
-        )
-        model = m.RandomPotentialModel(
-            sites=m.SiteSet.lattice(1, 5.0),
-            potential=bad,
-            laws=m.LawAssignment.shared_law(m.CouplingLaw.bernoulli(0.5)),
-        )
-        report = m.validate_assumptions(model)
-        assert not report["A3"].passed
+    @pytest.mark.parametrize("cap", [2.0, -0.5, math.nan])
+    def test_radial_bernoulli_cap_outside_unit_interval_fails_a4(self, cap):
+        with pytest.raises(ValueError, match=f"radial_bernoulli cap {cap} is outside"):
+            m.LawAssignment.radial_bernoulli(1.5, cap)
 
     def test_a5_checked_when_distinguished_site_set(self):
-        model = m.RandomPotentialModel(
-            sites=m.SiteSet.lattice(1, 5.0),
-            potential=m.SingleSitePotential.indicator(-2.0, 1.0),
-            laws=m.LawAssignment.shared_law(m.CouplingLaw.uniform()),
-            distinguished_site=0,
-        )
-        report = m.validate_assumptions(model)
-        assert report["A5"].passed
+        sites, laws = m.SiteSet.lattice(1, 5.0), m.LawAssignment.shared_law(m.CouplingLaw.uniform())
+        negative = m.SingleSitePotential.indicator(-2.0, 1.0)
+        model = m.RandomPotentialModel(sites, negative, laws, distinguished_site=10)
+        assert model.distinguished_site == 10
+        for index in (11, 100000, -1):
+            with pytest.raises(ValueError, match=f"distinguished_site {index} is not a site index "
+                                                 "of the 11 sites"):
+                m.RandomPotentialModel(sites, negative, laws, distinguished_site=index)
+
+    def test_a5_fails_on_a_bump_that_is_zero_at_its_centre(self):
+        sites, laws = m.SiteSet.lattice(1, 5.0), m.LawAssignment.shared_law(m.CouplingLaw.uniform())
+        zero = m.SingleSitePotential.indicator(0.0, 1.0)
+        with pytest.raises(ValueError, match="distinguished_site 3 has a bump that is 0 at its centre"):
+            m.RandomPotentialModel(sites, zero, laws, distinguished_site=3)
+        # the site's own bump decides, both ways
+        own = m.SingleSitePotential.indicator(0.5, 1.0)
+        m.RandomPotentialModel(sites, zero, laws, distinguished_site=3, site_potentials={3: own})
+        ring = m.SingleSitePotential(1.0, lambda r: np.where(r > 0.5, 1.0, 0.0))
+        with pytest.raises(ValueError, match="distinguished_site 3 has a bump that is 0"):
+            m.RandomPotentialModel(sites, own, laws, distinguished_site=3, site_potentials={3: ring})
 
 
 class TestConstructorChecks:
@@ -579,7 +554,11 @@ class TestModelSerialization:
         assert np.array_equal(back.sites.points, model.sites.points)
         assert (back.laws.kind, back.laws.tau, back.laws.cap) == ("radial_bernoulli", 1.5, 1.0)
         assert (back.background.kind, back.background.value) == ("constant", 2.0)
-        assert back.potential.lower_bump == model.potential.lower_bump == (3.0, 1.0)
+        assert back.potential.support_radius == model.potential.support_radius == 1.0
+        offsets = np.array([[0.0, 0.0], [0.0, -1.0], [0.0, -1.01], [2.0, 0.0]])
+        want = [-3.0, -3.0, 0.0, 0.0]
+        assert back.potential.evaluate(offsets).tolist() == want
+        assert model.potential.evaluate(offsets).tolist() == want
 
     def test_roundtrip_tube(self):
         model = m.RandomPotentialModel(

@@ -206,7 +206,7 @@ class TestBruteForceAN:
     def check_explicit_sites(probs):
         sites = [[4.0], [-5.0], [5.5], [6.0], [-7.0], [8.0]]
         laws = [m.CouplingLaw.bernoulli(p) for p in probs]
-        site_set = m.SiteSet.explicit(sites, r_sigma=0.5)
+        site_set = m.SiteSet.explicit(sites)
         law_by_site = {tuple(s): l for s, l in zip(sites, laws)}
         per_site = [law_by_site[tuple(p)] for p in site_set.points.tolist()]
         model = m.RandomPotentialModel(
