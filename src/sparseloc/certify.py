@@ -220,7 +220,6 @@ def truncate_couplings(couplings: CouplingMap, eps: float) -> CouplingMap:
         np.minimum(couplings.values, eps),
         couplings.seed,
         couplings.window_radius,
-        transform=f"truncated(eps={eps})",
     )
 
 
@@ -229,16 +228,13 @@ def difference_support(
 ) -> RegionSet:
     """Conservative superset of where V differs from its eps-truncation.
 
-    Union of balls B(i, rho_i) over sites with coupling >= eps; distances
+    Union of balls B(i, rho) over sites with coupling >= eps; distances
     measured against it underestimate true clearances, which keeps
     certificates sound.
     """
-    mask = couplings.values >= eps
-    shapes = [
-        Ball(tuple(point), model.potential_for(int(idx)).support_radius)
-        for idx, point in zip(couplings.site_indices[mask], couplings.points[mask])
-    ]
-    return RegionSet(model.dimension, tuple(shapes))
+    rho = model.max_support_radius()
+    bad = couplings.points[couplings.values >= eps]
+    return RegionSet(model.dimension, tuple(Ball(tuple(point), rho) for point in bad))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +347,7 @@ def build_shell_sequence_pp(
         excluded_site = model.distinguished_site
     keep = couplings.site_indices != excluded_site  # all True when excluded_site is None
     scan = CouplingMap(model, couplings.site_indices[keep], couplings.values[keep], couplings.seed,
-                       couplings.window_radius, transform="distinguished-site-excluded")
+                       couplings.window_radius)
     shells = _sphere_shells(scan, eps, growth_ratio(model.dimension, gamma), "volume-power", n_range)
     shells.params["excluded_site"] = excluded_site
     return shells
@@ -665,12 +661,6 @@ class DecompositionCertificate:
     verdict: str  # certified | not-certified | inconclusive
     witnesses: tuple[str, ...] = ()
     params: dict = field(default_factory=dict)
-
-    def recomputed_values(self) -> np.ndarray:
-        return np.array(
-            [t.surface * math.exp(-self.gamma * t.clearance) if math.isfinite(t.clearance)
-             else 0.0 for t in self.terms]
-        )
 
     def to_records(self) -> list[dict]:
         head = {

@@ -262,21 +262,30 @@ def load_config(path: str | Path) -> dict:
         model_path = path.parent / cfg["model_file"]
         if not model_path.exists():
             raise ConfigError([f"$.model_file: {cfg['model_file']} does not exist"])
-        model = _read_json(model_path, f"model_file {model_path}")
-        _check_schema(MODEL_SCHEMA, model, "model_file $")
-        cfg = {**cfg, "model": model}
+        cfg = {**cfg, "model": _read_model_file(model_path)}
     errors = _semantic_errors(cfg)
     if errors:
         raise ConfigError(errors)
-    try:
-        _model(_canonical(cfg["model"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError([f"$.model: {type(exc).__name__}: {exc}"]) from exc
+    _build_model(cfg["model"])
     if "spectral-probe" in PIPELINES[cfg["pipeline"]]:
         # the spectral stage's scipy modules load here, before the run starts
         import scipy.linalg  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
     return cfg
+
+
+def _build_model(model: dict):
+    """The model of a schema-checked model dict; a constructor's refusal is a ConfigError."""
+    try:
+        return _model(_canonical(model))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError([f"$.model: {type(exc).__name__}: {exc}"]) from exc
+
+
+def _read_model_file(path: Path) -> dict:
+    model = _read_json(path, f"model_file {path}")
+    _check_schema(MODEL_SCHEMA, model, "model_file $")
+    return model
 
 
 def _semantic_errors(cfg: dict) -> list[str]:
@@ -449,7 +458,7 @@ def _reference(model_key: str, window, box: float, h: float, energies: tuple) ->
     model = _model(model_key)
     indices = np.arange(len(model.sites))
     radius = window if window is not None else model.sites.window_radius
-    zero = CouplingMap(model, indices, np.zeros(indices.size), None, radius, "zero")
+    zero = CouplingMap(model, indices, np.zeros(indices.size), None, radius)
     op = discretize(model, zero, box, h)
     fits = []
     for energy in energies:
@@ -668,15 +677,19 @@ def main() -> None:
     """Sparse random Schrodinger operators: certify, estimate, probe."""
 
 
+def _exit_on_config_error(exc: ConfigError) -> None:
+    for line in exc.errors:
+        click.echo(f"config error: {line}", err=True)
+    sys.exit(2)
+
+
 def _load_config_or_exit(config: str) -> dict:
     """The checked config; exits 2 on a config error or a SPARSELOC_WORKERS that is no integer."""
     try:
         _workers()
         return load_config(config)
     except ConfigError as exc:
-        for line in exc.errors:
-            click.echo(f"config error: {line}", err=True)
-        sys.exit(2)
+        _exit_on_config_error(exc)
 
 
 @main.command("run")
@@ -732,10 +745,11 @@ def cmd_oracle() -> None:
 @click.option("--n", "scale", type=int, required=True)
 @click.option("--eps", type=float, required=True)
 def cmd_oracle_an(model_path, dimension, p, radius, growth, scale, eps) -> None:
-    """Exact a_n by full enumeration of the relevant sites."""
+    """Exact a_n by full enumeration of the relevant sites.  A --model file is
+    checked as `validate` checks a config's `model_file`."""
     try:
         if model_path is not None:
-            model = model_from_dict(json.loads(Path(model_path).read_text()))
+            model = _build_model(_read_model_file(Path(model_path)))
         else:
             if radius is None:
                 radius = scale_window(growth, scale)[2] + 1.0
@@ -748,6 +762,8 @@ def cmd_oracle_an(model_path, dimension, p, radius, growth, scale, eps) -> None:
                 }
             )
         value = brute_force_a_n(model, eps, growth, scale)
+    except ConfigError as exc:
+        _exit_on_config_error(exc)
     except Exception as exc:
         click.echo(f"oracle error: {exc}", err=True)
         sys.exit(1)

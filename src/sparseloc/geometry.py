@@ -1,11 +1,11 @@
 """Compact subsets of R^d: distances, shell measures, surface area, decompositions.
 
 The primitives supported here (points, balls, spheres, origin-centered
-annuli, spherical caps, punctured spheres, axis-aligned boxes) are exactly
-the shapes needed to build shell decompositions around sparse scatterer
-configurations.  Surfaces are kept symbolic, so the measure-zero invariant
-of decomposition members is exact rather than voxel-approximate, and a
-distance between two shapes is exact or refused (see `distance_between`).
+annuli, spherical caps, punctured spheres) are exactly the shapes needed to
+build shell decompositions around sparse scatterer configurations.
+Surfaces are kept symbolic, so the measure-zero invariant of decomposition
+members is exact rather than voxel-approximate, and a clearance is measured
+from a union of balls, exactly or refused (see `distance_between`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "Annulus",
     "SphericalCap",
     "PuncturedSphere",
-    "Box",
     "RegionSet",
     "TotalDecomposition",
     "ShellMeasure",
@@ -163,9 +162,6 @@ class Sphere(_Centered, _Surface):
     def circumradius(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
-    def min_norm(self) -> float:
-        return abs(float(np.linalg.norm(self.center)) - self.radius)
-
     def diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -192,9 +188,6 @@ class Annulus:
 
     def circumradius(self) -> float:
         return self.outer
-
-    def min_norm(self) -> float:
-        return self.inner
 
     def diameter(self) -> float:
         return 2.0 * self.outer
@@ -273,9 +266,6 @@ class SphericalCap(_Surface):
         return np.where(r == 0.0, R, dist)
 
     def circumradius(self) -> float:
-        return self.sphere_radius
-
-    def min_norm(self) -> float:
         return self.sphere_radius
 
     def diameter(self) -> float:
@@ -412,9 +402,6 @@ class PuncturedSphere(_Surface):
     def circumradius(self) -> float:
         return self.radius
 
-    def min_norm(self) -> float:
-        return self.radius
-
     def diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -431,52 +418,7 @@ def _angle_in_interval(psi: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return rel <= width
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned closed box [lo_1, hi_1] x ... x [lo_d, hi_d]."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise ValueError("box corner dimensions differ")
-        if any(h < l for l, h in zip(self.lo, self.hi)):
-            raise ValueError("box requires lo <= hi componentwise")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lo)
-
-    def point_distance(self, points: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        gap = np.maximum(np.maximum(lo - points, points - hi), 0.0)
-        return np.sqrt(np.einsum("ij,ij->i", gap, gap))
-
-    def circumradius(self) -> float:
-        corners = np.array(np.meshgrid(*zip(self.lo, self.hi))).reshape(len(self.lo), -1).T
-        return float(np.max(_norm(corners)))
-
-    def min_norm(self) -> float:
-        return float(self.point_distance(np.zeros((1, self.dimension)))[0])
-
-    def diameter(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.hi) - np.asarray(self.lo)))
-
-    def volume(self) -> float:
-        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
-
-
-Primitive = Point | Ball | Sphere | Annulus | SphericalCap | PuncturedSphere | Box
-
-
-def _is_radial(shape: Primitive) -> bool:
-    """True when the shape contains every direction at each norm it meets
-    (points and balls never get here: _primitive_distance handles them first)."""
-    if isinstance(shape, Sphere):
-        return float(np.linalg.norm(shape.center)) == 0.0
-    return isinstance(shape, Annulus)
+Primitive = Point | Ball | Sphere | Annulus | SphericalCap | PuncturedSphere
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +456,6 @@ class RegionSet:
     def sphere(center, radius: float) -> "RegionSet":
         center = tuple(float(c) for c in np.atleast_1d(center))
         return RegionSet(len(center), (Sphere(center, float(radius)),))
-
-    @staticmethod
-    def box(lo, hi) -> "RegionSet":
-        lo = tuple(float(c) for c in np.atleast_1d(lo))
-        hi = tuple(float(c) for c in np.atleast_1d(hi))
-        return RegionSet(len(lo), (Box(lo, hi),))
 
     @staticmethod
     def empty(dimension: int) -> "RegionSet":
@@ -570,25 +506,9 @@ class RegionSet:
         }
         return [head] + [primitive_to_dict(s) for s in self.shapes]
 
-    @staticmethod
-    def from_records(records: list[dict]) -> "RegionSet":
-        head = records[0]
-        if head.get("record") != "region_set":
-            raise ValueError("not a region_set record stream")
-        shapes = tuple(primitive_from_dict(r) for r in records[1 : 1 + head["primitive_count"]])
-        return RegionSet(head["dimension"], shapes)
 
-
-_PRIMITIVE_KINDS = {
-    "point": Point,
-    "ball": Ball,
-    "sphere": Sphere,
-    "annulus": Annulus,
-    "cap": SphericalCap,
-    "punctured_sphere": PuncturedSphere,
-    "box": Box,
-}
-_KIND_OF = {cls: kind for kind, cls in _PRIMITIVE_KINDS.items()}
+_KIND_OF = {Point: "point", Ball: "ball", Sphere: "sphere", Annulus: "annulus",
+            SphericalCap: "cap", PuncturedSphere: "punctured_sphere"}
 
 
 def primitive_to_dict(shape: Primitive) -> dict:
@@ -608,21 +528,6 @@ def primitive_to_dict(shape: Primitive) -> dict:
             value = list(value)
         rec[f.name.rstrip("_")] = value
     return rec
-
-
-def primitive_from_dict(rec: dict) -> Primitive:
-    cls = _PRIMITIVE_KINDS.get(rec["kind"])
-    if cls is None:
-        raise ValueError(f"unknown primitive kind {rec['kind']!r}")
-    args = []
-    for f in fields(cls):
-        value = rec[f.name.rstrip("_")]
-        if f.name == "exclusions":
-            value = tuple((tuple(e["direction"]), e["ball_radius"]) for e in value)
-        elif isinstance(value, list):
-            value = tuple(value)
-        args.append(value)
-    return cls(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -927,56 +832,25 @@ def sanity_bound(region: RegionSet) -> float:
 
 
 def distance_between(a: RegionSet, b: RegionSet) -> float:
-    """inf over pairs of points of the two sets; +inf if either is empty.
+    """inf over pairs of points of the union of balls `a` and the set `b`;
+    +inf if either is empty.
 
-    Exact for every pair in which one side is a point, a ball, a d=1
-    sphere (two points) or an origin-radial set (annulus or centered
-    sphere), and for sphere-sphere pairs.  A punctured sphere in d >= 3
-    gives a lower bound instead (see `PuncturedSphere`).  Any other pair
-    raises TypeError, so a clearance never overshoots.
+    Exact against every member shape, except a punctured sphere in d >= 3,
+    which gives a lower bound (see `PuncturedSphere`).  A union that holds
+    any other shape than a ball raises TypeError, so a clearance never
+    overshoots.
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
+    for p in a.shapes:
+        if not isinstance(p, Ball):
+            raise TypeError(f"distance_between measures from a union of balls, not one that holds a {_KIND_OF[type(p)]}")
     if a.is_empty() or b.is_empty():
         return math.inf
-    balls = [p for p in a.shapes if isinstance(p, Ball)]
-    centres = np.array([p.center for p in balls])
-    radii = np.array([p.radius for p in balls])
-    best = math.inf
-    for q in b.shapes:
-        rest = a.shapes
-        if balls and not isinstance(q, (Point, Ball)):
-            # _primitive_distance's ball branch for every ball of `a` in one call
-            best = min(best, float(np.min(np.maximum(q.point_distance(centres) - radii, 0.0))))
-            rest = [p for p in a.shapes if not isinstance(p, Ball)]
-        for p in rest:
-            best = min(best, _primitive_distance(p, q))
-    return max(best, 0.0)
-
-
-def _primitive_distance(p: Primitive, q: Primitive) -> float:
-    if isinstance(q, (Point, Ball)):
-        p, q = q, p
-    if isinstance(p, Point):
-        pts = np.asarray(p.center)[None, :]
-        return float(q.point_distance(pts)[0])
-    if isinstance(p, Ball):
-        pts = np.asarray(p.center)[None, :]
-        return max(0.0, float(q.point_distance(pts)[0]) - p.radius)
-    if isinstance(q, Sphere) and q.dimension == 1:
-        p, q = q, p
-    if isinstance(p, Sphere) and p.dimension == 1:
-        # a 1-D sphere is the two points center -+ radius
-        return min(_primitive_distance(Point((p.center[0] + s,)), q) for s in (-p.radius, p.radius))
-    if _is_radial(q):
-        p, q = q, p
-    if _is_radial(p):
-        return max(0.0, p.min_norm() - q.circumradius(), q.min_norm() - p.circumradius())
-    if isinstance(p, Sphere) and isinstance(q, Sphere):
-        dist = float(np.linalg.norm(np.asarray(p.center) - np.asarray(q.center)))
-        r1, r2 = p.radius, q.radius
-        return max(0.0, dist - r1 - r2, r1 - dist - r2, r2 - dist - r1)
-    raise TypeError(f"no exact distance between a {_KIND_OF[type(p)]} and a {_KIND_OF[type(q)]}")
+    centres = np.array([p.center for p in a.shapes])
+    radii = np.array([p.radius for p in a.shapes])
+    # every ball of `a` against one member shape per call
+    return min(float(np.min(np.maximum(q.point_distance(centres) - radii, 0.0))) for q in b.shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,12 +883,6 @@ class TotalDecomposition:
     kind: str  # sphere-shells | cap-cheese | custom
     member_info: tuple[MemberInfo, ...] = ()
     params: dict = field(default_factory=dict)
-    truncated: bool = True
-
-    def scales(self) -> list[int]:
-        if self.member_info:
-            return list(dict.fromkeys(info.scale for info in self.member_info))
-        return list(range(len(self.members)))
 
     def validate(self) -> list[str]:
         """Structural invariant check; returns a list of violation messages.
@@ -1051,7 +919,7 @@ class TotalDecomposition:
             "kind": self.kind,
             "member_count": len(self.members),
             "params": self.params,
-            "truncated": self.truncated,
+            "truncated": True,
         }
         out = [head]
         for i, (m, info) in enumerate(
@@ -1071,35 +939,6 @@ class TotalDecomposition:
                 }
             out.append(rec)
         return out
-
-    @staticmethod
-    def from_records(records: list[dict]) -> "TotalDecomposition":
-        head = records[0]
-        if head.get("record") != "total_decomposition":
-            raise ValueError("not a total_decomposition record stream")
-        members = []
-        infos = []
-        for rec in records[1 : 1 + head["member_count"]]:
-            shapes = tuple(primitive_from_dict(p) for p in rec["primitives"])
-            members.append(RegionSet(head["dimension"], shapes))
-            meta = rec.get("meta")
-            if meta is not None:
-                infos.append(
-                    MemberInfo(
-                        scale=meta["scale"],
-                        role=meta["role"],
-                        clearance_bound=meta["clearance_bound"],
-                        site=tuple(meta["site"]) if meta.get("site") else None,
-                    )
-                )
-        return TotalDecomposition(
-            dimension=head["dimension"],
-            members=tuple(members),
-            kind=head["kind"],
-            member_info=tuple(infos) if infos else (),
-            params=head.get("params", {}),
-            truncated=head.get("truncated", True),
-        )
 
 
 def sphere_shell_decomposition(radii, dimension: int = 2) -> TotalDecomposition:
@@ -1123,5 +962,4 @@ def sphere_shell_decomposition(radii, dimension: int = 2) -> TotalDecomposition:
         kind="sphere-shells",
         member_info=info,
         params={"radii": list(radii)},
-        truncated=True,
     )

@@ -1,11 +1,11 @@
 """Random potential models: scatterer sites, coupling laws, sampling.
 
-A model is a uniformly discrete site set, a compactly supported bump per
-site, a coupling distribution per site (supported in [0,1]) and a
-deterministic background.  The constructors refuse repeated sites, laws
-off [0,1] and a distinguished site whose bump is 0 at its centre.  Sampling
-is counter-based per site, so coupling draws depend only on (seed, site)
-and never on iteration order.
+A model is a uniformly discrete site set, one compactly supported bump
+shared by every site, a coupling distribution per site (supported in
+[0,1]) and a deterministic background.  The constructors refuse repeated
+sites, laws off [0,1] and a distinguished site whose bump is 0 at its
+centre.  Sampling is counter-based per site, so coupling draws depend only
+on (seed, site) and never on iteration order.
 """
 
 from __future__ import annotations
@@ -116,21 +116,6 @@ class CouplingLaw:
         segments = ((float(lo), float(hi), p),) if p > 0.0 else ()
         return CouplingLaw("bernoulli_times_density", atoms=atoms, segments=segments)
 
-    @staticmethod
-    def mixture(parts: list[tuple["CouplingLaw", float]]) -> "CouplingLaw":
-        atoms: dict[float, float] = {}
-        segments: list[tuple[float, float, float]] = []
-        for law, weight in parts:
-            for x, w in law.atoms:
-                atoms[x] = atoms.get(x, 0.0) + w * weight
-            for lo, hi, m in law.segments:
-                segments.append((lo, hi, m * weight))
-        return CouplingLaw(
-            "mixture",
-            atoms=tuple(sorted(atoms.items())),
-            segments=tuple(sorted(segments)),
-        )
-
     # -- exact functionals ---------------------------------------------------
 
     def tail_mass(self, eps: float) -> float:
@@ -141,16 +126,6 @@ class CouplingLaw:
                 continue
             lo_eff = max(lo, eps)
             total += m * (hi - lo_eff) / (hi - lo)
-        return min(total, 1.0)
-
-    def mass_below(self, eps: float) -> float:
-        """mu([0, eps))."""
-        total = sum(w for x, w in self.atoms if x < eps)
-        for lo, hi, m in self.segments:
-            if lo >= eps:
-                continue
-            hi_eff = min(hi, eps)
-            total += m * (hi_eff - lo) / (hi - lo)
         return min(total, 1.0)
 
     def ac_mass(self) -> float:
@@ -490,7 +465,7 @@ class BackgroundPotential:
 
 @dataclass(frozen=True, eq=False)
 class RandomPotentialModel:
-    """Sites + per-site bumps + coupling laws + background.  A `distinguished_site`
+    """Sites + one bump + coupling laws + background.  A `distinguished_site`
     is a site index whose bump is not 0 at its centre (an indicator's amplitude)."""
 
     sites: SiteSet
@@ -498,7 +473,6 @@ class RandomPotentialModel:
     laws: LawAssignment
     background: BackgroundPotential = field(default_factory=BackgroundPotential.zero)
     distinguished_site: int | None = None
-    site_potentials: dict[int, SingleSitePotential] = field(default_factory=dict)
 
     def __post_init__(self):
         laws, sites = len(self.laws.per_site), len(self.sites)
@@ -509,20 +483,15 @@ class RandomPotentialModel:
             return
         if not 0 <= k < sites:
             raise ValueError(f"distinguished_site {k} is not a site index of the {sites} sites")
-        if self.potential_for(k).evaluate(np.zeros(self.dimension))[0] == 0.0:
+        if self.potential.evaluate(np.zeros(self.dimension))[0] == 0.0:
             raise ValueError(f"distinguished_site {k} has a bump that is 0 at its centre")
 
     @property
     def dimension(self) -> int:
         return self.sites.dimension
 
-    def potential_for(self, index: int) -> SingleSitePotential:
-        return self.site_potentials.get(index, self.potential)
-
     def max_support_radius(self) -> float:
-        radii = [self.potential.support_radius]
-        radii += [p.support_radius for p in self.site_potentials.values()]
-        return max(radii)
+        return self.potential.support_radius
 
     def tail_masses(self, indices: np.ndarray, eps: float) -> np.ndarray:
         return self.laws.tail_masses(self.sites.points[indices], indices, eps)
@@ -533,8 +502,8 @@ class CouplingMap:
     """Sampled coupling values on a window of the model's sites.
 
     Regenerating with the same (model, seed, window) reproduces the values
-    bit for bit; `transform` records derived maps (e.g. truncations) for
-    which the regeneration contract does not apply.
+    of `sample_couplings` bit for bit, not those of a derived map such as a
+    truncation.
     """
 
     model: RandomPotentialModel
@@ -542,7 +511,6 @@ class CouplingMap:
     values: np.ndarray
     seed: int | None
     window_radius: float
-    transform: str | None = None
 
     @property
     def points(self) -> np.ndarray:
@@ -551,13 +519,6 @@ class CouplingMap:
     @cached_property
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.points, axis=1)
-
-    def value_at(self, site) -> float:
-        site = np.asarray(site, dtype=float)
-        match = np.where((self.points == site).all(axis=1))[0]
-        if match.size == 0:
-            raise KeyError(f"site {site} not in the sampled window")
-        return float(self.values[match[0]])
 
     def require_window(self, region: RegionSet) -> None:
         require_window(self.window_radius, region.circumradius(), " needed by the query")
@@ -619,22 +580,13 @@ def _pairs_within(pts: np.ndarray, points: np.ndarray, rho: float) -> tuple[np.n
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _bump_values(model: RandomPotentialModel, offsets: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """f_i(offset) for each (offset, site index i) pair, with each site's own bump."""
-    values = model.potential.evaluate(offsets)
-    for index, pot in model.site_potentials.items():
-        own = sites == index
-        values[own] = pot.evaluate(offsets[own])
-    return values
-
-
 def evaluate_potential(
     model: RandomPotentialModel,
     couplings: CouplingMap,
     x,
     include_background: bool = True,
 ) -> float | np.ndarray:
-    """V(x) = sum_i omega_i f_i(x - i) (+ background when requested).
+    """V(x) = sum_i omega_i f(x - i) (+ background when requested).
 
     Warns when x is within one support radius of the window edge, where
     sites outside the sampled window could contribute.
@@ -651,7 +603,7 @@ def evaluate_potential(
         )
     points = couplings.points
     rows, cols = _pairs_within(pts, points, rho)
-    terms = _bump_values(model, pts[rows] - points[cols], couplings.site_indices[cols])
+    terms = model.potential.evaluate(pts[rows] - points[cols])
     out = np.zeros(pts.shape[0])
     # unbuffered and in pair order, so each node's sum is added up as a loop would
     np.add.at(out, rows, terms * couplings.values[cols])
@@ -666,7 +618,7 @@ def second_moment_profile(model: RandomPotentialModel, x) -> float | np.ndarray:
     scalar = np.asarray(x).ndim == 1
     points = model.sites.points
     rows, cols = _pairs_within(pts, points, model.max_support_radius())
-    f = _bump_values(model, pts[rows] - points[cols], cols)
+    f = model.potential.evaluate(pts[rows] - points[cols])
     used, at = np.unique(cols, return_inverse=True)
     laws = [model.laws.law_for(points[j], j) for j in used]
     m1 = np.array([law.mean() for law in laws], dtype=float)[at]

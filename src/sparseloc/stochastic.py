@@ -57,9 +57,6 @@ class EstimateRecord:
     seed: int
     exact: float | None = None
 
-    def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - target) <= n_sigma * self.std_error
-
 
 def _binomial_record(hits: int, trials: int, seed: int, exact: float | None) -> EstimateRecord:
     p = hits / trials

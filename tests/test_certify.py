@@ -259,9 +259,10 @@ class TestTruncateAndSupport:
         model = chain_model(radius=5.0)
         cm = explicit_couplings(model, {(0.0,): 0.2, (1.0,): 0.9})
         out = c.truncate_couplings(cm, 0.5)
-        assert out.value_at([0.0]) == 0.2
-        assert out.value_at([1.0]) == 0.5
-        assert out.transform is not None
+        values = dict(zip(out.points[:, 0], out.values))
+        assert values[0.0] == 0.2
+        assert values[1.0] == 0.5
+        assert cm.values.max() == 0.9  # the input map is left as it was
 
     def test_truncation_noop_below_eps(self):
         model = chain_model(radius=5.0)
@@ -381,13 +382,15 @@ class TestShellSequencePP:
 
     def test_records_round_trip(self):
         shells, model, cm = self.sampled_shells()
-        records = json.loads(json.dumps(shells.to_records()))
-        back = TotalDecomposition.from_records(records)
-        assert back.to_records() == shells.to_records()
+        records = shells.to_records()
+        assert json.loads(json.dumps(records)) == records
+        assert records[0]["params"]["excluded_site"] == shells.params["excluded_site"]
+        assert [rec["meta"]["clearance_bound"] for rec in records[1:]] == [
+            info.clearance_bound for info in shells.member_info
+        ]
         diff = c.difference_support(model, cm, 0.5)
         cert = c.certify_pp(shells, diff, 2.0)
         assert cert.verdict == "certified"
-        assert c.certify_pp(back, diff, 2.0).to_records() == cert.to_records()
         floors = [t.clearance_floor for t in cert.terms]
         assert floors == [info.clearance_bound for info in shells.member_info[1:-1]]
 
@@ -425,7 +428,7 @@ class TestQuasi1D:
         model, cm = self.tube_couplings()
         td = c.build_decomposition_quasi1d(cm, 0.95, a=2.0, n_range=(2, 6))
         # group members by scale, check cap+cheese covers the sphere
-        for scale in td.scales():
+        for scale in dict.fromkeys(info.scale for info in td.member_info):
             group = [
                 member
                 for member, info in zip(td.members, td.member_info)
@@ -562,7 +565,9 @@ class TestCertifyAC:
         diff = c.difference_support(model, cm, 0.5)
         cert = c.certify_ac(td, diff, gamma=2.0)
         stored = np.array([t.value for t in cert.terms])
-        assert np.array_equal(cert.recomputed_values(), stored)
+        recomputed = [t.surface * math.exp(-cert.gamma * t.clearance) if math.isfinite(t.clearance)
+                      else 0.0 for t in cert.terms]
+        assert np.array_equal(recomputed, stored)
 
     def test_symbolic_tail_certifies_every_gamma(self):
         model = chain_model(radius=45.0, d=2)
@@ -581,6 +586,24 @@ class TestCertifyAC:
         sum_bound, crossover = rule.tail_sum(3, 0.05)
         assert sum_bound == math.inf
         assert crossover > 3
+
+    def test_tail_sum_is_inf_when_a_term_overflows_or_the_ratio_limit_reaches_one(self):
+        huge = c._TailRule("cap-cheese", dimension=2, a=2.0, rho=0.5, alpha=1000.0)
+        assert huge.tail_sum(5, 1.0) == (math.inf, 6)  # 6.0 ** 1000 raises OverflowError
+        flat = c._TailRule("sphere-power", dimension=3, a=2.0, rho=0.5)
+        assert flat.ratio_limit(0.1) >= 1.0
+        assert flat.tail_sum(5, 0.1) == (math.inf, 5)
+
+    def test_overflowing_tail_certifies_nothing(self):
+        # the term sums grow by 4/e per scale, so only a symbolic tail could certify
+        rows = [(n, n, "cheese", float(n), 10.0 * 4.0**n, None) for n in range(1, 7)]
+        finite = c._TailRule("cap-cheese", dimension=2, a=2.0, rho=0.5)
+        assert c._build_certificate("ac", 1.0, rows, finite, {}).verdict == "certified"
+        huge = c._TailRule("cap-cheese", dimension=2, a=2.0, rho=0.5, alpha=1000.0)
+        cert = c._build_certificate("ac", 1.0, rows, huge, {})
+        assert cert.tail.sum_bound == math.inf
+        assert cert.empirical_tail_ratio > 1.0
+        assert cert.verdict == "inconclusive"
 
 
 class TestCertifyPP:

@@ -89,6 +89,15 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 class TestValidation:
+    @pytest.mark.parametrize("name", ["missing.json", "directory"])
+    def test_unreadable_config_refused(self, tmp_path, name):
+        path = tmp_path / name
+        if name == "directory":
+            path.mkdir()
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert f"config error: cannot read {path}: " in result.output
+
     def test_valid_config_ok(self, tmp_path):
         path = write_config(tmp_path, certify_cfg(tmp_path / "out"))
         runner = CliRunner()
@@ -492,21 +501,40 @@ class TestRunPipelines:
         assert len(certs) == 3 * 2  # seeds x gammas
         assert all(c["verdict"] in ("certified", "not-certified", "inconclusive") for c in certs)
 
+    def test_run_from_a_config_path_writes_beside_it(self, tmp_path, monkeypatch):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        path = write_config(config_dir, certify_cfg("out", seeds=(1,)))
+        monkeypatch.chdir(tmp_path)
+        manifest = cli.run(str(path))
+        assert manifest["output_dir"] == str(config_dir / "out")
+        assert (config_dir / "out" / "certificates.jsonl").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_decompositions_jsonl_parses(self, tmp_path):
-        from sparseloc.geometry import TotalDecomposition
+        """The file holds each gamma's to_records(), its head stamped with seed and gamma."""
+        from sparseloc.certify import build_decomposition_sparse
+        from sparseloc.models import sample_couplings
 
         out = tmp_path / "out"
         path = write_config(tmp_path, certify_cfg(out, seeds=(1,)))
-        cli.run(cli.load_config(path), config_path=path)
+        cfg = cli.load_config(path)
+        cli.run(cfg, config_path=path)
         records = [
             json.loads(line)
             for line in (out / "decompositions.jsonl").read_text().splitlines()
         ]
         head = records[0]
         assert head["record"] == "total_decomposition"
-        td = TotalDecomposition.from_records(records[: 1 + head["member_count"]])
-        assert td.kind == "sphere-shells"
-        assert len(td.members) == head["member_count"]
+        assert head["kind"] == "sphere-shells"
+        assert [rec["record"] for rec in records[1 : 1 + head["member_count"]]] == ["member"] * head["member_count"]
+        couplings = sample_couplings(cli._model(cli._canonical(cfg["model"])), 1)
+        written = []
+        for gamma in cfg["parameters"]["gammas"]:
+            td_records = build_decomposition_sparse(couplings, 0.1, gamma, n_range=(1, 5)).to_records()
+            td_records[0].update({"seed": 1, "gamma": gamma})
+            written.extend(td_records)
+        assert records == json.loads(json.dumps(written))
 
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "out"
@@ -1144,6 +1172,37 @@ class TestOracleCommand:
         )
         assert result.exit_code == 1
         assert "oracle error: window radius 10.000 does not cover radius 16.000" in result.output
+
+    @staticmethod
+    def oracle_on_model_file(tmp_path, model_cfg):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_cfg))
+        args = ["oracle", "an", "--model", str(path), "--a", "2", "--n", "2", "--eps", "0.5"]
+        return path, CliRunner().invoke(cli.main, args)
+
+    @staticmethod
+    def bernoulli_model_cfg():
+        """The flag form's model: a d=1 lattice of radius 16 with shared Bernoulli(0.5)."""
+        model_cfg = lattice_model_cfg(d=1, radius=16.0)
+        model_cfg["law"] = {"kind": "bernoulli", "p": 0.5}
+        return model_cfg
+
+    def test_oracle_model_file_matches_flag_form(self, tmp_path):
+        _, result = self.oracle_on_model_file(tmp_path, self.bernoulli_model_cfg())
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "0.890625"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"law": {"kind": "radial_bernoulli", "tau": math.nan}}, "{path}: NaN is not a JSON number"),
+        ({"p_exponent": 2.0, "bogus": 1},
+         "model_file $: Additional properties are not allowed ('bogus', 'p_exponent' were unexpected)"),
+        ({"distinguished_site": 100},
+         "$.model: ValueError: distinguished_site 100 is not a site index of the 33 sites"),
+    ], ids=["nan", "unknown-keys", "unbuildable"])
+    def test_oracle_model_file_checked_as_validate_does(self, tmp_path, change, message):
+        path, result = self.oracle_on_model_file(tmp_path, {**self.bernoulli_model_cfg(), **change})
+        assert result.exit_code == 2
+        assert f"config error: {message.replace('{path}', f'model_file {path}')}" in result.output
 
     def test_oracle_budget_error_exit_code(self, tmp_path):
         model_cfg = lattice_model_cfg(d=2, radius=40.0, tau=0.0)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ def lattice_model(d=2, radius=10.0, law=None, amplitude=1.0, rho=1.0):
     )
 
 
+def mass_below(law, eps):
+    """mu([0, eps)), summed from the law's atoms and uniform pieces."""
+    atoms = sum(w for x, w in law.atoms if x < eps)
+    return atoms + sum(m * (min(hi, eps) - lo) / (hi - lo) for lo, hi, m in law.segments if lo < eps)
+
+
 class TestCouplingLaw:
     def test_p_epsilon_bernoulli(self):
         assert m.p_epsilon(m.CouplingLaw.bernoulli(0.3), 0.5) == pytest.approx(0.3)
@@ -39,7 +46,7 @@ class TestCouplingLaw:
     def test_ac_mass(self):
         assert m.CouplingLaw.bernoulli(0.7).ac_mass() == 0.0
         assert m.CouplingLaw.uniform().ac_mass() == 1.0
-        mix = m.CouplingLaw.mixture([(m.CouplingLaw.delta(0.0), 0.5), (m.CouplingLaw.uniform(), 0.5)])
+        mix = m.CouplingLaw("mixture", atoms=((0.0, 0.5),), segments=((0.0, 1.0, 0.5),))
         assert mix.ac_mass() == pytest.approx(0.5)
 
     def test_mass_identity(self):
@@ -51,14 +58,13 @@ class TestCouplingLaw:
         ]
         for law in laws:
             for eps in [0.05, 0.1, 0.5, 0.8, 1.0]:
-                assert m.p_epsilon(law, eps) + law.mass_below(eps) == pytest.approx(1.0)
+                assert m.p_epsilon(law, eps) + mass_below(law, eps) == pytest.approx(1.0)
 
     @given(st.floats(0.01, 1.0), st.floats(0.01, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_p_epsilon_nonincreasing(self, e1, e2):
-        law = m.CouplingLaw.mixture(
-            [(m.CouplingLaw.bernoulli(0.4), 0.5), (m.CouplingLaw.uniform(0.1, 0.7), 0.5)]
-        )
+        # half Bernoulli(0.4), half uniform on [0.1, 0.7]
+        law = m.CouplingLaw("mixture", atoms=((0.0, 0.3), (1.0, 0.2)), segments=((0.1, 0.7, 0.5),))
         lo, hi = min(e1, e2), max(e1, e2)
         assert m.p_epsilon(law, lo) >= m.p_epsilon(law, hi)
 
@@ -89,9 +95,7 @@ class TestCouplingLaw:
             m.CouplingLaw.uniform(0.0, 1.0),
             m.CouplingLaw.bernoulli_times_uniform(0.6, 0.0, 1.0),
             m.CouplingLaw.point_masses([(0.2, 0.25), (0.5, 0.5), (0.9, 0.25)]),
-            m.CouplingLaw.mixture(
-                [(m.CouplingLaw.delta(0.0), 0.3), (m.CouplingLaw.uniform(0.4, 0.8), 0.7)]
-            ),
+            m.CouplingLaw("mixture", atoms=((0.0, 0.3),), segments=((0.4, 0.8, 0.7),)),
         ],
     )
     def test_sampling_frequency_matches_tail_mass(self, law):
@@ -107,9 +111,8 @@ class TestCouplingLaw:
             assert abs(freq - p) <= 4 * se + 1e-12
 
     def test_quantile_monotone_in_u(self):
-        law = m.CouplingLaw.mixture(
-            [(m.CouplingLaw.bernoulli(0.4), 0.4), (m.CouplingLaw.uniform(0.3, 0.6), 0.6)]
-        )
+        # 0.4 Bernoulli(0.4), 0.6 uniform on [0.3, 0.6]
+        law = m.CouplingLaw("mixture", atoms=((0.0, 0.24), (1.0, 0.16)), segments=((0.3, 0.6, 0.6),))
         u = np.linspace(0.0, 0.999999, 1000)
         q = law.quantile(u)
         assert np.all(np.diff(q) >= -1e-12)
@@ -206,6 +209,17 @@ class TestSampling:
 
 
 class TestEvaluatePotential:
+    def test_warns_within_one_support_radius_of_the_window_edge(self):
+        model = lattice_model(d=1, radius=6.0, rho=1.0)
+        cm = m.sample_couplings(model, seed=0, window=6.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = m.evaluate_potential(model, cm, [5.0])  # window radius - rho: still safe
+        assert isinstance(inside, float)
+        with pytest.warns(UserWarning, match="within one support radius of the window edge"):
+            edge = m.evaluate_potential(model, cm, np.array([[0.0], [5.5]]))
+        assert edge.shape == (2,)
+
     def test_single_bump(self):
         model = m.RandomPotentialModel(
             sites=m.SiteSet.explicit([[0.0]]),
@@ -229,7 +243,7 @@ class TestEvaluatePotential:
         model = lattice_model(d=1, radius=6.0, law=m.CouplingLaw.uniform(0.0, 0.5))
         cm = m.sample_couplings(model, seed=21)
         doubled = m.CouplingMap(
-            model, cm.site_indices, 2.0 * cm.values, None, cm.window_radius, transform="x2"
+            model, cm.site_indices, 2.0 * cm.values, None, cm.window_radius
         )
         xs = np.array([[0.3], [1.7], [-2.4]])
         v1 = m.evaluate_potential(model, cm, xs, include_background=False)
@@ -268,8 +282,7 @@ def pair_loop_potential(model, couplings, pts, include_background=True):
     neighbor_lists = cKDTree(couplings.points).query_ball_point(pts, model.max_support_radius())
     for row, neighbors in enumerate(neighbor_lists):
         for j in neighbors:
-            pot = model.potential_for(int(couplings.site_indices[j]))
-            out[row] += couplings.values[j] * pot.evaluate(pts[row] - couplings.points[j])[0]
+            out[row] += couplings.values[j] * model.potential.evaluate(pts[row] - couplings.points[j])[0]
     if include_background:
         out += model.background.evaluate(pts)
     return out
@@ -288,16 +301,11 @@ class TestEvaluatePotentialPairOracle:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_pair_loop(self, d):
-        sites = m.SiteSet.lattice(d, 9.0)
-        norms = np.linalg.norm(sites.points, axis=1)
-        # every fifth site near the origin carries its own, wider bump
-        own = {int(i): self.wavy(3.1, -0.7) for i in np.where(norms < 4.0)[0][::5]}
         model = m.RandomPotentialModel(
-            sites=sites,
+            sites=m.SiteSet.lattice(d, 9.0),
             potential=self.wavy(2.6, 0.45),
             laws=m.LawAssignment.shared_law(m.CouplingLaw.uniform(0.0, 1.0)),
             background=m.BackgroundPotential.periodic_step([0.0, 0.3, -0.2], cell=0.7),
-            site_potentials=own,
         )
         cm = m.sample_couplings(model, seed=5, window=9.0)
         axis = np.arange(-3.9, 3.9, 0.137 if d == 1 else 0.31)
@@ -305,7 +313,6 @@ class TestEvaluatePotentialPairOracle:
         for background in (True, False):
             got = m.evaluate_potential(model, cm, pts, include_background=background)
             assert np.array_equal(got, pair_loop_potential(model, cm, pts, background))
-        assert len(own) > 1
 
     def test_node_without_neighbours_and_scalar(self):
         model = lattice_model(d=1, radius=6.0, law=m.CouplingLaw.uniform(0.0, 0.5), rho=0.3)
@@ -383,7 +390,7 @@ def tree_loop_second_moment(model, pts):
         mean_sum = var_sum = 0.0
         for j in neighbors:
             law = model.laws.law_for(model.sites.points[j], j)
-            f = model.potential_for(j).evaluate(pts[row] - model.sites.points[j])[0]
+            f = model.potential.evaluate(pts[row] - model.sites.points[j])[0]
             m1, m2 = law.mean(), law.second_moment()
             mean_sum += m1 * f
             var_sum += (m2 - m1 * m1) * f * f
@@ -414,13 +421,10 @@ class TestSecondMoment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_equals_tree_loop(self, d):
-        sites = m.SiteSet.lattice(d, 7.0)
-        near = np.where(np.linalg.norm(sites.points, axis=1) < 3.0)[0][::4]
         model = m.RandomPotentialModel(
-            sites=sites,
+            sites=m.SiteSet.lattice(d, 7.0),
             potential=TestEvaluatePotentialPairOracle.wavy(2.2, 0.6),
             laws=m.LawAssignment.radial_bernoulli(1.5),
-            site_potentials={int(i): TestEvaluatePotentialPairOracle.wavy(2.9, -0.4) for i in near},
         )
         axis = np.arange(-4.0, 4.0, 0.173 if d == 1 else 0.41)
         pts = axis[:, None] if d == 1 else np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
@@ -510,12 +514,10 @@ class TestValidateAssumptions:
         zero = m.SingleSitePotential.indicator(0.0, 1.0)
         with pytest.raises(ValueError, match="distinguished_site 3 has a bump that is 0 at its centre"):
             m.RandomPotentialModel(sites, zero, laws, distinguished_site=3)
-        # the site's own bump decides, both ways
-        own = m.SingleSitePotential.indicator(0.5, 1.0)
-        m.RandomPotentialModel(sites, zero, laws, distinguished_site=3, site_potentials={3: own})
+        # the value at the centre decides, not the bump's size elsewhere
         ring = m.SingleSitePotential(1.0, lambda r: np.where(r > 0.5, 1.0, 0.0))
         with pytest.raises(ValueError, match="distinguished_site 3 has a bump that is 0"):
-            m.RandomPotentialModel(sites, own, laws, distinguished_site=3, site_potentials={3: ring})
+            m.RandomPotentialModel(sites, ring, laws, distinguished_site=3)
 
 
 class TestConstructorChecks:

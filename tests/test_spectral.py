@@ -408,7 +408,7 @@ class TestLocalizationReportBits:
         model = self.model(d, radius, background)
         cm = m.sample_couplings(model, seed=4, window=radius)
         zero = m.CouplingMap(
-            model, cm.site_indices, np.zeros(cm.values.size), None, radius, "zero"
+            model, cm.site_indices, np.zeros(cm.values.size), None, radius
         )
         reference = sp.discretize(model, zero, box, h)
         report = sp.localization_report(model, cm, box, h, reference)

@@ -16,6 +16,11 @@ from sparseloc.certify import free_intervals
 from sparseloc.geometry import make_annulus
 
 
+def within(rec, target, n_sigma=3.0):
+    """The estimate lies within n_sigma standard errors of the target."""
+    return abs(rec.value - target) <= n_sigma * rec.std_error
+
+
 def bernoulli_lattice(d=1, radius=16.0, p=0.5):
     return m.RandomPotentialModel(
         sites=m.SiteSet.lattice(d, radius),
@@ -66,14 +71,14 @@ class TestFreeProbability:
         annulus = make_annulus(4.0, 8.0, 1)  # sites +-4..+-8: ten of them
         rec = st.estimate_free_probability(model, annulus, 0.5, trials=10_000, seed=42)
         assert rec.exact == pytest.approx(0.9**10, rel=1e-12)
-        assert rec.within(rec.exact, 3.0)
+        assert within(rec, rec.exact)
 
     def test_coupling_at_eps_is_bad(self):
         # p_eps = mu([eps, 1]) = 1/2 counts the atom at eps, for ten sites
         annulus = make_annulus(4.0, 8.0, 1)
         rec = st.estimate_free_probability(atom_at_eps_lattice(), annulus, 0.5, 20_000, seed=42)
         assert rec.exact == 0.5**10
-        assert rec.within(rec.exact, 3.0)
+        assert within(rec, rec.exact)
 
     def test_p_zero_gives_one(self):
         model = bernoulli_lattice(p=0.0)
@@ -102,7 +107,7 @@ class TestFreeProbability:
         rec = st.estimate_free_probability(model, annulus, 0.7, trials=20_000, seed=5)
         n_sites = len(model.sites.indices_in(annulus))
         assert rec.exact == pytest.approx(0.7**n_sites)
-        assert rec.within(rec.exact, 3.0)
+        assert within(rec, rec.exact)
 
     def test_calibration_over_100_seeds(self):
         # |estimate - exact| <= 3 SE in at least 99 of 100 seeded repetitions
@@ -271,7 +276,7 @@ class TestEstimateAN:
         exact = st.brute_force_a_n(model, eps, a=2.0, n=2)
         assert exact == 0.890625
         rec = st.estimate_a_n(model, eps, a=2.0, n=2, trials=20_000, seed=17)
-        assert rec.within(exact, 3.0)
+        assert within(rec, exact)
 
     def test_all_zero_probability(self):
         model = bernoulli_lattice(p=0.0)
