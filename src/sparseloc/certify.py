@@ -452,7 +452,7 @@ def build_decomposition_quasi1d(
             gaps.append(n)
             continue
         # distinct directions, in order of first appearance
-        directions = list(dict.fromkeys(tuple(p / nn) for p, nn in zip(neighbors, neighbor_norms)))
+        directions = list(dict.fromkeys(map(tuple, (neighbors / neighbor_norms[:, None]).tolist())))
         for u in directions:
             cap = spherical_cap(radius, u, reach)
             members.append(cap)
@@ -576,7 +576,11 @@ class _TailRule:
     def tail_sum(self, n_from: int, gamma: float) -> tuple[float, int]:
         """Bound on the sum over scales > n_from, with the geometric crossover.
 
-        A term that overflows makes the bound inf, so it certifies nothing.
+        A term that overflows makes the bound inf, so it certifies nothing;
+        so do terms that never reach the crossover within 20,000 scales.  A
+        term below _TINY ends the sum without a geometric remainder: what it
+        drops is below the rounding of the sum, a gap that terms evaluated as
+        logarithms would close.
         """
         limit = self.ratio_limit(gamma)
         if limit >= 1.0:

@@ -476,7 +476,7 @@ def _certify_cell(cfg: dict, stage: str, seed: int) -> dict:
     eps, n_range = params["eps"], tuple(params["n_range"])
     gamma = params["gammas"][0]
     files = defaultdict(list)
-    built = {}  # growth ratio -> decomposition
+    built = {}  # growth ratio -> decomposition and its records
     try:
         model = _model(_canonical(cfg["model"]))
         cm = sample_couplings(model, seed, params.get("window"))
@@ -484,19 +484,22 @@ def _certify_cell(cfg: dict, stage: str, seed: int) -> dict:
         quasi1d = stage == "certify-quasi1d"
         for gamma in params["gammas"]:
             a = params["a"] if quasi1d else growth_ratio(model.dimension - 1, gamma)[1]
-            if a not in built and quasi1d:
-                built[a] = build_decomposition_quasi1d(
-                    cm, eps, alpha=params.get("alpha", 2.0), a=a, n_range=n_range
-                )
-            elif a not in built:
-                built[a] = build_decomposition_sparse(cm, eps, gamma, n_range=n_range)
-            td = built[a]
+            if a not in built:
+                if quasi1d:
+                    td = build_decomposition_quasi1d(
+                        cm, eps, alpha=params.get("alpha", 2.0), a=a, n_range=n_range
+                    )
+                else:
+                    td = build_decomposition_sparse(cm, eps, gamma, n_range=n_range)
+                built[a] = td, td.to_records()
+            td, td_records = built[a]
             cert = certify_ac(td, diff, gamma)
-            head, td_records = cert.to_records()[0], td.to_records()
-            for rec in (head, td_records[0]):
+            # only the heads are stamped, so the member records serve every gamma
+            head, td_head = cert.to_records()[0], dict(td_records[0])
+            for rec in (head, td_head):
                 rec.update({"seed": seed, "gamma": gamma})
             files["certificates.jsonl"].append(head)
-            files["decompositions.jsonl"].extend(td_records)
+            files["decompositions.jsonl"].extend([td_head, *td_records[1:]])
             files["certificate_terms.csv"].extend(
                 [seed, gamma, t.scale, t.member, t.role, t.clearance, t.surface, t.value]
                 for t in cert.terms

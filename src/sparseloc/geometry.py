@@ -496,6 +496,18 @@ class RegionSet:
         """Sum of primitive volumes (exact when solids do not overlap)."""
         return sum(s.volume() for s in self.shapes)
 
+    @cached_property
+    def _ball_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only centres (k, d) and radii (k,) of a union of balls, built
+        once per union; TypeError, on every access, when it holds another shape."""
+        for p in self.shapes:
+            if not isinstance(p, Ball):
+                raise TypeError(f"distance_between measures from a union of balls, not one that holds a {_KIND_OF[type(p)]}")
+        centres = np.array([p.center for p in self.shapes])
+        radii = np.array([p.radius for p in self.shapes])
+        centres.flags.writeable = radii.flags.writeable = False
+        return centres, radii
+
     # -- serialization ----------------------------------------------------
 
     def to_records(self) -> list[dict]:
@@ -803,12 +815,14 @@ def closed_form_sigma(region: RegionSet, grid: float = 1e-3) -> float | None:
         return math.inf
 
 
+@lru_cache(maxsize=1024)
 def surface_volume_bound(diameter: float, dimension: int) -> float:
     """Volume-type upper bound on sigma for any compact set of given diameter.
 
     The shell at distance r fits inside B(x0, diam + r + 1) minus B(x0, r)
     for any x0 in the set, so sigma <= sup_r w_d((D+r+1)^d - r^d)/(r^d+1).
-    The bound is inf when that volume term overflows.
+    The bound is inf when that volume term overflows.  It depends on the
+    two arguments alone, so it is cached per (diameter, dimension).
     """
     d = dimension
     D = max(float(diameter), 0.0)
@@ -842,13 +856,9 @@ def distance_between(a: RegionSet, b: RegionSet) -> float:
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
-    for p in a.shapes:
-        if not isinstance(p, Ball):
-            raise TypeError(f"distance_between measures from a union of balls, not one that holds a {_KIND_OF[type(p)]}")
+    centres, radii = a._ball_arrays
     if a.is_empty() or b.is_empty():
         return math.inf
-    centres = np.array([p.center for p in a.shapes])
-    radii = np.array([p.radius for p in a.shapes])
     # every ball of `a` against one member shape per call
     return min(float(np.min(np.maximum(q.point_distance(centres) - radii, 0.0))) for q in b.shapes)
 

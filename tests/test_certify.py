@@ -594,6 +594,23 @@ class TestCertifyAC:
         assert flat.ratio_limit(0.1) >= 1.0
         assert flat.tail_sum(5, 0.1) == (math.inf, 5)
 
+    def test_tail_sum_ends_when_the_terms_underflow(self):
+        # exp(-3000 (n/2 - rho)) is 0.0 from the first term on
+        rule = c._TailRule("sphere-power", 2, 2.0, 0.5)
+        assert rule.term_bound(10, 3000.0) == 0.0
+        assert rule.tail_sum(9, 3000.0) == (0.0, 11)
+
+    def test_tail_sum_is_inf_when_the_terms_never_reach_the_crossover(self):
+        class Flat(c._TailRule):
+            def term_bound(self, n, gamma):
+                return 1.0
+
+        rule = Flat("sphere-power", 2, 2.0, 0.5)
+        assert rule.ratio_limit(2.0) < 1.0  # so the loop runs; its terms never shrink
+        sum_bound, n = rule.tail_sum(3, 2.0)
+        assert sum_bound == math.inf
+        assert n > 20_000
+
     def test_overflowing_tail_certifies_nothing(self):
         # the term sums grow by 4/e per scale, so only a symbolic tail could certify
         rows = [(n, n, "cheese", float(n), 10.0 * 4.0**n, None) for n in range(1, 7)]

@@ -274,6 +274,53 @@ class TestNoExactRule:
         self.refused(g.RegionSet.sphere((3.0, 1.0), 2.0), cheese, ("sphere", "punctured_sphere"))
 
 
+class TestBallArrays:
+    """A union's centres and radii are built once, on the first clearance,
+    and kept read-only; the checks of distance_between run on every call."""
+
+    def test_a_union_that_holds_a_point_is_refused_on_every_call(self):
+        union = g.RegionSet(2, (g.Ball((9.0, 0.0), 0.5), g.Point((0.0, 4.0))))
+        member = g.spherical_cap(5.0, [0.0, 1.0], 1.0)
+        for _ in range(2):
+            with pytest.raises(TypeError, match="not one that holds a point$"):
+                g.distance_between(union, member)
+
+    def test_checks_keep_their_order_once_cached(self):
+        union = g.RegionSet(2, (g.Ball((9.0, 0.0), 0.5),))
+        g.distance_between(union, g.RegionSet.sphere([0.0, 0.0], 3.0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            g.distance_between(union, g.RegionSet.sphere([0.0, 0.0, 0.0], 3.0))
+        assert g.distance_between(union, g.RegionSet.empty(2)) == math.inf
+        empty = g.RegionSet.empty(2)
+        for _ in range(2):
+            assert g.distance_between(empty, g.RegionSet.sphere([0.0, 0.0], 3.0)) == math.inf
+
+    def test_cached_arrays_are_read_only(self):
+        union = g.RegionSet(3, (g.Ball((1.0, 2.0, 3.0), 0.5), g.Ball((0.0, 0.0, 7.0), 1.0)))
+        centres, radii = union._ball_arrays
+        assert centres.shape == (2, 3) and radii.shape == (2,)
+        with pytest.raises(ValueError, match="read-only"):
+            centres[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            radii[1] = 0.0
+        assert union._ball_arrays[0] is centres
+
+    @pytest.mark.parametrize("member", [
+        g.RegionSet(2, (g.SphericalCap(11.0, (0.6, 0.8), 4.0),)),
+        g.RegionSet(2, (g.PuncturedSphere(2, 11.0, (((1.0, 0.0), 4.0),)),)),
+        g.RegionSet.sphere([0.0, 0.0], 11.0),
+        g.make_annulus(2.0, 3.0, 2),
+    ], ids=["cap", "cheese", "sphere", "annulus"])
+    def test_same_clearance_before_and_after_caching(self, member):
+        balls = (g.Ball((12.0, 16.0), 0.5), g.Ball((-3.0, 1.0), 0.0), g.Ball((0.0, 11.5), 2.0))
+        union = g.RegionSet(2, balls)
+        assert "_ball_arrays" not in vars(union)
+        first = g.distance_between(union, member)
+        assert "_ball_arrays" in vars(union)
+        assert g.distance_between(union, member) == first
+        assert g.distance_between(g.RegionSet(2, balls), member) == first == region_distance(union, member)
+
+
 class TestShellMeasure:
     def test_point_d1_r0(self):
         # shell of a point at r=0 is [-1, 1]
@@ -621,6 +668,19 @@ class TestSurfaceVolumeBound:
             assert g.sanity_bound(g.RegionSet.sphere([0.0, 0.0], 1e200)) == math.inf
 
     @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cached_value_is_the_computed_one(self, d):
+        # 7, 7.0 and np.float64(7.0) share one cache entry, so each must give
+        # the float the uncached function gives for every spelling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for D in (0, 0.0, np.float64(0.0), 7, 7.0, np.float64(7.0), 1e6, np.float64(1e200), 1e308):
+                for _ in range(2):
+                    got = g.surface_volume_bound(D, d)
+                    assert type(got) is float
+                    assert got == g.surface_volume_bound.__wrapped__(D, d)
+        assert g.surface_volume_bound(1e308, d) == math.inf
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_finite_values_unchanged(self, d):
         for D in (0.0, 1.0, 7.25, 300.0, 1e6):
             r = np.linspace(0.0, D + d + 2.0, 4001)
@@ -685,6 +745,54 @@ class TestPuncturedSphere:
     def test_full_exclusion_empty(self):
         gone = g.PuncturedSphere(2, 1.0, (((1.0, 0.0), 5.0),))
         assert gone.is_empty()
+
+
+def _sphere_points(radius, d, count, seed):
+    """Points spread over the origin-centred sphere of the given radius."""
+    v = np.random.default_rng(seed).standard_normal((count, d))
+    return radius * v / np.linalg.norm(v, axis=1)[:, None]
+
+
+# The sampled points lie on the sphere to within a few ulps of its radius.
+SAMPLE_SLACK = 1e-12
+
+
+class TestCircumradiusAndDiameterBound:
+    """circumradius bounds |x| over a shape, and diameter_bound bounds the
+    distance between any two points of a union, for caps and cheese."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cap_and_cheese_circumradius(self, d):
+        R = 7.5
+        axis = tuple(np.eye(d)[0] * 0.6 + np.eye(d)[1] * 0.8)
+        cap = g.SphericalCap(R, axis, 4.0)
+        cheese = g.PuncturedSphere(d, R, ((axis, 4.0), (tuple(-np.eye(d)[1]), 6.0)))
+        pts = _sphere_points(R, d, 4000, seed=d)
+        for shape in (cap, cheese):
+            on = pts[g.RegionSet(d, (shape,)).contains(pts)]
+            assert len(on) > 100
+            assert np.max(np.linalg.norm(on, axis=1)) <= shape.circumradius() * (1.0 + SAMPLE_SLACK)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cap_plus_cheese_diameter_bound(self, d):
+        R = 7.5
+        axis = tuple(np.eye(d)[0])
+        union = g.RegionSet(d, (g.SphericalCap(R, axis, 3.0), g.PuncturedSphere(d, R, ((axis, 3.0),))))
+        pts = _sphere_points(R, d, 600, seed=10 + d)
+        on = pts[union.contains(pts)]
+        assert len(on) == len(pts)  # cap and cheese cover the sphere
+        widest = np.max(np.linalg.norm(on[:, None, :] - on[None, :, :], axis=2))
+        assert widest > 1.9 * R
+        assert union.diameter_bound() == 2.0 * R >= widest * (1.0 - SAMPLE_SLACK)
+
+    @pytest.mark.parametrize("region", [
+        g.RegionSet.empty(2),
+        g.RegionSet.empty(3),
+        g.RegionSet(2, (g.PuncturedSphere(2, 1.0, (((1.0, 0.0), 5.0),)),)),
+    ], ids=["empty-d2", "empty-d3", "all-punctured"])
+    def test_empty_set_has_diameter_bound_zero(self, region):
+        assert region.diameter_bound() == 0.0
+        assert region.circumradius() == 0.0
 
 
 class TestSphereShellDecomposition:

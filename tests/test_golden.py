@@ -1,4 +1,4 @@
-"""Golden digests of the CLI's data files for two small pipeline runs.
+"""Golden digests of the CLI's data files for three small pipeline runs.
 
 The bytes of every data file the CLI and `plotdata` write are pinned by
 sha256, so a refactor of the output path shows that it keeps them.  The
@@ -55,6 +55,26 @@ CERTIFY_QUASI1D = {
     },
 }
 
+# the paper's random tube in d = 3: caps are measured against punctured
+# spheres through their point lower bound, which no d=2 run reaches
+CERTIFY_QUASI1D_D3 = {
+    "pipeline": "certify-quasi1d",
+    "model": {
+        "dimension": 3,
+        "sites": {"generator": "tube", "radius": 300.0, "offsets": [[0.0, 0.0], [0.5, 0.5]]},
+        "law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
+    },
+    "seeds": [1, 2],
+    "parameters": {
+        "eps": 0.95,
+        "gammas": [0.5, 2.0],
+        "n_range": [2, 6],
+        "a": 2.0,
+        "alpha": 2.0,
+    },
+}
+
 FULL_REPORT_SHA256 = {
     "an_rows.csv": "6dff3a84b6902a92d505dbdba7fcd4dfbf071c8bde62597f37475eaa8ed2affe",
     "an_series.csv": "0db4509ad2b148e8c553d66a889f91d181c2000d02740167ddffe4bd0e8c2b8f",
@@ -73,6 +93,15 @@ CERTIFY_QUASI1D_SHA256 = {
     "free_annuli.csv": "27c440a8bfd7545f5d346afb5e76fded184b7a308ba3a288e5a58b69d7ce4b12",
     "member_counts.csv": "68d78eddeab6cf1ba65c5db263debad2321d10399139246285cbe5e008a47356",
     "terms_vs_n.csv": "e94ac4b5c400a3b985c93622880d316eb7c54716393e1830d22bb2ee44702d46",
+}
+
+CERTIFY_QUASI1D_D3_SHA256 = {
+    "certificate_terms.csv": "368834123a8d4505fba37b7090a06be76e80f764192094631f09706bd5d69f48",
+    "certificates.jsonl": "fdae60bc07ef6e21baf6a996abda293b462c7ee940518e01c3610e46d7df19aa",
+    "decompositions.jsonl": "785228f475316b9738d8d470e2cf2e06e3cc190bbacd0a5b3ac10830b045973d",
+    "free_annuli.csv": "bbf7abb0c127049de775983136fa98b1d6eac122dd5d84d1f69db0d956327c8e",
+    "member_counts.csv": "35a605c5de1f1ab4e8821694a1ca7189ca9de4063e89bb173978db8d21c864c1",
+    "terms_vs_n.csv": "529a2651a8157df188fc14a55f75238e8f13636585ea47034131dbbbaea1b9d7",
 }
 
 EIGEN_HEADERS = {
@@ -121,3 +150,11 @@ def test_certify_quasi1d_bytes(tmp_path, workers):
     out = _run(tmp_path, CERTIFY_QUASI1D)
     assert {p.name for p in out.iterdir()} == {"manifest.jsonl"} | set(CERTIFY_QUASI1D_SHA256)
     assert _digests(out, CERTIFY_QUASI1D_SHA256) == CERTIFY_QUASI1D_SHA256
+
+
+def test_certify_quasi1d_d3_bytes(tmp_path, workers):
+    out = _run(tmp_path, CERTIFY_QUASI1D_D3)
+    assert {p.name for p in out.iterdir()} == {"manifest.jsonl"} | set(CERTIFY_QUASI1D_D3_SHA256)
+    assert _digests(out, CERTIFY_QUASI1D_D3_SHA256) == CERTIFY_QUASI1D_D3_SHA256
+    records = [json.loads(line) for line in (out / "certificates.jsonl").read_text().splitlines()]
+    assert [r["verdict"] for r in records] == ["certified"] * 4
