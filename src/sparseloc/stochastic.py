@@ -35,11 +35,11 @@ __all__ = [
 ]
 
 ENUMERATION_SITE_BUDGET = 24
-# Columns per block of a sites x columns matrix: at least 256, and more while
-# the block holds under 2^16 entries.  This bounds the memory of both the
-# blocks of coupling draws and the pattern blocks of the 2^m enumeration, and
-# keeps the coverage sweep on large arrays.  A block of draws spans at least
-# 64 Philox counter blocks per row, so `_rng` draws it with its compiled loop.
+# Trials per block of coupling draws (sites x trials floats): at least 256, and
+# more while the block holds under 2^16 draws.  This bounds the memory of Monte
+# Carlo, whose packed bits fill at most the bytes of one such block per sweep.
+# A block of draws spans at least 64 Philox counter blocks per row, so `_rng`
+# draws it with its compiled loop.
 _TRIAL_BATCH, _BLOCK_DRAWS = 256, 1 << 16
 
 
@@ -127,9 +127,22 @@ def estimate_a_n(
     norms = model.sites.norms[indices]
     hits = 0
     batch = max(_TRIAL_BATCH, _BLOCK_DRAWS // indices.size)
-    for _offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
+    # Each block's bad rows are packed and appended to a buffer of as many
+    # whole packed blocks as fit in the bytes of one float block (64 when the
+    # batch is a multiple of 8), which is swept when full and at the end.
+    stride = -(-batch // 8)
+    per_sweep = min(8 * batch // stride, -(-trials // batch))
+    packed = np.empty((indices.size, per_sweep * stride), dtype=np.uint8)
+    filled = 0
+    for offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
         bad = model.laws.transform(points, indices, block) >= eps
-        hits += int(np.count_nonzero(_coverage_sweep(norms, bad, lo, hi, float(n))))
+        chunk = np.packbits(bad, axis=1, bitorder="little")
+        packed[:, filled : filled + chunk.shape[1]] = chunk
+        filled += chunk.shape[1]
+        if filled == packed.shape[1] or offset + batch >= trials:
+            blocked = _coverage_sweep(norms, packed[:, :filled], lo, hi, float(n))
+            hits += int(np.bitwise_count(blocked).sum())
+            filled = 0
     return _binomial_record(hits, trials, seed, None)
 
 
@@ -160,23 +173,36 @@ def brute_force_a_n(
             f"{m} undecided sites exceed the enumeration budget of "
             f"{ENUMERATION_SITE_BUDGET}"
         )
-    # rows of the activity matrix in norm order; always-bad sites are all ones
+    # rows in norm order; always-bad sites are all ones
     row_norms = np.concatenate([norms_u, always_bad])
     order = np.argsort(row_norms, kind="stable")
-    row_norms, rank = row_norms[order], np.argsort(order)  # rank: row of each site
     # weight of pattern P: the product over bits j = 0..m-1, taken in that order
-    weights = np.ones(1)
-    for q in p_u:
-        weights = np.concatenate([weights * (1.0 - q), weights * q])
-    n_patterns = weights.size
-    cols = max(_TRIAL_BATCH, _BLOCK_DRAWS // max(row_norms.size, 1))
-    blocked = np.empty(n_patterns, dtype=bool)
-    for first in range(0, n_patterns, cols):
-        patterns = np.arange(first, min(first + cols, n_patterns), dtype=np.uint32)
-        active = np.ones((row_norms.size, patterns.size), dtype=bool)
-        active[rank[:m]] = (patterns >> np.arange(m, dtype=np.uint32)[:, None]) & 1 == 1
-        blocked[first : first + cols] = _coverage_sweep(row_norms, active, lo, hi, float(n))
+    weights = np.empty(1 << m)
+    weights[0] = 1.0
+    for j, q in enumerate(p_u):
+        half = 1 << j
+        np.multiply(weights[:half], q, out=weights[half : 2 * half])
+        weights[:half] *= 1.0 - q
+    bits = _pattern_bits(m, np.argsort(order)[:m], row_norms.size)
+    blocked = _coverage_sweep(row_norms[order], bits, lo, hi, float(n))
+    del bits  # freed before the unpacked columns and the selected weights are made
+    blocked = np.unpackbits(blocked, count=weights.size, bitorder="little").view(bool)
     return float(np.sum(weights[blocked]))
+
+
+def _pattern_bits(m: int, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Packed rows over all 2^m patterns: row rows[j] has bit P set when bit j
+    of P is, and every other row is all ones.  Bit P of a row is bit P % 8 of
+    its byte P // 8 (little bit order)."""
+    bits = np.full((n_rows, -(-(1 << m) // 8)), 0xFF, dtype=np.uint8)
+    for j, row in enumerate(rows):
+        if j < 3:
+            bits[row] = (0xAA, 0xCC, 0xF0)[j]
+        else:
+            # byte b holds patterns 8b..8b+7, which share bit j: bit j - 3 of b
+            half = 1 << (j - 3)
+            bits[row].reshape(-1, 2, half)[:, 0] = 0
+    return bits
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -189,28 +215,45 @@ def _exact_a_n(model: RandomPotentialModel, eps: float, a: float, n: int) -> flo
 
 
 def _coverage_sweep(
-    norms_sorted: np.ndarray, active: np.ndarray, lo: float, hi: float, width: float
+    norms_sorted: np.ndarray, bits: np.ndarray, lo: float, hi: float, width: float
 ) -> np.ndarray:
-    """Per column of `active` (sites x columns, rows in norm order): is
-    [lo, hi] fully covered by the blockers [v - width, v] of its active sites?
+    """Per bit column of `bits` (packed uint8 rows in little bit order, one row
+    per site in norm order): is [lo, hi] fully covered by the blockers
+    [v - width, v] of the sites whose bit is set?  Returns the packed columns.
 
-    The rule is that of ``not free_intervals(...)`` for hi >= lo.  Blockers
-    are swept in norm order, so their left endpoints are nondecreasing and a
-    gap left behind (touching blockers leave none) can never be filled later.
+    The rule is that of ``not free_intervals(...)`` for hi >= lo.  The swept
+    rows are those with v >= lo and v - width <= hi.  Their blockers start in
+    nondecreasing order, so a gap left behind (touching blockers leave none)
+    can never be filled later: a swept row whose blocker starts past lo kills
+    its columns unless an earlier swept row with norm >= v - width is set
+    there.  Both ends of that window of earlier rows only move forward, so a
+    two-stack queue of ORs answers every window with O(1) row operations each,
+    amortized.  A column with no set bit is never blocked, so pad bits that
+    are zero in every row never count.
     """
-    covered_to = np.full(active.shape[1], -np.inf)
-    dead = np.zeros(active.shape[1], dtype=bool)
-    for v, row in zip(norms_sorted, active):
-        if v < lo:
-            continue
-        start = v - width
-        if start > hi:
-            break
-        if start > lo:
-            # a column not yet covering lo is -inf here, so it is free at lo
-            dead |= row & (covered_to < start)
-        covered_to = np.where(row, v, covered_to)
-    return (covered_to >= hi) & ~dead
+    starts = norms_sorted - width
+    first = int(np.searchsorted(norms_sorted, lo, side="left"))
+    stop = int(np.searchsorted(starts, hi, side="right"))
+    # rows with norm >= v - width; for a killing row all of them are swept
+    window_first = np.searchsorted(norms_sorted, starts, side="left")
+    dead = np.zeros(bits.shape[1], dtype=np.uint8)
+    # the queue: suffix[k - front] is the OR of rows k..mid-1, back that of rows mid..i-1
+    front = mid = first
+    suffix, back = dead[:0], dead.copy()
+    for i in range(first, stop):
+        if starts[i] > lo:
+            k = int(window_first[i])
+            if k >= mid:
+                suffix = np.bitwise_or.accumulate(bits[k:i][::-1], axis=0)[::-1]
+                front, mid = k, i
+                back[:] = 0
+            window = back if k == mid else suffix[k - front] | back
+            dead |= bits[i] & ~window
+        back |= bits[i]
+    covered = np.bitwise_or.reduce(
+        bits[max(first, int(np.searchsorted(norms_sorted, hi, side="left"))) : stop], axis=0
+    )
+    return covered & ~dead
 
 
 def a_n_bound(a: float, eta: float, n: int) -> tuple[float, bool]:
@@ -253,6 +296,7 @@ class ANSeriesReport:
     params: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def _best_eta(a: float, n: int) -> tuple[float, float, bool]:
     """Tightest admissible plug-in bound over the eta grid k (1 - 1/a) / 100, k = 1..99."""
     eta_max = 1.0 - 1.0 / a

@@ -5,6 +5,10 @@ kernels must agree with.
 exact rules for a point, a ball, a d=1 sphere (two points), an
 origin-radial set (annulus or centred sphere) and a pair of spheres.  It
 is the judge of the batched clearance kernel in `geometry.distance_between`.
+
+`coverage_sweep`, a float covered-interval sweep over a sites x columns
+boolean matrix, is the judge of the packed-bit kernel
+`stochastic._coverage_sweep`, which must agree with it column by column.
 """
 
 import math
@@ -61,3 +65,26 @@ def pair_distance(p, q) -> float:
 def region_distance(a: g.RegionSet, b: g.RegionSet) -> float:
     """Least pair_distance over the primitives of two regions, clamped at 0."""
     return max(min((pair_distance(p, q) for p in a.shapes for q in b.shapes), default=math.inf), 0.0)
+
+
+def coverage_sweep(norms_sorted, active, lo, hi, width):
+    """Per column of `active` (sites x columns, rows in norm order): is
+    [lo, hi] fully covered by the blockers [v - width, v] of its active sites?
+
+    The rule is that of ``not free_intervals(...)`` for hi >= lo.  Blockers
+    are swept in norm order, so their left endpoints are nondecreasing and a
+    gap left behind (touching blockers leave none) can never be filled later.
+    """
+    covered_to = np.full(active.shape[1], -np.inf)
+    dead = np.zeros(active.shape[1], dtype=bool)
+    for v, row in zip(norms_sorted, active):
+        if v < lo:
+            continue
+        start = v - width
+        if start > hi:
+            break
+        if start > lo:
+            # a column not yet covering lo is -inf here, so it is free at lo
+            dead |= row & (covered_to < start)
+        covered_to = np.where(row, v, covered_to)
+    return (covered_to >= hi) & ~dead

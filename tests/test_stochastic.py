@@ -15,6 +15,8 @@ from sparseloc import stochastic as st
 from sparseloc.certify import free_intervals
 from sparseloc.geometry import make_annulus
 
+from oracles import coverage_sweep
+
 
 def within(rec, target, n_sigma=3.0):
     """The estimate lies within n_sigma standard errors of the target."""
@@ -127,6 +129,25 @@ def blocked_by_free_intervals(norms, active, lo, hi, width):
     return [not free_intervals(norms[active[:, t]], lo, hi, width) for t in range(active.shape[1])]
 
 
+def packed_sweep(norms, active, lo, hi, width):
+    """The packed kernel on a sites x columns boolean matrix, unpacked per column."""
+    bits = np.packbits(active, axis=1, bitorder="little")
+    got = st._coverage_sweep(norms, bits, lo, hi, width)
+    assert got.dtype == np.uint8 and got.shape == (bits.shape[1],)
+    columns = np.unpackbits(got, count=active.shape[1], bitorder="little")
+    # the zero pad bits of the last byte are never blocked
+    assert np.bitwise_count(got).sum() == np.count_nonzero(columns)
+    return columns.astype(bool)
+
+
+def check_sweep(norms, active, lo, hi, width):
+    """The packed kernel agrees with the float sweep and with free_intervals."""
+    got = packed_sweep(norms, active, lo, hi, width)
+    assert got.tolist() == coverage_sweep(norms, active, lo, hi, width).tolist()
+    assert got.tolist() == blocked_by_free_intervals(norms, active, lo, hi, width)
+    return got
+
+
 # multiples of 1/2: blockers touch, and norms land on lo and hi + width
 halves = hs.integers(0, 24).map(lambda k: k / 2.0)
 
@@ -138,16 +159,21 @@ class TestCoverageSweep:
         lo=halves,
         span=hs.integers(0, 8).map(lambda k: k / 2.0),
         width=hs.integers(0, 8).map(lambda k: k / 2.0),
-        n_cols=hs.integers(0, 8),
+        n_cols=hs.integers(0, 70),
         data=hs.data(),
     )
     def test_matches_free_intervals(self, norms, lo, span, width, n_cols, data):
         norms = np.sort(np.array(norms, dtype=float))
         active = data.draw(hnp.arrays(bool, (norms.size, n_cols)))
-        hi = lo + span
-        got = st._coverage_sweep(norms, active, lo, hi, width)
-        assert got.shape == (n_cols,)
-        assert got.tolist() == blocked_by_free_intervals(norms, active, lo, hi, width)
+        check_sweep(norms, active, lo, lo + span, width)
+
+    @pytest.mark.parametrize("width", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("n_cols", [0, 1, 7, 8, 9, 63, 64, 65, 70])
+    def test_column_counts(self, n_cols, width):
+        # duplicate norms, as for the +-x sites in d=1, around a window [4, 7]
+        norms = np.repeat([3.0, 4.0, 5.0, 5.5, 6.0, 7.0, 9.0], 2)
+        active = np.random.default_rng(n_cols).random((norms.size, n_cols)) < 0.6
+        check_sweep(norms, active, 4.0, 7.0, width)
 
     @pytest.mark.parametrize(
         "norms, lo, hi, columns, want",
@@ -169,9 +195,7 @@ class TestCoverageSweep:
     def test_edge_cases(self, norms, lo, hi, columns, want):
         norms = np.array(norms)
         active = np.array(columns, dtype=bool).reshape(-1, norms.size).T
-        got = st._coverage_sweep(norms, active, lo, hi, 2.0)
-        assert got.tolist() == want
-        assert want == blocked_by_free_intervals(norms, active, lo, hi, 2.0)
+        assert check_sweep(norms, active, lo, hi, 2.0).tolist() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_lemma_mc_trials_match_free_intervals(self, n):
@@ -183,8 +207,7 @@ class TestCoverageSweep:
         norms = model.sites.norms[indices]
         u = _rng.site_uniforms(seed, indices, trials)
         bad = model.laws.transform(model.sites.points[indices], indices, u) >= eps
-        got = st._coverage_sweep(norms, bad, lo, hi, float(n))
-        assert got.tolist() == blocked_by_free_intervals(norms, bad, lo, hi, float(n))
+        got = check_sweep(norms, bad, lo, hi, float(n))
         rec = st.estimate_a_n(model, eps, a, n, trials, seed)
         assert rec.value == np.count_nonzero(got) / trials
 
@@ -235,11 +258,26 @@ class TestBruteForceAN:
         assert 0.0 < got < 1.0
 
     def test_pattern_blocks(self, monkeypatch):
-        # m = 18 undecided sites: 2^18 patterns span many pattern blocks
+        # m = 18 undecided sites: 2^18 patterns in one packed sweep.  Blocks of
+        # 13 draws pack into 2 bytes each, 52 blocks fill a packed block, and
+        # 2000 trials take three full packed blocks and a partial one.
         model = lemma_mc_d1_model()
         assert st.brute_force_a_n(model, 0.5, a=2.0, n=3) == 0.6247075422930087
-        monkeypatch.setattr(st, "_BLOCK_DRAWS", 1 << 10)
+        rec = st.estimate_a_n(model, 0.5, 2.0, 3, 2000, 5)
+        monkeypatch.setattr(st, "_TRIAL_BATCH", 13)
+        monkeypatch.setattr(st, "_BLOCK_DRAWS", 1)
         assert st.brute_force_a_n(model, 0.5, a=2.0, n=3) == 0.6247075422930087
+        assert st.estimate_a_n(model, 0.5, 2.0, 3, 2000, 5) == rec
+
+    @pytest.mark.parametrize("probs", [
+        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],  # m = 0: one pattern, the always-bad rows alone
+        [1.0, 0.0, 0.3, 0.0, 1.0, 0.0],  # m = 1
+        [1.0, 0.4, 0.3, 0.0, 1.0, 1.0],  # m = 2
+        [0.2, 0.4, 0.3, 1.0, 0.0, 1.0],  # m = 3: the first full byte of patterns
+    ])
+    def test_few_undecided_sites(self, probs):
+        # 2^m < 8 patterns leave pad bits in the last byte, set in always-bad rows
+        self.check_explicit_sites(probs)
 
     def test_window_guard(self):
         # scale 3 at a=2 needs sites out to radius 16
@@ -326,6 +364,13 @@ class TestEstimateAN:
 
 
 class TestANBound:
+    @pytest.mark.parametrize("a, n", [(2.0, 1), (2, 1), (2.0, 5), (3.0, 40), (3, 40), (1.3, 7)])
+    def test_best_eta_cached_value_is_the_computed_one(self, a, n):
+        for _ in range(2):
+            got = st._best_eta(a, n)
+            assert type(got[0]) is type(got[1]) is float
+            assert got == st._best_eta.__wrapped__(a, n)
+
     def test_plug_in_n4(self):
         bound, vacuous = st.a_n_bound(2.0, 0.25, 4)
         assert bound == pytest.approx(math.exp(-(0.75**4) * (16.0 / 4.0 - 1.0)), rel=1e-12)
