@@ -1,8 +1,9 @@
 """Config-driven experiment runner: sample, construct, certify, estimate, probe.
 
 All science parameters live in a JSON config validated against a strict
-schema (unknown keys are rejected so typos cannot silently change an
-experiment).  Outputs are CSV and JSON-lines files with fixed column
+schema; a key that no model constructor (`sparseloc.models.KINDS`) or
+stage (`STAGES`) reads is rejected, so typos cannot silently change an
+experiment.  Outputs are CSV and JSON-lines files with fixed column
 orders; reruns of the same config and seeds are byte-identical, and the
 only environment influence is SPARSELOC_WORKERS (parallel cell count),
 which must not change any output byte.
@@ -36,6 +37,7 @@ from .certify import (
     scale_window,
 )
 from .models import (
+    KINDS,
     CouplingMap,
     WindowTooSmallError,
     model_from_dict,
@@ -63,6 +65,22 @@ PIPELINES = {
     "full-report": ("certify-sparse", "lemma-mc", "spectral-probe"),
 }
 
+# a nested law of `shared` or `per_site`: one of the coupling-law kinds
+_COUPLING_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": list(KINDS["coupling"])},
+        "p": {"type": "number", "minimum": 0, "maximum": 1},
+        "lo": {"type": "number"},
+        "hi": {"type": "number"},
+        "atoms": {"type": "array"},
+    },
+}
+
+# the keys of every kind of a component; which of them a kind takes is its
+# constructor's parameters (`sparseloc.models.KINDS`), checked when the model is built
 MODEL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -74,7 +92,7 @@ MODEL_SCHEMA = {
             "additionalProperties": False,
             "required": ["generator"],
             "properties": {
-                "generator": {"enum": ["lattice", "tube", "explicit"]},
+                "generator": {"enum": list(KINDS["sites"])},
                 "radius": {"type": "number", "exclusiveMinimum": 0},
                 "offsets": {"type": "array"},
                 "points": {"type": "array"},
@@ -86,25 +104,12 @@ MODEL_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {
-                    "enum": [
-                        "bernoulli",
-                        "uniform",
-                        "bernoulli_times_uniform",
-                        "point_masses",
-                        "radial_bernoulli",
-                        "shared",
-                        "per_site",
-                    ]
-                },
-                "p": {"type": "number", "minimum": 0, "maximum": 1},
-                "lo": {"type": "number"},
-                "hi": {"type": "number"},
+                **_COUPLING_SCHEMA["properties"],
+                "kind": {"enum": list(KINDS["law"])},
                 "tau": {"type": "number", "minimum": 0},
                 "cap": {"type": "number", "minimum": 0, "maximum": 1},
-                "atoms": {"type": "array"},
-                "law": {"type": "object"},
-                "laws": {"type": "array"},
+                "law": _COUPLING_SCHEMA,
+                "laws": {"type": "array", "items": _COUPLING_SCHEMA},
             },
         },
         "potential": {
@@ -112,7 +117,7 @@ MODEL_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind", "amplitude", "radius"],
             "properties": {
-                "kind": {"enum": ["indicator"]},
+                "kind": {"enum": list(KINDS["potential"])},
                 "amplitude": {"type": "number"},
                 "radius": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -122,7 +127,7 @@ MODEL_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["zero", "constant", "periodic_step"]},
+                "kind": {"enum": list(KINDS["background"])},
                 "value": {"type": "number"},
                 "values": {"type": "array", "items": {"type": "number"}},
                 "cell": {"type": "number", "exclusiveMinimum": 0},
@@ -263,10 +268,9 @@ def load_config(path: str | Path) -> dict:
         if not model_path.exists():
             raise ConfigError([f"$.model_file: {cfg['model_file']} does not exist"])
         cfg = {**cfg, "model": _read_model_file(model_path)}
-    errors = _semantic_errors(cfg)
+    errors = _semantic_errors(cfg, _build_model(cfg["model"]))
     if errors:
         raise ConfigError(errors)
-    _build_model(cfg["model"])
     if "spectral-probe" in PIPELINES[cfg["pipeline"]]:
         # the spectral stage's scipy modules load here, before the run starts
         import scipy.linalg  # noqa: F401
@@ -288,27 +292,24 @@ def _read_model_file(path: Path) -> dict:
     return model
 
 
-def _semantic_errors(cfg: dict) -> list[str]:
+def _semantic_errors(cfg: dict, model) -> list[str]:
     params = cfg.get("parameters", {})
     pipeline = cfg["pipeline"]
     stages = PIPELINES[pipeline]
     need = dict.fromkeys(key for stage in stages for key in STAGES[stage].params)
-    errors = [
-        f"$.parameters.{key}: required for pipeline {pipeline}"
-        for key in need
-        if key not in params
-    ]
+    read = {key for stage in stages for key in STAGES[stage].params + STAGES[stage].optional}
+    errors = [f"$.parameters.{key}: required for pipeline {pipeline}"
+              for key in need if key not in params]
+    errors += [f"$.parameters.{key}: not read by pipeline {pipeline}"
+               for key in params if key not in read]
     if "n_range" in params and params["n_range"][0] > params["n_range"][1]:
         errors.append("$.parameters.n_range: lower bound exceeds upper bound")
     if errors:
         return errors
 
-    model_cfg = cfg["model"]
-    d = model_cfg.get("dimension", 1)
+    d = model.dimension
     # lemma-mc reads the whole site window; certify and spectral cells sample `window`
-    sites = model_cfg["sites"]
-    radius_key = "window_radius" if sites["generator"] == "explicit" else "radius"
-    site_radius = sites.get(radius_key, math.inf)
+    site_radius = model.sites.window_radius
     window = params.get("window", site_radius)
     try:
         require_window(site_radius, window, " requested by parameters.window")
@@ -332,7 +333,7 @@ def _semantic_errors(cfg: dict) -> list[str]:
             require_grid_dimension(d)
         except ValueError as exc:
             return errors + [f"$.model.dimension: {exc}"]
-        needed = params["box"] * math.sqrt(d) + model_cfg["potential"]["radius"]
+        needed = params["box"] * math.sqrt(d) + model.max_support_radius()
         try:
             require_dense(grid_side(params["box"], params["h"]) ** d)
             require_window(window, needed, " needed by the box corner plus support")
@@ -574,14 +575,16 @@ def _spectral_cell(cfg: dict, stage: str, seed: int) -> dict:
 class Stage(NamedTuple):
     cell: Callable[[dict, str, int], dict]
     params: tuple[str, ...]  # required parameters
+    optional: tuple[str, ...]  # the other parameters the cell reads
 
 
 # Every stage runs one cell per seed.
 STAGES = {
-    "certify-sparse": Stage(_certify_cell, ("eps", "gammas", "n_range")),
-    "certify-quasi1d": Stage(_certify_cell, ("eps", "gammas", "n_range", "a")),
-    "lemma-mc": Stage(_lemma_cell, ("eps", "a", "n_range", "trials")),
-    "spectral-probe": Stage(_spectral_cell, ("eps", "box", "h")),
+    "certify-sparse": Stage(_certify_cell, ("eps", "gammas", "n_range"), ("window",)),
+    "certify-quasi1d": Stage(_certify_cell, ("eps", "gammas", "n_range", "a"),
+                             ("window", "alpha")),
+    "lemma-mc": Stage(_lemma_cell, ("eps", "a", "n_range", "trials"), ()),
+    "spectral-probe": Stage(_spectral_cell, ("eps", "box", "h"), ("window", "energies")),
 }
 
 

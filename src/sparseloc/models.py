@@ -5,7 +5,8 @@ shared by every site, a coupling distribution per site (supported in
 [0,1]) and a deterministic background.  The constructors refuse repeated
 sites, laws off [0,1] and a distinguished site whose bump is 0 at its
 centre.  Sampling is counter-based per site, so coupling draws depend only
-on (seed, site) and never on iteration order.
+on (seed, site) and never on iteration order.  `KINDS` maps each kind of
+a config's model components to its constructor.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "second_moment_decay_fit",
     "quasi_dimension_bound",
     "model_from_dict",
+    "KINDS",
 ]
 
 
@@ -73,7 +75,7 @@ class CouplingLaw:
 
     def __post_init__(self):
         total = sum(w for _, w in self.atoms) + sum(m for _, _, m in self.segments)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"law mass {total} != 1")
         for x, w in self.atoms:
             if not (0.0 <= x <= 1.0):
@@ -182,14 +184,6 @@ class CouplingLaw:
             out[seg] = xs[j - 1] + frac * (xs[j] - xs[j - 1])
         return out
 
-    @staticmethod
-    def from_dict(rec: dict) -> "CouplingLaw":
-        return CouplingLaw(
-            rec["kind"],
-            atoms=tuple((x, w) for x, w in rec.get("atoms", [])),
-            segments=tuple((lo, hi, m) for lo, hi, m in rec.get("segments", [])),
-        )
-
 
 def p_epsilon(law: CouplingLaw, eps: float) -> float:
     """Mass of [eps, 1]: the probability of a coupling at least eps."""
@@ -224,8 +218,8 @@ class LawAssignment:
 
     @staticmethod
     def radial_bernoulli(tau: float, cap: float = 1.0) -> "LawAssignment":
-        if tau < 0:
-            raise ValueError("tau must be >= 0")
+        if not tau >= 0:
+            raise ValueError(f"radial_bernoulli tau {tau} is not >= 0")
         if not (0.0 <= cap <= 1.0):
             raise ValueError(f"radial_bernoulli cap {cap} is outside [0,1]")
         return LawAssignment("radial_bernoulli", tau=tau, cap=cap)
@@ -271,27 +265,6 @@ class LawAssignment:
             out[row] = self.per_site[i].quantile(u[row])
         return out
 
-    @staticmethod
-    def from_dict(rec: dict) -> "LawAssignment":
-        kind = rec["kind"]
-        if kind == "shared":
-            return LawAssignment.shared_law(CouplingLaw.from_dict(rec["law"]))
-        if kind == "radial_bernoulli":
-            return LawAssignment.radial_bernoulli(rec["tau"], rec.get("cap", 1.0))
-        if kind == "per_site":
-            return LawAssignment.per_site_laws(CouplingLaw.from_dict(l) for l in rec["laws"])
-        # friendly shorthand kinds used by model description files
-        lo, hi = rec.get("lo", 0.0), rec.get("hi", 1.0)
-        shorthand = {
-            "bernoulli": lambda: CouplingLaw.bernoulli(rec["p"]),
-            "uniform": lambda: CouplingLaw.uniform(lo, hi),
-            "bernoulli_times_uniform": lambda: CouplingLaw.bernoulli_times_uniform(rec["p"], lo, hi),
-            "point_masses": lambda: CouplingLaw.point_masses([(x, w) for x, w in rec["atoms"]]),
-        }
-        if kind not in shorthand:
-            raise ValueError(f"unknown law assignment kind {kind!r}")
-        return LawAssignment.shared_law(shorthand[kind]())
-
 
 # ---------------------------------------------------------------------------
 # Sites
@@ -315,32 +288,33 @@ class SiteSet:
 
     dimension: int
     points: np.ndarray
-    generator: str
     window_radius: float
 
     @staticmethod
     def lattice(dimension: int, radius: float) -> "SiteSet":
         """Integer lattice sites with norm <= radius."""
+        if not radius > 0:
+            raise ValueError(f"lattice radius {radius} is not positive")
         rng = np.arange(-int(math.floor(radius)), int(math.floor(radius)) + 1)
         grids = np.meshgrid(*([rng] * dimension), indexing="ij")
         pts = np.column_stack([a.ravel() for a in grids]).astype(float)
         pts = pts[np.linalg.norm(pts, axis=1) <= radius]
         pts = pts[_canonical_order(pts)]
-        return SiteSet(dimension, pts, "lattice", float(radius))
+        return SiteSet(dimension, pts, float(radius))
 
     @staticmethod
-    def tube(dimension: int, radius: float, offsets=((0.0,),)) -> "SiteSet":
-        """Z x S sites: integers along the first axis, fixed cross-section."""
+    def tube(dimension: int, radius: float, offsets=None) -> "SiteSet":
+        """Z x S sites: integers along the first axis, cross-section `offsets`
+        in the last d-1 coordinates (by default the origin alone)."""
+        if not radius > 0:
+            raise ValueError(f"tube radius {radius} is not positive")
+        if offsets is None:
+            offsets = np.zeros((1, dimension - 1))
         offs = np.atleast_2d(np.asarray(offsets, dtype=float))
         if offs.shape[1] != dimension - 1:
             raise ValueError("offsets must live in the last d-1 coordinates")
         axis = np.arange(-int(math.floor(radius)), int(math.floor(radius)) + 1, dtype=float)
-        pts = np.column_stack(
-            [
-                np.repeat(axis, len(offs)),
-                np.tile(offs, (len(axis), 1)).reshape(-1, dimension - 1),
-            ]
-        )
+        pts = np.column_stack([np.repeat(axis, len(offs)), np.tile(offs, (len(axis), 1))])
         pts = pts[np.linalg.norm(pts, axis=1) <= radius]
         pts = pts[_canonical_order(pts)]
         if len(offs) > 1:
@@ -348,13 +322,18 @@ class SiteSet:
             repeats = np.argwhere(np.triu(d == 0.0, k=1))
             if len(repeats):
                 raise ValueError(f"tube offset {offs[repeats[0, 0]].tolist()} is repeated")
-        return SiteSet(dimension, pts, "tube", float(radius))
+        return SiteSet(dimension, pts, float(radius))
 
     @staticmethod
-    def explicit(points, window_radius: float | None = None) -> "SiteSet":
-        """Explicit list of distinct sites; by default it is taken as the
-        complete configuration, so the window is unbounded."""
+    def explicit(points, window_radius: float | None = None,
+                 dimension: int | None = None) -> "SiteSet":
+        """Explicit list of distinct sites, of `dimension` coordinates when it is
+        given; by default the list is taken as the complete configuration, so the
+        window is unbounded."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if dimension is not None and pts.shape[1] != dimension:
+            raise ValueError(f"explicit points have dimension {pts.shape[1]}, "
+                             f"but the model has dimension {dimension}")
         if pts.size == 0:
             raise ValueError("explicit site list is empty")
         pts = pts[_canonical_order(pts)]
@@ -362,9 +341,10 @@ class SiteSet:
         repeats = np.flatnonzero(np.all(pts[1:] == pts[:-1], axis=1))
         if repeats.size:
             raise ValueError(f"explicit site {pts[repeats[0]].tolist()} is repeated")
-        if window_radius is None:
-            window_radius = math.inf
-        return SiteSet(pts.shape[1], pts, "explicit", float(window_radius))
+        window_radius = math.inf if window_radius is None else float(window_radius)
+        if not window_radius > 0:
+            raise ValueError(f"explicit window_radius {window_radius} is not positive")
+        return SiteSet(pts.shape[1], pts, window_radius)
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -399,6 +379,8 @@ class SingleSitePotential:
         """amplitude * indicator of B(0, radius)."""
         amp = float(amplitude)
         rad = float(radius)
+        if not rad > 0:
+            raise ValueError(f"indicator radius {radius} is not positive")
         return SingleSitePotential(rad, lambda r: np.where(r <= rad, amp, 0.0))
 
     def evaluate(self, offsets: np.ndarray) -> np.ndarray:
@@ -410,52 +392,34 @@ class SingleSitePotential:
 
 @dataclass(frozen=True, eq=False)
 class BackgroundPotential:
-    """Deterministic background: zero, constant, or periodic step pattern."""
+    """Deterministic background: `values` repeated on consecutive cells of width
+    `cell` along the first axis.  Zero and constant are one-value patterns."""
 
-    kind: str = "zero"
-    value: float = 0.0
-    values: tuple[float, ...] = ()
+    values: tuple[float, ...] = (0.0,)
     cell: float = 1.0
 
     def __post_init__(self):
-        if self.kind == "periodic_step" and not (self.values and self.cell > 0):
+        if not (self.values and self.cell > 0):
             raise ValueError("periodic_step needs at least one value and a positive cell, "
                              f"got values={list(self.values)} and cell={self.cell}")
 
     @staticmethod
     def zero() -> "BackgroundPotential":
-        return BackgroundPotential("zero")
+        return BackgroundPotential()
 
     @staticmethod
     def constant(value: float) -> "BackgroundPotential":
-        return BackgroundPotential("constant", value=float(value))
+        return BackgroundPotential((float(value),))
 
     @staticmethod
     def periodic_step(values, cell: float = 1.0) -> "BackgroundPotential":
         """d=1 pattern repeating `values` on consecutive cells of width `cell`."""
-        return BackgroundPotential("periodic_step", values=tuple(float(v) for v in values), cell=float(cell))
+        return BackgroundPotential(tuple(float(v) for v in values), float(cell))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "zero":
-            return np.zeros(pts.shape[0])
-        if self.kind == "constant":
-            return np.full(pts.shape[0], self.value)
-        if self.kind == "periodic_step":
-            idx = np.floor(pts[:, 0] / self.cell).astype(int) % len(self.values)
-            return np.asarray(self.values)[idx]
-        raise ValueError(f"unknown background kind {self.kind!r}")
-
-    @staticmethod
-    def from_dict(rec: dict) -> "BackgroundPotential":
-        kind = rec["kind"]
-        if kind == "zero":
-            return BackgroundPotential.zero()
-        if kind == "constant":
-            return BackgroundPotential.constant(rec["value"])
-        if kind == "periodic_step":
-            return BackgroundPotential.periodic_step(rec["values"], rec.get("cell", 1.0))
-        raise ValueError(f"unknown background kind {kind!r}")
+        idx = np.floor(pts[:, 0] / self.cell).astype(int) % len(self.values)
+        return np.asarray(self.values)[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -708,32 +672,64 @@ def _no_growth_trend(x: np.ndarray, y: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_COUPLING_KINDS = {
+    "bernoulli": CouplingLaw.bernoulli,
+    "uniform": CouplingLaw.uniform,
+    "bernoulli_times_uniform": CouplingLaw.bernoulli_times_uniform,
+    "point_masses": CouplingLaw.point_masses,
+}
+
+# component -> {kind: constructor}; a kind's config keys are its constructor's
+# parameters, and its defaults are theirs.  A coupling-law kind given as the
+# model's law is one law shared by every site; `coupling` reads nested laws.
+KINDS = {
+    "sites": {"lattice": SiteSet.lattice, "tube": SiteSet.tube, "explicit": SiteSet.explicit},
+    "law": {
+        **_COUPLING_KINDS,
+        "radial_bernoulli": LawAssignment.radial_bernoulli,
+        "shared": lambda law: LawAssignment.shared_law(_from_kind("coupling", law)),
+        "per_site": lambda laws: LawAssignment.per_site_laws(
+            _from_kind("coupling", law) for law in laws),
+    },
+    "coupling": _COUPLING_KINDS,
+    "potential": {"indicator": SingleSitePotential.indicator},
+    "background": {
+        "zero": BackgroundPotential.zero,
+        "constant": BackgroundPotential.constant,
+        "periodic_step": BackgroundPotential.periodic_step,
+    },
+}
+
+
+def _from_kind(component: str, rec: dict, kind_key: str = "kind", **given):
+    """KINDS[component][rec[kind_key]] called with `given` and rec's other keys.
+
+    A key the constructor does not take, or one that `given` sets, raises
+    ValueError; a required parameter that neither sets raises KeyError(name).
+    """
+    kind = rec[kind_key]
+    make = KINDS[component].get(kind)
+    if make is None:
+        raise ValueError(f"unknown {component} kind {kind!r}")
+    # constructors take positional-or-keyword parameters, defaults last: read off the code object
+    code = make.__code__
+    params = code.co_varnames[:code.co_argcount]
+    args = {key: value for key, value in rec.items() if key != kind_key}
+    for key in args:
+        if key not in params or key in given:
+            raise ValueError(f"{component} {kind!r} takes no key {key!r}")
+    for name in params[:len(params) - len(make.__defaults__ or ())]:
+        if name not in args and name not in given:
+            raise KeyError(name)
+    return make(**given, **args)
+
+
 def model_from_dict(rec: dict) -> RandomPotentialModel:
-    d = rec["dimension"]
-    site_rec = rec["sites"]
-    gen = site_rec["generator"]
-    if gen == "lattice":
-        sites = SiteSet.lattice(d, site_rec["radius"])
-    elif gen == "tube":
-        offsets = site_rec.get("offsets", [[0.0] * (d - 1)])
-        sites = SiteSet.tube(d, site_rec["radius"], offsets)
-    elif gen == "explicit":
-        points = np.atleast_2d(np.asarray(site_rec["points"], dtype=float))
-        if points.shape[1] != d:
-            raise ValueError(f"explicit points have dimension {points.shape[1]}, "
-                             f"but the model has dimension {d}")
-        sites = SiteSet.explicit(points, site_rec.get("window_radius"))
-    else:
-        raise ValueError(f"unknown site generator {gen!r}")
-    pot_rec = rec["potential"]
-    if pot_rec["kind"] == "indicator":
-        potential = SingleSitePotential.indicator(pot_rec["amplitude"], pot_rec["radius"])
-    else:
-        raise ValueError(f"unknown potential kind {pot_rec['kind']!r}")
-    return RandomPotentialModel(
-        sites=sites,
-        potential=potential,
-        laws=LawAssignment.from_dict(rec["law"]),
-        background=BackgroundPotential.from_dict(rec.get("background", {"kind": "zero"})),
-        distinguished_site=rec.get("distinguished_site"),
-    )
+    """The model a config's `model` dict describes, one KINDS constructor per component."""
+    sites = _from_kind("sites", rec["sites"], "generator", dimension=rec["dimension"])
+    potential = _from_kind("potential", rec["potential"])
+    laws = _from_kind("law", rec["law"])
+    if isinstance(laws, CouplingLaw):
+        laws = LawAssignment.shared_law(laws)
+    background = _from_kind("background", rec.get("background", {"kind": "zero"}))
+    return RandomPotentialModel(sites, potential, laws, background, rec.get("distinguished_site"))

@@ -283,7 +283,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "part,fields,message",
         [
-            ("law", {"kind": "per_site", "laws": [{"kind": "uniform", "segments": [[0, 1, 1]]}]},
+            ("law", {"kind": "per_site", "laws": [{"kind": "uniform"}]},
              "per_site lists 1 laws for 81 sites"),
             ("background", {"kind": "periodic_step", "values": []},
              "periodic_step needs at least one value and a positive cell, "
@@ -371,6 +371,70 @@ class TestValidation:
         assert result.output == ("config error: $.model: ValueError: explicit points have "
                                  f"dimension {dim}, but the model has dimension 2\n")
 
+    @pytest.mark.parametrize(
+        "part,fields,line",
+        [
+            ("law", {"kind": "bernoulli", "p": 0.5, "tau": 3.0},
+             "$.model: ValueError: law 'bernoulli' takes no key 'tau'"),
+            ("law", {"kind": "uniform", "p": 0.5}, "$.model: ValueError: law 'uniform' takes no key 'p'"),
+            ("law", {"kind": "radial_bernoulli", "tau": 1.5, "lo": 0.0},
+             "$.model: ValueError: law 'radial_bernoulli' takes no key 'lo'"),
+            ("background", {"kind": "zero", "value": 0.0},
+             "$.model: ValueError: background 'zero' takes no key 'value'"),
+            ("background", {"kind": "constant", "value": 1.0, "values": [1.0]},
+             "$.model: ValueError: background 'constant' takes no key 'values'"),
+            ("sites", {"generator": "lattice", "radius": 10.0, "offsets": [[0.0]]},
+             "$.model: ValueError: sites 'lattice' takes no key 'offsets'"),
+            ("sites", {"generator": "tube", "radius": 10.0, "points": [[0.0, 0.0]]},
+             "$.model: ValueError: sites 'tube' takes no key 'points'"),
+            ("sites", {"generator": "explicit", "points": [[0.0, 0.0]], "radius": 10.0},
+             "$.model: ValueError: sites 'explicit' takes no key 'radius'"),
+            ("law", {"kind": "shared", "law": {"kind": "bernoulli", "p": 0.5, "tau": 3.0}},
+             "$.model.law.law: Additional properties are not allowed ('tau' was unexpected)"),
+            ("law", {"kind": "shared", "law": {"kind": "bernoulli", "p": 1.5}},
+             "$.model.law.law.p: 1.5 is greater than the maximum of 1"),
+            ("law", {"kind": "per_site", "laws": [{"kind": "shared"}]},
+             "$.model.law.laws[0].kind: 'shared' is not one of "
+             "['bernoulli', 'uniform', 'bernoulli_times_uniform', 'point_masses']"),
+        ],
+    )
+    def test_key_the_kind_does_not_take_refused(self, tmp_path, part, fields, line):
+        cfg = certify_cfg(tmp_path / "out")
+        cfg["model"][part] = fields
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert (result.exit_code, result.output) == (2, f"config error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "pipeline,params,unread",
+        [
+            ("certify-sparse", {"gammas": [1.0], "n_range": [1, 3], "trials": 10, "box": 1.0,
+                                "alpha": 2.0}, ["trials", "box", "alpha"]),
+            ("lemma-mc", {"a": 2.0, "n_range": [1, 3], "trials": 50, "window": 20.0}, ["window"]),
+            ("full-report", {"gammas": [1.0], "n_range": [1, 3], "a": 2.0, "trials": 50,
+                             "box": 6.0, "h": 0.2, "alpha": 2.0}, ["alpha"]),
+        ],
+    )
+    def test_parameter_no_stage_reads_refused(self, tmp_path, pipeline, params, unread):
+        cfg = window_cfg(tmp_path, pipeline, params)
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"config error: $.parameters.{key}: not read by pipeline {pipeline}" for key in unread
+        ]
+        for key in unread:
+            del cfg["parameters"][key]
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert (result.exit_code, result.output) == (0, "ok\n")
+
+    def test_model_refused_before_the_window_checks(self, tmp_path):
+        cfg = certify_cfg(tmp_path / "out")
+        cfg["parameters"]["n_range"] = [1, 12]  # needs radius ~2^13
+        cfg["model"]["background"] = {"kind": "zero", "value": 0.0}
+        result = CliRunner().invoke(cli.main, ["validate", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 2
+        assert result.output == ("config error: $.model: ValueError: background 'zero' takes "
+                                 "no key 'value'\n")
+
 
 # every keyword `cli._schema_errors` checks; `additionalProperties` only as false
 WALKER_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties", "items",
@@ -421,15 +485,22 @@ class TestSchemaWalker:
 
     @staticmethod
     def corpus():
-        """(schema, root path, document) for each mutation of three base documents."""
+        """(schema, root path, document) for each mutation of five base documents."""
         full = full_report_cfg("out")
         full["model"].update(distinguished_site=0)
         full["model"]["law"] = {"kind": "bernoulli", "p": 0.5}
         full["parameters"].update(window=20.0, alpha=2.0)
         from_file = {key: value for key, value in certify_cfg("out").items() if key != "model"}
         from_file["model_file"] = "model.json"
+        shared, per_site = lattice_model_cfg(), lattice_model_cfg()
+        shared["law"] = {"kind": "shared", "law": {"kind": "bernoulli_times_uniform", "p": 0.5,
+                                                   "lo": 0.25, "hi": 1.0}}
+        per_site["law"] = {"kind": "per_site", "laws": [{"kind": "point_masses",
+                                                         "atoms": [[0.5, 1.0]]}]}
         bases = [(cli.CONFIG_SCHEMA, "$", full), (cli.CONFIG_SCHEMA, "$", from_file),
-                 (cli.MODEL_SCHEMA, "model_file $", lattice_model_cfg())]
+                 (cli.MODEL_SCHEMA, "model_file $", lattice_model_cfg()),
+                 (cli.MODEL_SCHEMA, "model_file $", shared),
+                 (cli.MODEL_SCHEMA, "model_file $", per_site)]
         for schema, root, base in bases:
             yield schema, root, base
             for path, node in json_nodes(base):

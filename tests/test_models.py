@@ -119,8 +119,12 @@ class TestCouplingLaw:
 
     def test_law_dict_roundtrip(self):
         law = m.CouplingLaw.bernoulli_times_uniform(0.4, 0.2, 0.9)
-        rec = {"kind": "bernoulli_times_density", "atoms": [[0.0, 0.6]], "segments": [[0.2, 0.9, 0.4]]}
-        assert m.CouplingLaw.from_dict(rec) == law
+        rec = {"kind": "bernoulli_times_uniform", "p": 0.4, "lo": 0.2, "hi": 0.9}
+        assert m._from_kind("coupling", rec) == law
+
+    def test_point_masses_refuse_a_nan_weight(self):
+        with pytest.raises(ValueError, match="law mass nan != 1"):
+            m.CouplingLaw.point_masses([(0.0, math.nan), (1.0, 1.0)])
 
 
 class TestSiteSets:
@@ -139,6 +143,21 @@ class TestSiteSets:
         # integers k with |k| <= 10, cross-section {0}
         assert len(sites) == 21
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tube_default_offset_is_the_origin(self, d):
+        sites = m.SiteSet.tube(d, 10.0)
+        rec = {"dimension": d, "sites": {"generator": "tube", "radius": 10.0},
+               "law": {"kind": "uniform"},
+               "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5}}
+        assert np.array_equal(sites.points, m.model_from_dict(rec).sites.points)
+        assert sites.points.tolist() == [[k] + [0.0] * (d - 1) for k in range(-10, 11)]
+
+    @pytest.mark.parametrize("make", [m.SiteSet.lattice, m.SiteSet.tube])
+    @pytest.mark.parametrize("radius", [-3.0, 0.0, math.nan])
+    def test_non_positive_site_radius_refused(self, make, radius):
+        with pytest.raises(ValueError, match=f"{make.__name__} radius {radius} is not positive"):
+            make(2, radius)
+
     def test_duplicate_site_witness(self):
         for points, repeated in [
             ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [0.0, 0.0]),
@@ -151,6 +170,11 @@ class TestSiteSets:
         sites = m.SiteSet.explicit([[2.0, 0.0], [0.0, 1e-300], [0.0, 0.0]])
         assert sites.points.tolist() == [[0.0, 0.0], [0.0, 1e-300], [2.0, 0.0]]
         assert sites.window_radius == math.inf
+
+    @pytest.mark.parametrize("window", [-1.0, 0.0, math.nan])
+    def test_explicit_refuses_a_non_positive_window(self, window):
+        with pytest.raises(ValueError, match=f"explicit window_radius {window} is not positive"):
+            m.SiteSet.explicit([[0.0]], window)
 
     @pytest.mark.parametrize("points", [[], [[]], np.zeros((0, 2))])
     def test_explicit_refuses_an_empty_list(self, points):
@@ -529,6 +553,16 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match="per_site lists 1 laws for 81 sites"):
             m.RandomPotentialModel(sites, potential, m.LawAssignment.per_site_laws(laws[:1]))
 
+    @pytest.mark.parametrize("tau", [-1.0, math.nan])
+    def test_radial_bernoulli_refuses_a_negative_or_nan_tau(self, tau):
+        with pytest.raises(ValueError, match=f"radial_bernoulli tau {tau} is not >= 0"):
+            m.LawAssignment.radial_bernoulli(tau)
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan])
+    def test_indicator_refuses_a_non_positive_radius(self, radius):
+        with pytest.raises(ValueError, match=f"indicator radius {radius} is not positive"):
+            m.SingleSitePotential.indicator(1.0, radius)
+
     @pytest.mark.parametrize("values,cell", [([], 1.0), ([0.0, 3.0], 0.0), ([0.0, 3.0], -1.0)])
     def test_periodic_step_refuses_an_empty_pattern_or_cell(self, values, cell):
         message = re.escape(f"got values={values} and cell={cell}")
@@ -555,7 +589,8 @@ class TestModelSerialization:
         assert back.dimension == model.dimension == 2
         assert np.array_equal(back.sites.points, model.sites.points)
         assert (back.laws.kind, back.laws.tau, back.laws.cap) == ("radial_bernoulli", 1.5, 1.0)
-        assert (back.background.kind, back.background.value) == ("constant", 2.0)
+        nodes = np.linspace(-7.0, 7.0, 29)[:, None] * [1.0, 0.5]
+        assert np.array_equal(back.background.evaluate(nodes), model.background.evaluate(nodes))
         assert back.potential.support_radius == model.potential.support_radius == 1.0
         offsets = np.array([[0.0, 0.0], [0.0, -1.0], [0.0, -1.01], [2.0, 0.0]])
         want = [-3.0, -3.0, 0.0, 0.0]
@@ -576,4 +611,50 @@ class TestModelSerialization:
         })
         assert np.array_equal(back.sites.points, model.sites.points)
         assert back.laws.shared == model.laws.shared
-        assert back.background.kind == "zero"
+        nodes = np.linspace(-7.0, 7.0, 29)[:, None] * [1.0, 0.5]
+        assert np.array_equal(back.background.evaluate(nodes), model.background.evaluate(nodes))
+        assert np.array_equal(back.background.evaluate(nodes), np.zeros(len(nodes)))
+
+
+class TestKinds:
+    """Model components built through `KINDS`: a kind's keys are its constructor's
+    parameters, nested laws included, and the background is one pattern."""
+
+    def model_rec(self, **parts):
+        return {"dimension": 1, "sites": {"generator": "lattice", "radius": 5.0},
+                "law": {"kind": "uniform"},
+                "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5}, **parts}
+
+    @pytest.mark.parametrize(
+        "part,fields,message",
+        [
+            ("law", {"kind": "shared", "law": {"kind": "bernoulli", "p": 0.5, "lo": 0.1}},
+             "coupling 'bernoulli' takes no key 'lo'"),
+            ("sites", {"generator": "lattice", "radius": 5.0, "dimension": 1},
+             "sites 'lattice' takes no key 'dimension'"),
+            ("law", {"kind": "shared", "law": {"kind": "radial_bernoulli", "tau": 1.0}},
+             "unknown coupling kind 'radial_bernoulli'"),
+        ],
+    )
+    def test_a_key_the_kind_does_not_take_is_refused(self, part, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            m.model_from_dict(self.model_rec(**{part: fields}))
+
+    def test_nested_laws_read_by_the_coupling_kinds(self):
+        laws = [{"kind": "bernoulli", "p": 0.25}, {"kind": "point_masses", "atoms": [[0.5, 1.0]]}]
+        want = [m.CouplingLaw.bernoulli(0.25), m.CouplingLaw.point_masses([(0.5, 1.0)])]
+        rec = self.model_rec(sites={"generator": "explicit", "points": [[0.0], [2.0]]},
+                             law={"kind": "per_site", "laws": laws})
+        assert list(m.model_from_dict(rec).laws.per_site) == want
+        shared = m.model_from_dict(self.model_rec(law={"kind": "shared", "law": laws[0]}))
+        assert shared.laws.shared == want[0]
+
+    @pytest.mark.parametrize("c", [2.0, -3.5, 0.1])
+    def test_constant_background_is_its_value_everywhere(self, c):
+        nodes = np.concatenate([np.linspace(-40.0, 40.0, 1601), [-1e9, -0.5, -0.0, 1e9]])
+        n = len(nodes)
+        for pts in (nodes[:, None], np.column_stack([nodes, nodes[::-1]])):
+            got = m.BackgroundPotential.constant(c).evaluate(pts)
+            assert got.tobytes() == np.full(n, c).tobytes()
+            zero = m.BackgroundPotential.zero().evaluate(pts)
+            assert zero.tobytes() == np.full(n, 0.0).tobytes()  # +0.0, never -0.0

@@ -95,13 +95,13 @@ def pipeline_configs() -> dict[str, dict]:
         sys.path.pop(0)
     configs = {name: workloads.config_for(name, 0) for name in workloads.NAMES}
     full = configs["full-report-d1"]
-    spectral = copy.deepcopy(full)
-    spectral["pipeline"] = "spectral-probe"
-    spectral["parameters"]["energies"] = [-1.0, 3.5]
-    certify = copy.deepcopy(full)
-    certify["pipeline"] = "certify-sparse"
-    configs["spectral-probe-d1"] = spectral
-    configs["certify-sparse-d1"] = certify
+    # each variant keeps the parameters its stage reads; validate refuses the others
+    for name, pipeline, keys in [("spectral-probe-d1", "spectral-probe", ("eps", "box", "h")),
+                                 ("certify-sparse-d1", "certify-sparse", ("eps", "gammas", "n_range"))]:
+        variant = copy.deepcopy(full)
+        variant.update(pipeline=pipeline, parameters={k: full["parameters"][k] for k in keys})
+        configs[name] = variant
+    configs["spectral-probe-d1"]["parameters"]["energies"] = [-1.0, 3.5]
     return configs
 
 
