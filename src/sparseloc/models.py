@@ -253,6 +253,13 @@ class LawAssignment:
             return self._bernoulli_p(points)
         return np.array([self.per_site[i].tail_mass(eps) for i in indices])
 
+    def bad_mask(self, points: np.ndarray, indices: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
+        """transform(points, indices, u) >= eps.  A radial Bernoulli coupling is 1 where
+        u > 1 - p and 0 elsewhere, so for eps in (0, 1] that comparison alone decides."""
+        if self.kind == "radial_bernoulli" and 0.0 < eps <= 1.0:
+            return u > 1.0 - self._bernoulli_p(points)[:, None]
+        return self.transform(points, indices, u) >= eps
+
     def transform(self, points: np.ndarray, indices: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Map uniform draws (n, trials) to couplings via per-site quantiles."""
         if self.kind == "shared":
@@ -275,6 +282,14 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
+def _require_radius(generator: str, radius: float) -> None:
+    """ValueError naming `radius` unless 0 < radius < inf; NaN fails too."""
+    if not radius > 0:
+        raise ValueError(f"{generator} radius {radius} is not positive")
+    if radius == math.inf:
+        raise ValueError(f"{generator} radius {radius} is not finite")
+
+
 @dataclass(frozen=True, eq=False)
 class SiteSet:
     """Finite window of a uniformly discrete scatterer configuration.
@@ -293,8 +308,7 @@ class SiteSet:
     @staticmethod
     def lattice(dimension: int, radius: float) -> "SiteSet":
         """Integer lattice sites with norm <= radius."""
-        if not radius > 0:
-            raise ValueError(f"lattice radius {radius} is not positive")
+        _require_radius("lattice", radius)
         rng = np.arange(-int(math.floor(radius)), int(math.floor(radius)) + 1)
         grids = np.meshgrid(*([rng] * dimension), indexing="ij")
         pts = np.column_stack([a.ravel() for a in grids]).astype(float)
@@ -306,8 +320,7 @@ class SiteSet:
     def tube(dimension: int, radius: float, offsets=None) -> "SiteSet":
         """Z x S sites: integers along the first axis, cross-section `offsets`
         in the last d-1 coordinates (by default the origin alone)."""
-        if not radius > 0:
-            raise ValueError(f"tube radius {radius} is not positive")
+        _require_radius("tube", radius)
         if offsets is None:
             offsets = np.zeros((1, dimension - 1))
         offs = np.atleast_2d(np.asarray(offsets, dtype=float))
@@ -401,6 +414,10 @@ class BackgroundPotential:
     def __post_init__(self):
         if not (self.values and self.cell > 0):
             raise ValueError("periodic_step needs at least one value and a positive cell, "
+                             f"got values={list(self.values)} and cell={self.cell}")
+        bad = [v for v in (*self.values, self.cell) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"background value {bad[0]} is not finite, "
                              f"got values={list(self.values)} and cell={self.cell}")
 
     @staticmethod

@@ -10,6 +10,7 @@ in spectral gaps of the unperturbed operator.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -125,11 +126,11 @@ class GridOperator:
         return float(np.max(np.abs(a).sum(axis=1)))
 
     def all_eigenvalues(self) -> np.ndarray:
-        """Full spectrum (dense path; refuses oversized operators)."""
+        """Full spectrum, ascending, with `scipy.linalg.eigvalsh`'s bits (refuses oversized
+        operators)."""
         if self._eigen_cache is None:
             require_dense(self.n_unknowns)
-            import scipy.linalg
-            self._eigen_cache = (scipy.linalg.eigvalsh(self.matrix().toarray()),)
+            self._eigen_cache = (_symmetric_eigen(self, vectors=False)[0],)
         return self._eigen_cache[0]
 
     def boundary_mask(self) -> np.ndarray:
@@ -138,6 +139,42 @@ class GridOperator:
         for k in range(self.dimension):
             mask |= (idx[k] == 0) | (idx[k] == self.shape[k] - 1)
         return mask
+
+
+# LAPACK dsyevr solves a matrix unscaled when its largest |entry| lies in [rmin, rmax] (or is 0);
+# these are its own expressions, with dlamch's safe minimum 2^-1022 and precision 2^-52
+_SAFMIN = sys.float_info.min
+_SMLNUM = _SAFMIN / sys.float_info.epsilon
+_UNSCALED = (math.sqrt(_SMLNUM), min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(_SAFMIN))))
+
+
+def _symmetric_eigen(op: GridOperator, vectors: bool) -> tuple:
+    """(eigenvalues, eigenvectors or None, path) of `op`, bit-equal to scipy.linalg.eigh or
+    eigvalsh of its dense matrix.
+
+    Those call dsyevr, which reduces the matrix to tridiagonal form, a no-op on a d=1 operator
+    (every reflector is the identity), and then runs dstemr (vectors) or dsterf (values only).
+    So a d=1 operator goes to those two solvers directly: path "tridiagonal".  The dense call
+    (path "dense") stays for d=2, for a matrix that dsyevr rescales first, and for a
+    tridiagonal solver that fails, since dsyevr then falls back to bisection.
+    """
+    import scipy.linalg
+    a = op.matrix()
+    if op.dimension == 1:
+        d, e = a.diagonal(), a.diagonal(-1)
+        top = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
+        if top == 0.0 or _UNSCALED[0] <= top <= _UNSCALED[1]:
+            try:
+                if vectors:
+                    vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+                else:
+                    vals, vecs = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"), None
+                return vals, vecs, "tridiagonal"
+            except np.linalg.LinAlgError:
+                pass
+    dense = a.toarray()
+    vals, vecs = scipy.linalg.eigh(dense) if vectors else (scipy.linalg.eigvalsh(dense), None)
+    return vals, vecs, "dense"
 
 
 def require_grid_dimension(d: int) -> None:
@@ -191,7 +228,7 @@ class SpectralWindowResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, unit l2 norm
     residuals: np.ndarray
-    method: str  # always "dense"
+    method: str  # "tridiagonal" (d=1) or "dense" (d=2, a rescaled matrix, a solver fallback)
     norm_bound: float
 
     @property
@@ -207,19 +244,18 @@ class SpectralWindowResult:
 
 
 def eigenpairs(op: GridOperator) -> SpectralWindowResult:
-    """Full spectrum of `op` from the dense solver, with each pair's residual.
+    """Full spectrum of `op`, bit-equal to scipy.linalg.eigh of its dense matrix, with each
+    pair's residual.
 
     Refuses operators above DENSE_LIMIT unknowns (`require_dense`), like
     `all_eigenvalues` and `resolvent_decay`.
     """
     require_dense(op.n_unknowns)
-    import scipy.linalg
-    a = op.matrix()
-    vals, vecs = scipy.linalg.eigh(a.toarray())
-    r = a @ vecs
+    vals, vecs, method = _symmetric_eigen(op, vectors=True)
+    r = op.matrix() @ vecs
     r -= vecs * vals
     residuals = np.sqrt(np.einsum("ij,ij->j", r, r))
-    return SpectralWindowResult(vals, vecs, residuals, "dense", op.norm_bound())
+    return SpectralWindowResult(vals, vecs, residuals, method, op.norm_bound())
 
 
 def spectrum_gaps(op: GridOperator, resolution: float) -> list[tuple[float, float]]:
@@ -462,7 +498,7 @@ def localization_report(
     if not result.residual_ok:
         raise ValueError(f"eigenpair residual {result.residuals.max():.3g} exceeds "
                          f"1e-8 times the norm bound {result.norm_bound:.3g}")
-    rows = np.ascontiguousarray(result.eigenvectors.T)  # eigh's are F-ordered: a free view
+    rows = np.ascontiguousarray(result.eigenvectors.T)  # LAPACK's are F-ordered: a free view
     iprs = ipr(rows)
     energies = result.eigenvalues
     amp = np.abs(rows)

@@ -135,7 +135,7 @@ def estimate_a_n(
     packed = np.empty((indices.size, per_sweep * stride), dtype=np.uint8)
     filled = 0
     for offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
-        bad = model.laws.transform(points, indices, block) >= eps
+        bad = model.laws.bad_mask(points, indices, block, eps)
         chunk = np.packbits(bad, axis=1, bitorder="little")
         packed[:, filled : filled + chunk.shape[1]] = chunk
         filled += chunk.shape[1]

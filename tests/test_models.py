@@ -158,6 +158,12 @@ class TestSiteSets:
         with pytest.raises(ValueError, match=f"{make.__name__} radius {radius} is not positive"):
             make(2, radius)
 
+    @pytest.mark.parametrize("make", [m.SiteSet.lattice, m.SiteSet.tube])
+    def test_infinite_site_radius_refused(self, make):
+        # refused before math.floor, which would raise OverflowError
+        with pytest.raises(ValueError, match=f"{make.__name__} radius inf is not finite"):
+            make(2, math.inf)
+
     def test_duplicate_site_witness(self):
         for points, repeated in [
             ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [0.0, 0.0]),
@@ -224,6 +230,21 @@ class TestSampling:
         for j, idx in enumerate(small.site_indices):
             pos = np.where(full.site_indices == idx)[0][0]
             assert small.values[j] == full.values[pos]
+
+    @pytest.mark.parametrize("laws", [
+        m.LawAssignment.radial_bernoulli(0.7),
+        m.LawAssignment.radial_bernoulli(2.0, cap=0.4),
+        m.LawAssignment.shared_law(m.CouplingLaw.bernoulli_times_uniform(0.6, 0.2, 0.9)),
+        m.LawAssignment.per_site_laws([m.CouplingLaw.bernoulli(k / 8) for k in range(9)]),
+    ])
+    @pytest.mark.parametrize("eps", [1e-300, 0.3, 0.5, 1.0, 0.0, 1.5])
+    def test_bad_mask_is_the_coupling_comparison(self, laws, eps):
+        points = np.arange(-4.0, 5.0)[:, None]
+        indices = np.arange(9)
+        u = site_uniforms(2, indices, 500)
+        u[:, :3] = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+        want = laws.transform(points, indices, u) >= eps
+        assert np.array_equal(laws.bad_mask(points, indices, u, eps), want)
 
     def test_stream_independent_of_order(self):
         u1 = site_uniforms(9, np.array([4, 7, 2]))
@@ -563,12 +584,27 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match=f"indicator radius {radius} is not positive"):
             m.SingleSitePotential.indicator(1.0, radius)
 
-    @pytest.mark.parametrize("values,cell", [([], 1.0), ([0.0, 3.0], 0.0), ([0.0, 3.0], -1.0)])
+    @pytest.mark.parametrize("values,cell", [([], 1.0), ([0.0, 3.0], 0.0), ([0.0, 3.0], -1.0),
+                                             ([0.0, 3.0], math.nan)])
     def test_periodic_step_refuses_an_empty_pattern_or_cell(self, values, cell):
         message = re.escape(f"got values={values} and cell={cell}")
         with pytest.raises(ValueError, match="periodic_step needs at least one value and a "
                                              f"positive cell, {message}"):
             m.BackgroundPotential.periodic_step(values, cell)
+
+    @pytest.mark.parametrize(
+        "make, bad",
+        [
+            (lambda: m.BackgroundPotential.constant(math.nan), math.nan),
+            (lambda: m.BackgroundPotential.constant(-math.inf), -math.inf),
+            (lambda: m.BackgroundPotential.periodic_step([math.nan]), math.nan),
+            (lambda: m.BackgroundPotential.periodic_step([0.0, math.inf], 0.5), math.inf),
+            (lambda: m.BackgroundPotential.periodic_step([0.0, 3.0], math.inf), math.inf),
+        ],
+    )
+    def test_background_refuses_a_non_finite_value(self, make, bad):
+        with pytest.raises(ValueError, match=f"background value {bad} is not finite"):
+            make()
 
 
 class TestModelSerialization:

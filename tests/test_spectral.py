@@ -145,7 +145,118 @@ class TestEigenpairs:
         assert np.max(np.abs(np.sort(result.eigenvalues) - want)) < 1e-10
         assert result.residual_ok
         assert result.orthonormality_defect < 1e-8
+        assert result.method == "tridiagonal"
+
+
+def chain(n, h, kind, seed):
+    """d=1 operator on n nodes at spacing h with a zero, constant, periodic-step or random potential."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        potential = np.zeros(n)
+    elif kind == "constant":
+        potential = np.full(n, rng.uniform(-5.0, 5.0))
+    elif kind == "periodic-step":
+        values = rng.uniform(-3.0, 3.0, rng.integers(2, 4))
+        period = int(rng.integers(1, 40))
+        potential = values[(np.arange(n) // period) % values.size]
+    else:
+        potential = rng.uniform(-4.0, 4.0, n)
+    free = sp.GridOperator.free(1, n, h)
+    return sp.GridOperator(1, free.shape, h, free.origin, potential)
+
+
+class TestTridiagonalPath:
+    """d=1 operators go to dstemr and dsterf directly; their results equal scipy.linalg.eigh and
+    eigvalsh of the dense matrix bit for bit, and the dense call stays wherever they would not."""
+
+    @pytest.fixture
+    def tridiagonal_calls(self, monkeypatch):
+        import scipy.linalg
+        calls = []
+        for name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
+            def spy(*args, _solve=getattr(scipy.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg, name, spy)
+        return calls
+
+    @staticmethod
+    def assert_dense_bits(op, result):
+        import scipy.linalg
+        a = op.matrix().toarray()
+        vals, vecs = scipy.linalg.eigh(a)
+        assert np.array_equal(result.eigenvalues, vals)
+        assert np.array_equal(result.eigenvectors, vecs)
+        assert np.array_equal(op.all_eigenvalues(), scipy.linalg.eigvalsh(a))
+
+    @given(
+        n=st.integers(3, 600),
+        h=st.floats(0.01, 0.5),
+        kind=st.sampled_from(["zero", "constant", "periodic-step", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_dense_solver(self, n, h, kind, seed):
+        op = chain(n, h, kind, seed)
+        result = sp.eigenpairs(op)
+        assert result.method == "tridiagonal"
+        self.assert_dense_bits(op, result)
+
+    def test_equals_the_dense_solver_at_the_dense_limit(self):
+        op = chain(2999, 0.01, "random", 7)
+        result = sp.eigenpairs(op)
+        assert result.method == "tridiagonal"
+        self.assert_dense_bits(op, result)
+
+    @pytest.mark.parametrize("spacing, scale", [(1.0, 1e77), (1e74, 1e-148)])
+    def test_rescaled_matrix_takes_the_dense_path(self, spacing, scale, tridiagonal_calls):
+        # dsyevr rescales a matrix whose largest |entry| is above 8.19e76 or below 1.0e-146
+        potential = scale * np.random.default_rng(3).uniform(0.5, 1.0, 40)
+        free = sp.GridOperator.free(1, 40, spacing)
+        op = sp.GridOperator(1, free.shape, spacing, free.origin, potential)
+        top = np.abs(op.matrix().toarray()).max()
+        assert top > 8.19e76 or 0.0 < top < 1e-146
+        result = sp.eigenpairs(op)
         assert result.method == "dense"
+        self.assert_dense_bits(op, result)
+        assert tridiagonal_calls == []
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_unscaled_range_edges_take_the_tridiagonal_path(self, edge, tridiagonal_calls):
+        # a largest |entry| of exactly rmin or rmax is solved unscaled by dsyevr too
+        top = sp._UNSCALED[edge]
+        rng = np.random.default_rng(5)
+        spacing = 1.0 / math.sqrt(top * 0.25)  # off-diagonal about -top/4
+        free = sp.GridOperator.free(1, 30, spacing)
+        laplacian = free.matrix().diagonal()
+        potential = top * rng.uniform(-0.5, 0.5, 30) - laplacian
+        potential[11] = top - laplacian[11]
+        op = sp.GridOperator(1, free.shape, spacing, free.origin, potential)
+        assert np.abs(op.matrix().toarray()).max() == op.matrix().diagonal()[11] == top
+        import scipy.linalg
+        assert np.array_equal(op.all_eigenvalues(), scipy.linalg.eigvalsh(op.matrix().toarray()))
+        assert tridiagonal_calls == ["eigvalsh_tridiagonal"]
+
+    def test_solver_failure_falls_back_to_the_dense_path(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
+        op = chain(120, 0.1, "random", 11)
+        result = sp.eigenpairs(op)
+        assert result.method == "dense"
+        self.assert_dense_bits(op, result)
+
+    def test_d2_takes_the_dense_path(self, tridiagonal_calls):
+        op = sp.GridOperator.free(2, (6, 9), 0.5)
+        op.potential = np.random.default_rng(2).uniform(-2.0, 2.0, op.n_unknowns)
+        result = sp.eigenpairs(op)
+        assert result.method == "dense"
+        self.assert_dense_bits(op, result)
+        assert tridiagonal_calls == []
 
 
 class TestSpectrumGaps:
@@ -577,20 +688,37 @@ class TestLocalizationReport:
             assert state_rate == pytest.approx(resolvent_rate, rel=0.15)
             assert state_rate >= 0.5 * resolvent_rate
 
-    def test_residual_beyond_the_bound_raises(self, monkeypatch):
+    @staticmethod
+    def perturb(monkeypatch, solver):
         import scipy.linalg
-        eigh = scipy.linalg.eigh
+        solve = getattr(scipy.linalg, solver)
 
-        def perturbed_eigh(a):
-            vals, vecs = eigh(a)
+        def perturbed(*args, **kwargs):
+            vals, vecs = solve(*args, **kwargs)
             t = 1e-3  # turn the ground state towards the next one: still unit, no longer an eigenvector
             vecs[:, 0] = math.cos(t) * vecs[:, 0] + math.sin(t) * vecs[:, 1]
             return vals, vecs
 
+        monkeypatch.setattr(scipy.linalg, solver, perturbed)
+
+    def test_residual_beyond_the_bound_raises(self, monkeypatch):
         model, cm = self.single_well()
         h, box = 0.5, 15.0
         free = sp.GridOperator.free(1, sp.grid_side(box, h), h)
-        monkeypatch.setattr(scipy.linalg, "eigh", perturbed_eigh)
+        self.perturb(monkeypatch, "eigh_tridiagonal")  # the d=1 path
+        with pytest.raises(ValueError, match=r"eigenpair residual \S+ exceeds 1e-8 times the norm bound"):
+            sp.localization_report(model, cm, box, h, free)
+
+    def test_residual_beyond_the_bound_raises_d2(self, monkeypatch):
+        model = m.RandomPotentialModel(
+            sites=m.SiteSet.explicit([[0.0, 0.0]]),
+            potential=m.SingleSitePotential.indicator(-3.0, 1.0),
+            laws=m.LawAssignment.shared_law(m.CouplingLaw.delta(1.0)),
+        )
+        cm = m.sample_couplings(model, seed=0)
+        h, box = 0.5, 4.0
+        free = sp.GridOperator.free(2, (sp.grid_side(box, h),) * 2, h)
+        self.perturb(monkeypatch, "eigh")  # the dense path
         with pytest.raises(ValueError, match=r"eigenpair residual \S+ exceeds 1e-8 times the norm bound"):
             sp.localization_report(model, cm, box, h, free)
 
