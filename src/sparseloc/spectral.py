@@ -149,13 +149,13 @@ _UNSCALED = (math.sqrt(_SMLNUM), min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(m
 
 
 def _symmetric_eigen(op: GridOperator, vectors: bool) -> tuple:
-    """(eigenvalues, eigenvectors or None, path) of `op`, bit-equal to scipy.linalg.eigh or
-    eigvalsh of its dense matrix.
+    """(eigenvalues, eigenvectors or None, LAPACK solver) of `op`, bit-equal to
+    scipy.linalg.eigh or eigvalsh of its dense matrix.
 
     Those call dsyevr, which reduces the matrix to tridiagonal form, a no-op on a d=1 operator
     (every reflector is the identity), and then runs dstemr (vectors) or dsterf (values only).
-    So a d=1 operator goes to those two solvers directly: path "tridiagonal".  The dense call
-    (path "dense") stays for d=2, for a matrix that dsyevr rescales first, and for a
+    So a d=1 operator goes to those two solvers directly: solver "stemr" or "sterf".  The dense
+    call (solver "syevr") stays for d=2, for a matrix that dsyevr rescales first, and for a
     tridiagonal solver that fails, since dsyevr then falls back to bisection.
     """
     import scipy.linalg
@@ -166,15 +166,13 @@ def _symmetric_eigen(op: GridOperator, vectors: bool) -> tuple:
         if top == 0.0 or _UNSCALED[0] <= top <= _UNSCALED[1]:
             try:
                 if vectors:
-                    vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
-                else:
-                    vals, vecs = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"), None
-                return vals, vecs, "tridiagonal"
+                    return (*scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr"), "stemr")
+                return scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"), None, "sterf"
             except np.linalg.LinAlgError:
                 pass
     dense = a.toarray()
     vals, vecs = scipy.linalg.eigh(dense) if vectors else (scipy.linalg.eigvalsh(dense), None)
-    return vals, vecs, "dense"
+    return vals, vecs, "syevr"
 
 
 def require_grid_dimension(d: int) -> None:
@@ -228,8 +226,9 @@ class SpectralWindowResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, unit l2 norm
     residuals: np.ndarray
-    method: str  # "tridiagonal" (d=1) or "dense" (d=2, a rescaled matrix, a solver fallback)
+    method: str  # always "dense": every eigenpair, from a direct solver
     norm_bound: float
+    solver: str  # LAPACK's "stemr" (d=1) or "syevr" (d=2, a rescaled matrix, a stemr failure)
 
     @property
     def residual_ok(self) -> bool:
@@ -251,11 +250,11 @@ def eigenpairs(op: GridOperator) -> SpectralWindowResult:
     `all_eigenvalues` and `resolvent_decay`.
     """
     require_dense(op.n_unknowns)
-    vals, vecs, method = _symmetric_eigen(op, vectors=True)
+    vals, vecs, solver = _symmetric_eigen(op, vectors=True)
     r = op.matrix() @ vecs
     r -= vecs * vals
     residuals = np.sqrt(np.einsum("ij,ij->j", r, r))
-    return SpectralWindowResult(vals, vecs, residuals, method, op.norm_bound())
+    return SpectralWindowResult(vals, vecs, residuals, "dense", op.norm_bound(), solver)
 
 
 def spectrum_gaps(op: GridOperator, resolution: float) -> list[tuple[float, float]]:

@@ -87,8 +87,8 @@ def estimate_free_probability(
     hits = 0
     batch = max(_TRIAL_BATCH, _BLOCK_DRAWS // indices.size)
     for _offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
-        values = model.laws.transform(points, indices, block)
-        hits += int(np.count_nonzero(np.all(values < eps, axis=0)))
+        bad = model.laws.bad_mask(points, indices, block, eps)
+        hits += int(np.count_nonzero(~bad.any(axis=0)))
     return _binomial_record(hits, trials, seed, exact)
 
 

@@ -145,7 +145,8 @@ class TestEigenpairs:
         assert np.max(np.abs(np.sort(result.eigenvalues) - want)) < 1e-10
         assert result.residual_ok
         assert result.orthonormality_defect < 1e-8
-        assert result.method == "tridiagonal"
+        assert result.method == "dense"
+        assert result.solver == "stemr"
 
 
 def chain(n, h, kind, seed):
@@ -185,6 +186,7 @@ class TestTridiagonalPath:
         import scipy.linalg
         a = op.matrix().toarray()
         vals, vecs = scipy.linalg.eigh(a)
+        assert result.method == "dense"
         assert np.array_equal(result.eigenvalues, vals)
         assert np.array_equal(result.eigenvectors, vecs)
         assert np.array_equal(op.all_eigenvalues(), scipy.linalg.eigvalsh(a))
@@ -199,13 +201,13 @@ class TestTridiagonalPath:
     def test_equals_the_dense_solver(self, n, h, kind, seed):
         op = chain(n, h, kind, seed)
         result = sp.eigenpairs(op)
-        assert result.method == "tridiagonal"
+        assert result.solver == "stemr"
         self.assert_dense_bits(op, result)
 
     def test_equals_the_dense_solver_at_the_dense_limit(self):
         op = chain(2999, 0.01, "random", 7)
         result = sp.eigenpairs(op)
-        assert result.method == "tridiagonal"
+        assert result.solver == "stemr"
         self.assert_dense_bits(op, result)
 
     @pytest.mark.parametrize("spacing, scale", [(1.0, 1e77), (1e74, 1e-148)])
@@ -217,7 +219,7 @@ class TestTridiagonalPath:
         top = np.abs(op.matrix().toarray()).max()
         assert top > 8.19e76 or 0.0 < top < 1e-146
         result = sp.eigenpairs(op)
-        assert result.method == "dense"
+        assert result.solver == "syevr"
         self.assert_dense_bits(op, result)
         assert tridiagonal_calls == []
 
@@ -247,14 +249,14 @@ class TestTridiagonalPath:
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
         op = chain(120, 0.1, "random", 11)
         result = sp.eigenpairs(op)
-        assert result.method == "dense"
+        assert result.solver == "syevr"
         self.assert_dense_bits(op, result)
 
     def test_d2_takes_the_dense_path(self, tridiagonal_calls):
         op = sp.GridOperator.free(2, (6, 9), 0.5)
         op.potential = np.random.default_rng(2).uniform(-2.0, 2.0, op.n_unknowns)
         result = sp.eigenpairs(op)
-        assert result.method == "dense"
+        assert result.solver == "syevr"
         self.assert_dense_bits(op, result)
         assert tridiagonal_calls == []
 
