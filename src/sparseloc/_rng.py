@@ -18,7 +18,9 @@ Two loops compute it, chosen by the shape of the request alone.  A row of
 at least _WIDE_BLOCKS counter blocks (the lemma's few sites by many
 trials) is drawn one site at a time by numpy's compiled Philox; narrower
 requests (one column over many sites, as certify cells sample) go
-through a vectorized kernel over all sites and blocks at once.
+through a vectorized kernel over all sites and blocks at once.  Only the
+compiled loop and `derive_seed` import ``numpy.random``, so a run whose
+draws are all narrow never loads it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
-from numpy.random import SeedSequence
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -40,6 +41,8 @@ _WIDE_BLOCKS = 16
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Derive an independent 64-bit sub-seed from `seed` and integer tags."""
+    from numpy.random import SeedSequence
+
     ss = SeedSequence(entropy=seed & _MASK64, spawn_key=tuple(t & _MASK64 for t in tags))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -84,10 +87,12 @@ def _compiled_rows(seed: int, indices: np.ndarray, start: int, stop: int) -> np.
     took 2 us against 17 us for constructing a Philox, which also seeds an
     unused SeedSequence from OS entropy.
     """
+    from numpy.random import Generator, Philox
+
     first = start // 4
     key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    bits = np.random.Philox(key=key)
-    gen = np.random.Generator(bits)
+    bits = Philox(key=key)
+    gen = Generator(bits)
     # numpy increments the counter before each block, so block `first` comes first
     state = bits.state
     state["state"]["counter"] = np.array([first, 0, 0, 0], dtype=np.uint64)

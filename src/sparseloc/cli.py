@@ -6,16 +6,18 @@ stage (`STAGES`) reads is rejected, so typos cannot silently change an
 experiment.  Outputs are CSV and JSON-lines files with fixed column
 orders; reruns of the same config and seeds are byte-identical, and the
 only environment influence is SPARSELOC_WORKERS (parallel cell count),
-which must not change any output byte.
+which must not change any output byte.  click is imported only to build
+the command line (`main`), and a module that a run's stages call is
+imported by `load_config`, before the run starts.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -23,8 +25,6 @@ import traceback
 from collections import defaultdict
 from pathlib import Path
 from typing import Callable, NamedTuple
-
-import click
 
 from . import __version__
 from .certify import (
@@ -253,10 +253,13 @@ def _check_schema(schema: dict, instance, path: str = "$") -> None:
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse and validate a config file; raises ConfigError with diagnostics.
+    """Parse and validate a config file; raises ConfigError with diagnostics,
+    also for a SPARSELOC_WORKERS that is no integer.
 
     A `model_file` is read into `model`, so a config is checked the same
     way whichever of the two holds its model, up to building the model.
+    The modules that the run will import, its stages' `modules` and a
+    worker pool's, are imported here.
     """
     path = Path(path)
     cfg = _read_json(path, str(path))
@@ -271,11 +274,32 @@ def load_config(path: str | Path) -> dict:
     errors = _semantic_errors(cfg, _build_model(cfg["model"]))
     if errors:
         raise ConfigError(errors)
-    if "spectral-probe" in PIPELINES[cfg["pipeline"]]:
-        # the spectral stage's scipy modules load here, before the run starts
-        import scipy.linalg  # noqa: F401
-        import scipy.sparse.linalg  # noqa: F401
+    preload = [name for stage in PIPELINES[cfg["pipeline"]] for name in STAGES[stage].modules]
+    if _workers() > 1:
+        preload += _pool_modules()
+    for name in preload:
+        importlib.import_module(name)
     return cfg
+
+
+# start method -> the modules of `multiprocessing` that launch a pool's workers
+_LAUNCHERS = {
+    "fork": ("popen_fork",),
+    "forkserver": ("popen_forkserver",),
+    "spawn": (("popen_spawn_win32",) if sys.platform == "win32"
+              else ("popen_spawn_posix", "resource_tracker")),
+}
+
+
+def _pool_modules() -> list[str]:
+    """What starting a worker pool imports: the pool, its queues and locks, and
+    the launcher of the start method (the first one listed is the default)."""
+    import multiprocessing
+
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    return [f"multiprocessing.{name}"
+            for name in ("pool", "queues", "synchronize", *_LAUNCHERS[method])]
 
 
 def _build_model(model: dict):
@@ -356,6 +380,8 @@ def config_hash(cfg: dict) -> str:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, np.generic):  # a numpy scalar is written as its Python value
+        x = x.item()
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -576,6 +602,8 @@ class Stage(NamedTuple):
     cell: Callable[[dict, str, int], dict]
     params: tuple[str, ...]  # required parameters
     optional: tuple[str, ...]  # the other parameters the cell reads
+    # the modules the cell imports; `load_config` imports them, so the run imports nothing
+    modules: tuple[str, ...] = ()
 
 
 # Every stage runs one cell per seed.
@@ -583,8 +611,10 @@ STAGES = {
     "certify-sparse": Stage(_certify_cell, ("eps", "gammas", "n_range"), ("window",)),
     "certify-quasi1d": Stage(_certify_cell, ("eps", "gammas", "n_range", "a"),
                              ("window", "alpha")),
-    "lemma-mc": Stage(_lemma_cell, ("eps", "a", "n_range", "trials"), ()),
-    "spectral-probe": Stage(_spectral_cell, ("eps", "box", "h"), ("window", "energies")),
+    # numpy.random: the per-scale seeds and the wide Monte Carlo rows
+    "lemma-mc": Stage(_lemma_cell, ("eps", "a", "n_range", "trials"), (), ("numpy.random",)),
+    "spectral-probe": Stage(_spectral_cell, ("eps", "box", "h"), ("window", "energies"),
+                            ("scipy.linalg", "scipy.sparse.linalg")),
 }
 
 
@@ -595,6 +625,8 @@ def _run_stage(cfg: dict, stage: str) -> dict:
     if workers <= 1:
         results = [_call_cell(job) for job in jobs]
     else:
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             # imap yields in cell order, so the first failing cell is reported
             results = list(pool.imap(_call_cell, jobs))
@@ -677,105 +709,112 @@ def emit_plotdata(manifest_path: str | Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@click.group()
-@click.version_option(__version__)
-def main() -> None:
-    """Sparse random Schrodinger operators: certify, estimate, probe."""
+def __getattr__(name: str):
+    """`main`, the command group, is built on first access (PEP 562), so
+    that only the command line imports click."""
+    if name != "main":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()["main"] = main = _command_group()
+    return main
 
 
-def _exit_on_config_error(exc: ConfigError) -> None:
-    for line in exc.errors:
-        click.echo(f"config error: {line}", err=True)
-    sys.exit(2)
+def _command_group():
+    """The click group of the command line, with its commands."""
+    import click
 
+    @click.group()
+    @click.version_option(__version__)
+    def main() -> None:
+        """Sparse random Schrodinger operators: certify, estimate, probe."""
 
-def _load_config_or_exit(config: str) -> dict:
-    """The checked config; exits 2 on a config error or a SPARSELOC_WORKERS that is no integer."""
-    try:
-        _workers()
-        return load_config(config)
-    except ConfigError as exc:
-        _exit_on_config_error(exc)
+    def exit_on_config_error(exc: ConfigError) -> None:
+        for line in exc.errors:
+            click.echo(f"config error: {line}", err=True)
+        sys.exit(2)
 
+    def load_config_or_exit(config: str) -> dict:
+        """The checked config; exits 2 on a config error or a SPARSELOC_WORKERS that is no integer."""
+        try:
+            return load_config(config)
+        except ConfigError as exc:
+            exit_on_config_error(exc)
 
-@main.command("run")
-@click.argument("config", type=click.Path())
-def cmd_run(config: str) -> None:
-    """Run the pipeline described by CONFIG (JSON)."""
-    cfg = _load_config_or_exit(config)
-    try:
-        manifest = run(cfg, config_path=Path(config))
-    except Exception as exc:  # stage failure
-        click.echo(f"stage failure: {exc}", err=True)
-        at = exc.at if isinstance(exc, CellFailure) else _innermost_frame(exc)
-        click.echo(f"  at {at}", err=True)
-        sys.exit(1)
-    click.echo(json.dumps({k: v for k, v in manifest.items() if k != "stages"}))
-    sys.exit(0)
+    @main.command("run")
+    @click.argument("config", type=click.Path())
+    def cmd_run(config: str) -> None:
+        """Run the pipeline described by CONFIG (JSON)."""
+        cfg = load_config_or_exit(config)
+        try:
+            manifest = run(cfg, config_path=Path(config))
+        except Exception as exc:  # stage failure
+            click.echo(f"stage failure: {exc}", err=True)
+            at = exc.at if isinstance(exc, CellFailure) else _innermost_frame(exc)
+            click.echo(f"  at {at}", err=True)
+            sys.exit(1)
+        click.echo(json.dumps({k: v for k, v in manifest.items() if k != "stages"}))
+        sys.exit(0)
 
+    @main.command("validate")
+    @click.argument("config", type=click.Path())
+    def cmd_validate(config: str) -> None:
+        """Validate CONFIG without running anything."""
+        load_config_or_exit(config)
+        click.echo("ok")
+        sys.exit(0)
 
-@main.command("validate")
-@click.argument("config", type=click.Path())
-def cmd_validate(config: str) -> None:
-    """Validate CONFIG without running anything."""
-    _load_config_or_exit(config)
-    click.echo("ok")
-    sys.exit(0)
+    @main.command("plotdata")
+    @click.argument("manifest", type=click.Path())
+    def cmd_plotdata(manifest: str) -> None:
+        """Emit per-figure CSV series next to MANIFEST."""
+        try:
+            written = emit_plotdata(manifest)
+        except (FileNotFoundError, ValueError, OSError) as exc:
+            click.echo(f"plotdata error: {exc}", err=True)
+            sys.exit(1)
+        for name in written:
+            click.echo(name)
+        sys.exit(0)
 
+    @main.group("oracle")
+    def cmd_oracle() -> None:
+        """Exact small-configuration oracles."""
 
-@main.command("plotdata")
-@click.argument("manifest", type=click.Path())
-def cmd_plotdata(manifest: str) -> None:
-    """Emit per-figure CSV series next to MANIFEST."""
-    try:
-        written = emit_plotdata(manifest)
-    except (FileNotFoundError, ValueError, OSError) as exc:
-        click.echo(f"plotdata error: {exc}", err=True)
-        sys.exit(1)
-    for name in written:
-        click.echo(name)
-    sys.exit(0)
+    @cmd_oracle.command("an")
+    @click.option("--model", "model_path", type=click.Path(exists=True), default=None)
+    @click.option("--dimension", type=int, default=1, show_default=True)
+    @click.option("--p", type=float, default=0.5, show_default=True, help="shared Bernoulli weight")
+    @click.option("--radius", type=float, default=None, help="lattice window radius")
+    @click.option("--a", "growth", type=float, required=True)
+    @click.option("--n", "scale", type=int, required=True)
+    @click.option("--eps", type=float, required=True)
+    def cmd_oracle_an(model_path, dimension, p, radius, growth, scale, eps) -> None:
+        """Exact a_n by full enumeration of the relevant sites.  A --model file is
+        checked as `validate` checks a config's `model_file`."""
+        try:
+            if model_path is not None:
+                model = _build_model(_read_model_file(Path(model_path)))
+            else:
+                if radius is None:
+                    radius = scale_window(growth, scale)[2] + 1.0
+                model = model_from_dict(
+                    {
+                        "dimension": dimension,
+                        "sites": {"generator": "lattice", "radius": radius},
+                        "law": {"kind": "bernoulli", "p": p},
+                        "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 1.0},
+                    }
+                )
+            value = brute_force_a_n(model, eps, growth, scale)
+        except ConfigError as exc:
+            exit_on_config_error(exc)
+        except Exception as exc:
+            click.echo(f"oracle error: {exc}", err=True)
+            sys.exit(1)
+        click.echo(repr(value))
+        sys.exit(0)
 
-
-@main.group("oracle")
-def cmd_oracle() -> None:
-    """Exact small-configuration oracles."""
-
-
-@cmd_oracle.command("an")
-@click.option("--model", "model_path", type=click.Path(exists=True), default=None)
-@click.option("--dimension", type=int, default=1, show_default=True)
-@click.option("--p", type=float, default=0.5, show_default=True, help="shared Bernoulli weight")
-@click.option("--radius", type=float, default=None, help="lattice window radius")
-@click.option("--a", "growth", type=float, required=True)
-@click.option("--n", "scale", type=int, required=True)
-@click.option("--eps", type=float, required=True)
-def cmd_oracle_an(model_path, dimension, p, radius, growth, scale, eps) -> None:
-    """Exact a_n by full enumeration of the relevant sites.  A --model file is
-    checked as `validate` checks a config's `model_file`."""
-    try:
-        if model_path is not None:
-            model = _build_model(_read_model_file(Path(model_path)))
-        else:
-            if radius is None:
-                radius = scale_window(growth, scale)[2] + 1.0
-            model = model_from_dict(
-                {
-                    "dimension": dimension,
-                    "sites": {"generator": "lattice", "radius": radius},
-                    "law": {"kind": "bernoulli", "p": p},
-                    "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 1.0},
-                }
-            )
-        value = brute_force_a_n(model, eps, growth, scale)
-    except ConfigError as exc:
-        _exit_on_config_error(exc)
-    except Exception as exc:
-        click.echo(f"oracle error: {exc}", err=True)
-        sys.exit(1)
-    click.echo(repr(value))
-    sys.exit(0)
+    return main
 
 
 if __name__ == "__main__":
-    main()
+    __getattr__("main")()

@@ -4,13 +4,15 @@ import copy
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
+import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -715,7 +717,7 @@ class TestRunPipelines:
             def imap(self, func, jobs):
                 return map(func, jobs)
 
-        monkeypatch.setattr(cli, "multiprocessing", types.SimpleNamespace(Pool=FakePool))
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setenv("SPARSELOC_WORKERS", "64")
         cli.run(certify_cfg(tmp_path / "out", seeds=(1, 2)))
         assert started == [2]
@@ -858,8 +860,10 @@ class TestGammaFreeWork:
 class TestImportBoundary:
     """scipy serves only the spectral stage: certify and lemma runs import none
     of it, whatever their sites, a spectral pipeline imports its linear algebra
-    when its config is loaded, and no pipeline imports anything inside `run`.
-    No pipeline imports jsonschema or scipy.spatial at all."""
+    when its config is loaded, and no pipeline imports anything inside `run`,
+    with or without a worker pool.  numpy.random serves only the lemma, click
+    only the command line and multiprocessing only a pool, so a certify run
+    loads none of them.  No pipeline imports jsonschema or scipy.spatial at all."""
 
     SMALL_PARAMS = {
         "lemma-mc": {"a": 2.0, "n_range": [1, 3], "trials": 50},
@@ -883,18 +887,19 @@ class TestImportBoundary:
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
 
-    def small_cfg(self, tmp_path, pipeline):
+    def small_cfg(self, tmp_path, pipeline, seeds=(1,)):
+        """A small config of `pipeline`; the certify pipelines run `seeds`, the others seeds 1-2."""
         if pipeline == "certify-sparse":
-            return certify_cfg(tmp_path / "out", seeds=(1,))
+            return certify_cfg(tmp_path / "out", seeds=seeds)
         if pipeline == "certify-quasi1d":
-            return quasi1d_cfg(tmp_path / "out", seeds=(1,))
+            return quasi1d_cfg(tmp_path / "out", seeds=seeds)
         return window_cfg(tmp_path, pipeline, self.SMALL_PARAMS[pipeline])
 
     @staticmethod
-    def fresh_python(code, *args):
-        """Run `code` in a new interpreter (one worker) and parse its JSON line."""
+    def fresh_python(code, *args, workers=1):
+        """Run `code` in a new interpreter with `workers` workers and parse its JSON line."""
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, SPARSELOC_WORKERS="1")
+        env = dict(os.environ, SPARSELOC_WORKERS=str(workers))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                               check=True, capture_output=True, text=True)
@@ -905,10 +910,14 @@ class TestImportBoundary:
         path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
         assert self.fresh_python(self.LOAD, path) == []
 
-    @pytest.mark.parametrize("pipeline", sorted(cli.PIPELINES))
-    def test_run_imports_nothing(self, tmp_path, pipeline):
-        path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
-        assert self.fresh_python(self.RUN, path) == []
+    @pytest.mark.parametrize("pipeline, workers", [
+        *(pytest.param(p, 1, id=p) for p in sorted(cli.PIPELINES)),
+        *(pytest.param(p, 2, id=f"{p}-pool") for p in sorted(cli.PIPELINES)),
+    ])
+    def test_run_imports_nothing(self, tmp_path, pipeline, workers):
+        """Two seeds under two workers start a pool; its modules load with the config."""
+        path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline, seeds=(1, 2)[:workers]))
+        assert self.fresh_python(self.RUN, path, workers=workers) == []
         if pipeline == "certify-quasi1d":
             lines = (tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()
             assert json.loads(lines[0])["member_count"] > 0
@@ -936,6 +945,52 @@ class TestImportBoundary:
             "print(json.dumps([loaded, 'scipy.spatial' in sys.modules]))\n"
         )
         assert self.fresh_python(code, path) == [False, False]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_run_imports_nothing_under_start_method(self, tmp_path, method):
+        """The launcher that `load_config` imports is the one of the pool's start method."""
+        path = write_config(tmp_path, self.small_cfg(tmp_path, "certify-sparse", seeds=(1, 2)))
+        code = f"import multiprocessing\nmultiprocessing.set_start_method({method!r})\n{self.RUN}"
+        assert self.fresh_python(code, path, workers=2) == []
+
+    @pytest.mark.parametrize("pipeline", ["certify-sparse", "certify-quasi1d"])
+    def test_certify_run_loads_no_click_rng_or_pool(self, tmp_path, pipeline):
+        path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
+        code = (
+            "import json, sys\n"
+            "from sparseloc import cli\n"
+            "cli.run(cli.load_config(sys.argv[1]))\n"
+            "print(json.dumps(sorted(m for m in ('click', 'numpy.random', 'multiprocessing')\n"
+            "                        if m in sys.modules)))\n"
+        )
+        assert self.fresh_python(code, path) == []
+
+    @pytest.mark.parametrize("pipeline", ["lemma-mc", "full-report"])
+    def test_lemma_config_loads_numpy_random(self, tmp_path, pipeline):
+        path = write_config(tmp_path, self.small_cfg(tmp_path, pipeline))
+        code = (
+            "import json, sys\n"
+            "from sparseloc import cli\n"
+            "imported = 'numpy.random' in sys.modules\n"
+            "cli.load_config(sys.argv[1])\n"
+            "print(json.dumps([imported, 'numpy.random' in sys.modules]))\n"
+        )
+        assert self.fresh_python(code, path) == [False, True]
+
+    def test_main_is_a_click_group(self):
+        assert isinstance(cli.main, click.Group)
+        assert sorted(cli.main.commands) == ["oracle", "plotdata", "run", "validate"]
+        with pytest.raises(AttributeError, match="no attribute 'mian'"):
+            cli.mian
+
+    def test_module_runs_as_a_script(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "sparseloc.cli", "--version"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.rstrip().endswith(f"version {cli.__version__}")
 
     def test_explicit_sites_need_no_scipy(self, tmp_path):
         """An explicit-site certify config loads and runs in an interpreter in
@@ -970,6 +1025,27 @@ class TestImportBoundary:
         )
         missing = self.fresh_python(code)
         assert len(missing) == 6 and not any(missing.values()), missing
+
+
+class TestFmt:
+    """A numpy scalar in a row is written as its Python twin."""
+
+    @pytest.mark.parametrize("value, twin, text", [
+        (np.float64(0.5), 0.5, "0.5"),
+        (np.float64(0.1), 0.1, "0.1"),
+        (np.float32(0.1), float(np.float32(0.1)), "0.10000000149011612"),
+        (np.int64(-7), -7, "-7"),
+        (np.bool_(True), True, "1"),
+        (np.bool_(False), False, "0"),
+        (np.float64(np.nan), math.nan, "nan"),
+        (np.float32(np.nan), math.nan, "nan"),
+        (np.float64(np.inf), math.inf, "inf"),
+        (np.float64(-np.inf), -math.inf, "-inf"),
+        (np.float32(-np.inf), -math.inf, "-inf"),
+    ], ids=["float64", "float64-0.1", "float32", "int64", "bool-true", "bool-false", "nan",
+            "float32-nan", "inf", "-inf", "float32--inf"])
+    def test_numpy_scalar_written_as_python_twin(self, value, twin, text):
+        assert cli._fmt(value) == cli._fmt(twin) == text
 
 
 class TestStageLayout:

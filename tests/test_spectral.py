@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseloc import cli
@@ -191,17 +191,31 @@ class TestTridiagonalPath:
         assert np.array_equal(result.eigenvectors, vecs)
         assert np.array_equal(op.all_eigenvalues(), scipy.linalg.eigvalsh(a))
 
+    @staticmethod
+    def stemr_converges(op):
+        import scipy.linalg
+        a = op.matrix()
+        try:
+            scipy.linalg.eigh_tridiagonal(a.diagonal(), a.diagonal(-1), lapack_driver="stemr")
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     @given(
         n=st.integers(3, 600),
         h=st.floats(0.01, 0.5),
         kind=st.sampled_from(["zero", "constant", "periodic-step", "random"]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # two chains on which dstemr does not converge (LAPACK info=22), so eigenpairs falls back
+    @example(n=234, h=0.46875, kind="periodic-step", seed=18602)
+    @example(n=516, h=0.22265625, kind="periodic-step", seed=7791)
     @settings(max_examples=60, deadline=None)
     def test_equals_the_dense_solver(self, n, h, kind, seed):
+        """dstemr where it converges on the diagonals, the dense solver where it does not."""
         op = chain(n, h, kind, seed)
         result = sp.eigenpairs(op)
-        assert result.solver == "stemr"
+        assert result.solver == ("stemr" if self.stemr_converges(op) else "syevr")
         self.assert_dense_bits(op, result)
 
     def test_equals_the_dense_solver_at_the_dense_limit(self):
