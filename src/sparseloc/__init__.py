@@ -2,8 +2,8 @@
 
 The package splits into five functional layers:
 
-- :mod:`sparseloc.geometry`   compact sets, shell measures, surface area,
-  total decompositions;
+- :mod:`sparseloc.geometry`   compact sets, clearances, generalized surface
+  area, total decompositions;
 - :mod:`sparseloc.models`     scatterer configurations, coupling laws, random potentials;
 - :mod:`sparseloc.certify`    eps-free annulus search, shell constructions,
   summability certificates;
@@ -28,16 +28,12 @@ from .certify import (
     certify_series,
     difference_support,
     find_free_subannulus,
-    is_epsilon_free,
-    truncate_couplings,
 )
 from .geometry import (
     RegionSet,
     TotalDecomposition,
     distance_between,
-    generalized_surface_area,
     make_annulus,
-    shell_measure,
     sphere_shell_decomposition,
     spherical_cap,
 )
@@ -51,10 +47,8 @@ from .models import (
     SiteSet,
     evaluate_potential,
     model_from_dict,
-    p_epsilon,
     quasi_dimension_bound,
     sample_couplings,
-    second_moment_profile,
 )
 from .spectral import (
     GridOperator,
@@ -86,8 +80,6 @@ __all__ = [
     "spherical_cap",
     "sphere_shell_decomposition",
     "distance_between",
-    "shell_measure",
-    "generalized_surface_area",
     "SiteSet",
     "CouplingLaw",
     "LawAssignment",
@@ -95,17 +87,13 @@ __all__ = [
     "BackgroundPotential",
     "RandomPotentialModel",
     "CouplingMap",
-    "p_epsilon",
     "sample_couplings",
     "evaluate_potential",
-    "second_moment_profile",
     "quasi_dimension_bound",
     "model_from_dict",
     "FreeAnnulusRecord",
     "DecompositionCertificate",
-    "is_epsilon_free",
     "find_free_subannulus",
-    "truncate_couplings",
     "difference_support",
     "build_decomposition_sparse",
     "build_shell_sequence_pp",

@@ -35,7 +35,7 @@ from .geometry import (
     surface_volume_bound,
 )
 from .models import (
-    CouplingMap, RandomPotentialModel, quasi_dimension_bound, require_window,
+    CouplingMap, RandomPotentialModel, WindowTooSmallError, quasi_dimension_bound, require_window,
 )
 
 __all__ = [
@@ -44,10 +44,8 @@ __all__ = [
     "ScaleSummary",
     "TailBound",
     "DecompositionCertificate",
-    "is_epsilon_free",
     "find_free_subannulus",
     "free_intervals",
-    "truncate_couplings",
     "difference_support",
     "build_decomposition_sparse",
     "build_shell_sequence_pp",
@@ -71,13 +69,6 @@ _TINY = 1e-300
 # ---------------------------------------------------------------------------
 # eps-free events
 # ---------------------------------------------------------------------------
-
-
-def is_epsilon_free(couplings: CouplingMap, region: RegionSet, eps: float) -> bool:
-    """True when every coupling in the region is below eps (eps itself is bad)."""
-    couplings.require_window(region)
-    inside = region.contains(couplings.points)
-    return bool(np.all(couplings.values[inside] < eps))
 
 
 @dataclass(frozen=True)
@@ -163,22 +154,34 @@ class FreeAnnulusRecord:
         }
 
 
+def _power(a: float, n: int) -> float:
+    """a^n, inf where it leaves the float range."""
+    try:
+        return a**n
+    except OverflowError:
+        return math.inf
+
+
 def scale_window(a: float, n: int) -> tuple[float, float, float]:
     """The scale-n rule: (lo, hi, reach) = (a^n, a^(n+1) - n, max(a^(n+1), a^n + n)).
 
     An eps-free annulus of width n at scale n has its inner radius in
     [lo, hi] (empty when hi < lo), so the sites out to `reach` decide it.
+    A power beyond the float range is inf, and so is the reach.
     """
     if a <= 1.0:
         raise ValueError("growth ratio a must be > 1")
-    lo, top = a**n, a ** (n + 1)
+    lo, top = _power(a, n), _power(a, n + 1)
     return lo, top - n, max(top, lo + n)
 
 
 def require_scale_window(window_radius: float, a: float, n: int) -> tuple[float, float, float]:
-    """scale_window(a, n), or WindowTooSmallError when the window falls short of its reach."""
+    """scale_window(a, n), or WindowTooSmallError when the window falls short of its
+    reach; no window, not even an unbounded one, covers an infinite reach."""
     lo, hi, reach = scale_window(a, n)
     require_window(window_radius, reach, f" needed at scale n={n}")
+    if reach == math.inf:
+        raise WindowTooSmallError(f"no window covers the infinite reach of scale n={n} at a={a}")
     return lo, hi, reach
 
 
@@ -187,7 +190,7 @@ def find_free_subannulus(
 ) -> FreeAnnulusRecord:
     """Scan [a^n, a^(n+1) - n] for the first r with A_{r,r+n} eps-free.
 
-    Sites with coupling >= eps block (the rule of `is_epsilon_free`).  The
+    Sites with coupling >= eps block: eps itself is bad.  The
     event is piecewise constant in r with breakpoints at site norms minus
     the width, so the scan is exact.  The representative of a free piece
     is its left endpoint when attained, else its midpoint.
@@ -209,17 +212,6 @@ def find_free_subannulus(
     first = pieces[0]
     return FreeAnnulusRecord(
         n, float(first.representative), float(n), host, True, (first.lo, first.hi), degenerate
-    )
-
-
-def truncate_couplings(couplings: CouplingMap, eps: float) -> CouplingMap:
-    """Pointwise minimum with eps (the comparison configuration)."""
-    return CouplingMap(
-        couplings.model,
-        couplings.site_indices,
-        np.minimum(couplings.values, eps),
-        couplings.seed,
-        couplings.window_radius,
     )
 
 
@@ -251,10 +243,15 @@ def growth_ratio(power: int, gamma: float) -> tuple[int, float]:
     """(ell, a = 1 + 1/ell) with ell the smallest integer above 2 power / gamma.
 
     Then a^power loses to exp(-gamma/2) per scale: power d-1 for sphere
-    surfaces, d for annular volumes.
+    surfaces, d for annular volumes.  ValueError when gamma is so small
+    that a rounds to 1.
     """
-    ell = smallest_integer_above(2.0 * power / gamma)
-    return ell, 1.0 + 1.0 / ell
+    x = 2.0 * power / gamma
+    ell = smallest_integer_above(x) if x < math.inf else math.inf
+    a = 1.0 + 1.0 / ell
+    if a == 1.0:
+        raise ValueError(f"gamma {gamma} is too small: the growth ratio 1 + 1/ell rounds to 1")
+    return ell, a
 
 
 def _free_scan(
@@ -440,7 +437,9 @@ def build_decomposition_quasi1d(
             continue
         r_n = rec.inner_radius
         radius = r_n + n / 2.0
-        reach = float(n) ** alpha
+        # a cap ball at least the sphere's diameter already covers the sphere, so an
+        # infinite reach builds what a large finite one does
+        reach = _power(float(n), alpha)
         near = (
             ((norms >= r_n - reach) & (norms <= r_n))
             | ((norms >= r_n + n) & (norms <= r_n + n + reach))

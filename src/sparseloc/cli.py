@@ -342,7 +342,10 @@ def _semantic_errors(cfg: dict, model) -> list[str]:
     scale_checks = []  # (radius the cells read, growth ratio, what sets the ratio)
     if "certify-sparse" in stages:
         for gamma in params["gammas"]:
-            scale_checks.append((window, growth_ratio(d - 1, gamma)[1], f"gamma={gamma}"))
+            try:
+                scale_checks.append((window, growth_ratio(d - 1, gamma)[1], f"gamma={gamma}"))
+            except ValueError as exc:
+                errors.append(f"$.parameters.gammas: {exc}")
     if "certify-quasi1d" in stages:
         scale_checks.append((window, params["a"], f"a={params['a']}"))
     if "lemma-mc" in stages:

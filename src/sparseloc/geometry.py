@@ -1,4 +1,4 @@
-"""Compact subsets of R^d: distances, shell measures, surface area, decompositions.
+"""Compact subsets of R^d: distances, generalized surface area, decompositions.
 
 The primitives supported here (points, balls, spheres, origin-centered
 annuli, spherical caps, punctured spheres) are exactly the shapes needed to
@@ -26,22 +26,15 @@ __all__ = [
     "PuncturedSphere",
     "RegionSet",
     "TotalDecomposition",
-    "ShellMeasure",
-    "SurfaceAreaEstimate",
     "ball_volume",
     "make_annulus",
     "spherical_cap",
     "sphere_shell_decomposition",
     "distance_between",
-    "shell_measure",
-    "generalized_surface_area",
-    "closed_form_shell_measure",
     "closed_form_sigma",
     "surface_volume_bound",
     "sanity_bound",
 ]
-
-DEFAULT_RESOLUTION = 0.01
 
 # Membership tolerance used by `RegionSet.contains`.
 CONTAINS_TOL = 1e-9
@@ -476,8 +469,8 @@ class RegionSet:
             best = np.minimum(best, s.point_distance(pts))
         return best
 
-    def contains(self, points, tol: float = CONTAINS_TOL) -> np.ndarray:
-        return self.distance(points) <= tol
+    def contains(self, points) -> np.ndarray:
+        return self.distance(points) <= CONTAINS_TOL
 
     def circumradius(self) -> float:
         if self.is_empty():
@@ -578,128 +571,7 @@ def spherical_cap(sphere_radius: float, direction, cap_ball_radius: float) -> Re
 
 
 # ---------------------------------------------------------------------------
-# Shell measures by deterministic grid quadrature
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShellMeasure:
-    """Grid estimate of |{x : r <= dist(x, S) <= r + 1}| with error bar."""
-
-    value: float
-    error: float
-    r: float
-    resolution: float
-
-
-@dataclass(frozen=True)
-class SurfaceAreaEstimate:
-    """Grid estimate of the shell-measure supremum sup_r |shell(r)|/(r^d+1)."""
-
-    value: float
-    argmax_r: float
-    error: float
-    resolution: float
-    r_max: float
-
-
-_BLOCK_CELLS = 2_000_000
-
-
-def _axis_centers(extent: float, resolution: float) -> np.ndarray:
-    n = int(math.ceil(2.0 * extent / resolution))
-    n = max(n, 1)
-    return (np.arange(n) - (n - 1) / 2.0) * resolution
-
-
-def _iter_grid_blocks(region: RegionSet, extent: float, resolution: float):
-    """Yield sorted distance arrays over blocks of a symmetric grid."""
-    d = region.dimension
-    axis = _axis_centers(extent, resolution)
-    n = axis.size
-    if d == 1:
-        pts = axis[:, None]
-        yield np.sort(region.distance(pts))
-        return
-    if d > 3:
-        raise ValueError("grid quadrature supports d in {1, 2, 3}")
-    rows_per_block = max(1, _BLOCK_CELLS // (n ** (d - 1)))
-    for start in range(0, n, rows_per_block):
-        grids = np.meshgrid(axis[start : start + rows_per_block], *[axis] * (d - 1), indexing="ij")
-        yield np.sort(region.distance(np.column_stack([g.ravel() for g in grids])))
-
-
-def _shell_counts(
-    region: RegionSet, extent: float, resolution: float, r_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive cell counts in [r, r+1] plus boundary-uncertain cell counts."""
-    d = region.dimension
-    delta = resolution * math.sqrt(d)
-    lo = r_values
-    hi = r_values + 1.0
-    counts = np.zeros(r_values.size, dtype=np.int64)
-    fuzz = np.zeros(r_values.size, dtype=np.int64)
-
-    def between(block, a, b):  # sorted values in [a, b]
-        return np.searchsorted(block, b, side="right") - np.searchsorted(block, a, side="left")
-
-    for block in _iter_grid_blocks(region, extent, resolution):
-        counts += between(block, lo, hi)
-        fuzz += between(block, lo - delta, lo + delta)
-        fuzz += between(block, hi - delta, hi + delta)
-    return counts, fuzz
-
-
-def shell_measure(
-    region: RegionSet, r: float, resolution: float = DEFAULT_RESOLUTION
-) -> ShellMeasure:
-    """Measure of the unit-thickness shell at distance r from the set.
-
-    Deterministic midpoint quadrature on a symmetric grid; the reported
-    error counts the cells within one cell diagonal of either shell
-    boundary, which bounds the discretization uncertainty.
-    """
-    if r < 0:
-        raise ValueError("shell distance r must be >= 0")
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    if region.is_empty():
-        return ShellMeasure(0.0, 0.0, r, resolution)
-    extent = region.circumradius() + r + 1.0 + resolution
-    counts, fuzz = _shell_counts(region, extent, resolution, np.array([float(r)]))
-    cell = resolution**region.dimension
-    return ShellMeasure(float(counts[0]) * cell, float(fuzz[0]) * cell, r, resolution)
-
-
-def generalized_surface_area(
-    region: RegionSet, resolution: float = DEFAULT_RESOLUTION
-) -> SurfaceAreaEstimate:
-    """sup over r >= 0 of |shell(r)| / (r^d + 1), on an r-grid of the given spacing.
-
-    The grid ends at r_max = diam(S) + d + 2, past the point where the ratio
-    is provably decreasing, so truncating the supremum is safe.
-    """
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    d = region.dimension
-    if region.is_empty():
-        return SurfaceAreaEstimate(0.0, 0.0, 0.0, resolution, 0.0)
-    r_max = region.diameter_bound() + d + 2.0
-    r_values = np.arange(0.0, r_max + resolution / 2.0, resolution)
-    extent = region.circumradius() + r_max + 1.0 + resolution
-    counts, fuzz = _shell_counts(region, extent, resolution, r_values)
-    cell = resolution**d
-    denom = r_values**d + 1.0
-    ratios = counts * cell / denom
-    k = int(np.argmax(ratios))
-    return SurfaceAreaEstimate(
-        float(ratios[k]), float(r_values[k]), float(fuzz[k] * cell / denom[k]),
-        resolution, float(r_max),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form shell measures (exact oracles for the basic primitives)
+# Generalized surface area: closed forms and volume bounds
 # ---------------------------------------------------------------------------
 
 
@@ -718,23 +590,13 @@ def _shell_radii(shape: Primitive) -> tuple[float, float, float] | None:
 
 
 def _shell_volume(outer: float, inner: float, body: float, d: int, r: np.ndarray) -> np.ndarray:
+    """|{x : r <= dist(x, S) <= r + 1}| at each r, for S of these `_shell_radii`."""
+
     def vol(radius):  # ball_volume, elementwise
         return unit_ball_volume(d) * np.maximum(radius, 0.0) ** d
 
     out = (vol(outer + r + 1.0) - vol(outer + r)) + (vol(inner - r) - vol(inner - r - 1.0))
     return out + np.where(r == 0.0, body, 0.0)
-
-
-def closed_form_shell_measure(shape: Primitive, r):
-    """Exact |{x : r <= dist(x, shape) <= r+1}| for point/sphere/ball/annulus.
-
-    `r` may be an array of distances; a scalar `r` gives a float.
-    """
-    radii = _shell_radii(shape)
-    if radii is None:
-        raise TypeError(f"no closed-form shell measure for {type(shape).__name__}")
-    out = _shell_volume(*radii, shape.dimension, np.asarray(r, dtype=float))
-    return float(out) if out.ndim == 0 else out
 
 
 # r-values per leaf of the pruned sigma search.
@@ -893,34 +755,6 @@ class TotalDecomposition:
     kind: str  # sphere-shells | cap-cheese | custom
     member_info: tuple[MemberInfo, ...] = ()
     params: dict = field(default_factory=dict)
-
-    def validate(self) -> list[str]:
-        """Structural invariant check; returns a list of violation messages.
-
-        `sphere-shells` members must be single origin-centered spheres with
-        strictly increasing radii; every other kind's members must have
-        volume 0, an exact test since each primitive's volume is closed-form.
-        """
-        problems: list[str] = []
-        for i, m in enumerate(self.members):
-            if m.dimension != self.dimension:
-                problems.append(f"member {i}: dimension mismatch")
-        if self.kind == "sphere-shells":
-            radii = []
-            for i, m in enumerate(self.members):
-                if len(m.shapes) != 1 or not isinstance(m.shapes[0], Sphere):
-                    problems.append(f"member {i}: not a single sphere")
-                    continue
-                if any(c != 0.0 for c in m.shapes[0].center):
-                    problems.append(f"member {i}: sphere not origin-centered")
-                radii.append(m.shapes[0].radius)
-            if any(b <= a for a, b in zip(radii, radii[1:])):
-                problems.append("sphere radii not strictly increasing")
-        else:
-            for i, m in enumerate(self.members):
-                if m.volume() > 0.0:
-                    problems.append(f"member {i}: has positive volume")
-        return problems
 
     def to_records(self) -> list[dict]:
         head = {

@@ -32,11 +32,8 @@ __all__ = [
     "CouplingMap",
     "WindowTooSmallError",
     "require_window",
-    "p_epsilon",
     "sample_couplings",
     "evaluate_potential",
-    "second_moment_profile",
-    "second_moment_decay_fit",
     "quasi_dimension_bound",
     "model_from_dict",
     "KINDS",
@@ -65,8 +62,8 @@ class CouplingLaw:
     """Probability law on [0,1] stored as atoms plus uniform-density pieces.
 
     Every supported kind reduces to this canonical form, which makes the
-    tail mass, absolutely continuous mass, moments and quantile function
-    exact (no quadrature).
+    tail mass, absolutely continuous mass and quantile function exact (no
+    quadrature).
     """
 
     kind: str
@@ -133,16 +130,6 @@ class CouplingLaw:
     def ac_mass(self) -> float:
         return sum(m for _, _, m in self.segments)
 
-    def mean(self) -> float:
-        total = sum(x * w for x, w in self.atoms)
-        total += sum(m * (lo + hi) / 2.0 for lo, hi, m in self.segments)
-        return total
-
-    def second_moment(self) -> float:
-        total = sum(x * x * w for x, w in self.atoms)
-        total += sum(m * (hi**3 - lo**3) / (3.0 * (hi - lo)) for lo, hi, m in self.segments)
-        return total
-
     # -- quantile (single uniform draw -> coupling; monotone in the draw) ----
 
     @cached_property
@@ -183,13 +170,6 @@ class CouplingLaw:
             frac = np.where(hi_f > lo_f, (u[seg] - lo_f) / (hi_f - lo_f), 0.0)
             out[seg] = xs[j - 1] + frac * (xs[j] - xs[j - 1])
         return out
-
-
-def p_epsilon(law: CouplingLaw, eps: float) -> float:
-    """Mass of [eps, 1]: the probability of a coupling at least eps."""
-    if eps <= 0.0 or eps > 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    return law.tail_mass(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +213,6 @@ class LawAssignment:
         with np.errstate(divide="ignore"):
             p = np.where(norms > 0.0, norms ** (-self.tau), np.inf)
         return np.minimum(p, self.cap)
-
-    def law_for(self, point: np.ndarray, index: int) -> CouplingLaw:
-        if self.kind == "shared":
-            return self.shared
-        if self.kind == "radial_bernoulli":
-            return CouplingLaw.bernoulli(float(self._bernoulli_p(np.atleast_2d(point))[0]))
-        if self.kind == "per_site":
-            return self.per_site[index]
-        raise ValueError(f"unknown law assignment kind {self.kind!r}")
 
     def tail_masses(self, points: np.ndarray, indices: np.ndarray, eps: float) -> np.ndarray:
         """p_i(eps) for many sites at once."""
@@ -482,9 +453,8 @@ class RandomPotentialModel:
 class CouplingMap:
     """Sampled coupling values on a window of the model's sites.
 
-    Regenerating with the same (model, seed, window) reproduces the values
-    of `sample_couplings` bit for bit, not those of a derived map such as a
-    truncation.
+    `sample_couplings` with the same (model, seed, window) reproduces the
+    values bit for bit.
     """
 
     model: RandomPotentialModel
@@ -501,9 +471,6 @@ class CouplingMap:
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.points, axis=1)
 
-    def require_window(self, region: RegionSet) -> None:
-        require_window(self.window_radius, region.circumradius(), " needed by the query")
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -512,13 +479,12 @@ def sample_couplings(
     model: RandomPotentialModel,
     seed: int,
     window: float | None = None,
-    trial: int = 0,
 ) -> CouplingMap:
     """Independent coupling draws for every site inside the window.
 
-    The draw for site i is column `trial` of the stream keyed by
+    The draw for site i is column 0 of the stream keyed by
     (seed, canonical index of i): results do not depend on iteration
-    order, on the window, or on how trials are distributed over workers.
+    order or on the window.
     """
     sites = model.sites
     if window is None:
@@ -528,7 +494,7 @@ def sample_couplings(
         window_radius = float(window)
         require_window(sites.window_radius, window_radius, " requested as the sampling window")
         indices = np.where(sites.norms <= window_radius)[0]
-    u = _rng.site_uniforms(seed, indices, start=trial)
+    u = _rng.site_uniforms(seed, indices)
     values = model.laws.transform(sites.points[indices], indices, u)[:, 0]
     return CouplingMap(model, indices, values, seed, window_radius)
 
@@ -591,50 +557,6 @@ def evaluate_potential(
     if include_background:
         out += model.background.evaluate(pts)
     return float(out[0]) if scalar else out
-
-
-def second_moment_profile(model: RandomPotentialModel, x) -> float | np.ndarray:
-    """W(x) = E[V(x)^2]^(1/2) from exact per-site first and second moments."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    scalar = np.asarray(x).ndim == 1
-    points = model.sites.points
-    rows, cols = _pairs_within(pts, points, model.max_support_radius())
-    f = model.potential.evaluate(pts[rows] - points[cols])
-    used, at = np.unique(cols, return_inverse=True)
-    laws = [model.laws.law_for(points[j], j) for j in used]
-    m1 = np.array([law.mean() for law in laws], dtype=float)[at]
-    m2 = np.array([law.second_moment() for law in laws], dtype=float)[at]
-    mean_sum, var_sum = np.zeros(pts.shape[0]), np.zeros(pts.shape[0])
-    # in pair order, as evaluate_potential adds its terms
-    np.add.at(mean_sum, rows, m1 * f)
-    np.add.at(var_sum, rows, (m2 - m1 * m1) * f * f)
-    out = np.sqrt(np.maximum(mean_sum * mean_sum + var_sum, 0.0))
-    return float(out[0]) if scalar else out
-
-
-def second_moment_decay_fit(model: RandomPotentialModel, radii) -> tuple[float, float, bool]:
-    """Fit W(x) ~ (1+|x|)^(-q) along the coordinate rays; returns (q, r_squared, q > 1).
-
-    The last flag marks the decay regime in which the wave operators
-    exist (second-moment decay faster than 1/|x|).
-    """
-    radii = np.asarray(radii, dtype=float)
-    logs_x: list[float] = []
-    logs_w: list[float] = []
-    for u in np.eye(model.dimension):
-        pts = radii[:, None] * u[None, :]
-        w = second_moment_profile(model, pts)
-        mask = w > 1e-300
-        logs_x.extend(np.log1p(radii[mask]))
-        logs_w.extend(np.log(w[mask]))
-    if len(logs_x) < 2:
-        return math.inf, 1.0, True
-    slope, intercept = np.polyfit(logs_x, logs_w, 1)
-    pred = slope * np.asarray(logs_x) + intercept
-    ss_res = float(np.sum((np.asarray(logs_w) - pred) ** 2))
-    ss_tot = float(np.sum((np.asarray(logs_w) - np.mean(logs_w)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(-slope), r2, bool(-slope > 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -76,19 +76,6 @@ class GridOperator:
         if self.potential.shape != (n,):
             raise ValueError("potential must be flat with one value per node")
 
-    @staticmethod
-    def free(dimension: int, shape, spacing: float = 1.0) -> "GridOperator":
-        """Zero-potential operator on a centered box."""
-        shape = tuple(int(s) for s in np.atleast_1d(shape))
-        origin = -spacing * (np.asarray(shape, dtype=float) - 1.0) / 2.0
-        return GridOperator(
-            dimension,
-            shape,
-            spacing,
-            origin,
-            np.zeros(int(np.prod(shape))),
-        )
-
     @property
     def n_unknowns(self) -> int:
         return int(np.prod(self.shape))
@@ -182,10 +169,14 @@ def require_grid_dimension(d: int) -> None:
 
 
 def grid_side(box: float, h: float) -> int:
-    """Nodes per side, round(2 box / h) - 1; ValueError below MIN_GRID_SIDE."""
+    """Nodes per side, round(2 box / h) - 1; ValueError below MIN_GRID_SIDE or when
+    2 box / h overflows."""
     if h <= 0:
         raise ValueError("spacing must be positive")
-    n_side = int(round(2.0 * box / h)) - 1
+    ratio = 2.0 * box / h
+    if ratio == math.inf:
+        raise ValueError(f"box {box:g} at spacing {h:g} has more grid nodes per side than a float holds")
+    n_side = int(round(ratio)) - 1
     if n_side < MIN_GRID_SIDE:
         raise ValueError(f"box {box:g} at spacing {h:g} has {n_side} grid nodes per side, "
                          f"fewer than {MIN_GRID_SIDE}")
@@ -233,13 +224,6 @@ class SpectralWindowResult:
     @property
     def residual_ok(self) -> bool:
         return bool(np.all(self.residuals <= 1e-8 * self.norm_bound))
-
-    @property
-    def orthonormality_defect(self) -> float:
-        if self.eigenvectors.size == 0:
-            return 0.0
-        gram = self.eigenvectors.T @ self.eigenvectors
-        return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
 def eigenpairs(op: GridOperator) -> SpectralWindowResult:

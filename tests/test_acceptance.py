@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import free_operator, generalized_surface_area
 from sparseloc import certify as c
 from sparseloc import cli
 from sparseloc import geometry as g
@@ -29,19 +30,19 @@ def announce(num, text):
 class TestCriterion1GeometryOracles:
     def test_sigma_oracles_at_default_resolution(self):
         t0 = time.monotonic()
-        est1 = g.generalized_surface_area(g.RegionSet.point([0.0]))
+        est1 = generalized_surface_area(g.RegionSet.point([0.0]))
         t1 = time.monotonic()
         assert abs(est1.value - 2.0) <= 0.05 * 2.0
         assert t1 - t0 < 30.0
 
         t0 = time.monotonic()
-        est2 = g.generalized_surface_area(g.RegionSet.point([0.0, 0.0]))
+        est2 = generalized_surface_area(g.RegionSet.point([0.0, 0.0]))
         t1 = time.monotonic()
         assert abs(est2.value - PHI * math.pi) <= 0.05 * PHI * math.pi
         assert t1 - t0 < 30.0
 
         t0 = time.monotonic()
-        est3 = g.generalized_surface_area(g.RegionSet.sphere([0.0, 0.0], 5.0))
+        est3 = generalized_surface_area(g.RegionSet.sphere([0.0, 0.0], 5.0))
         t1 = time.monotonic()
         assert abs(est3.value - 20.0 * math.pi) <= 0.10 * 20.0 * math.pi
         assert t1 - t0 < 30.0
@@ -189,7 +190,7 @@ class TestCriterion6Quasi1D:
 
 class TestCriterion7SpectralOracles:
     def test_chain_resolvent_monotone(self):
-        op = sp.GridOperator.free(1, 100, 1.0)
+        op = free_operator(1, 100, 1.0)
         vals = np.sort(op.all_eigenvalues())
         k = np.arange(1, 101)
         closed = np.sort(2.0 - 2.0 * np.cos(k * np.pi / 101.0))
@@ -228,7 +229,7 @@ class TestCriterion8LocalizationProxy:
         box, h = 250.0, 0.25
         n_side = sp.grid_side(box, h)
         assert n_side == 1999
-        reference = sp.GridOperator.free(1, n_side, h)
+        reference = free_operator(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, reference)
         elapsed = time.monotonic() - t0
         gap_states = [s for s in report.states if s.in_gap]

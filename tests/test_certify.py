@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import is_epsilon_free, validate_decomposition
 from sparseloc import certify as c
 from sparseloc import cli
 from sparseloc import geometry as g
@@ -54,27 +55,49 @@ class TestEpsilonFree:
     def test_all_zero_is_free(self):
         model = chain_model()
         cm = explicit_couplings(model, {})
-        assert c.is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
+        assert is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
 
     def test_inclusive_at_eps(self):
         # the bad set is [eps, 1], the set whose mass is p_eps, so a coupling
         # equal to eps blocks the free event, the scan and the truncation support
         model = chain_model()
         cm = explicit_couplings(model, {(3.0,): 0.1})
-        assert not c.is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
+        assert not is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
         assert not c.find_free_subannulus(cm, 0.1, a=2.0, n=1).free
         assert c.difference_support(model, cm, 0.1).shapes == (g.Ball((3.0,), 1.0),)
 
     def test_exceeding_value_blocks(self):
         model = chain_model()
         cm = explicit_couplings(model, {(3.0,): 0.2})
-        assert not c.is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
+        assert not is_epsilon_free(cm, make_annulus(2.0, 8.0, 1), 0.1)
 
     def test_window_guard(self):
         model = chain_model(radius=5.0)
         cm = m.sample_couplings(model, seed=0)
         with pytest.raises(m.WindowTooSmallError):
-            c.is_epsilon_free(cm, make_annulus(0.0, 50.0, 1), 0.1)
+            is_epsilon_free(cm, make_annulus(0.0, 50.0, 1), 0.1)
+
+
+class TestScaleRule:
+    def test_finite_values(self):
+        assert c.scale_window(2.0, 3) == (8.0, 13.0, 16.0)
+        assert c.scale_window(1.3, 5) == (1.3**5, 1.3**6 - 5, 1.3**5 + 5)
+        assert c.growth_ratio(1, 1.0) == (3, 4.0 / 3.0)
+        assert c.growth_ratio(0, 5e-324) == (1, 2.0)
+
+    def test_power_beyond_the_float_range_has_infinite_reach(self):
+        assert c.scale_window(2.0, 1023) == (2.0**1023, math.inf, math.inf)
+        assert c.scale_window(2.0, 1024) == (math.inf, math.inf, math.inf)
+        for window in (1e300, math.inf):
+            with pytest.raises(m.WindowTooSmallError):
+                c.require_scale_window(window, 2.0, 1023)
+
+    def test_growth_ratio_that_rounds_to_one_refused(self):
+        # ell = 2^53 - 1 still gives a > 1; ell = 2^53 + 1 gives a = 1
+        assert c.growth_ratio(1, 2.0 / (2.0**53 - 2.0)) == (2**53 - 1, 1.0 + 2.0**-52)
+        for gamma in (2.0**-52, 1e-17, 5e-324):
+            with pytest.raises(ValueError, match="rounds to 1"):
+                c.growth_ratio(1, gamma)
 
 
 class TestFreeIntervals:
@@ -226,7 +249,7 @@ class TestFindFreeSubannulus:
             )
             if r > 5.0:
                 assert annulus_free
-        assert c.is_epsilon_free(
+        assert is_epsilon_free(
             cm, make_annulus(rec.inner_radius, rec.inner_radius + 2.0, 1), 0.5
         )
 
@@ -255,21 +278,6 @@ class TestFindFreeSubannulus:
 
 
 class TestTruncateAndSupport:
-    def test_truncation(self):
-        model = chain_model(radius=5.0)
-        cm = explicit_couplings(model, {(0.0,): 0.2, (1.0,): 0.9})
-        out = c.truncate_couplings(cm, 0.5)
-        values = dict(zip(out.points[:, 0], out.values))
-        assert values[0.0] == 0.2
-        assert values[1.0] == 0.5
-        assert cm.values.max() == 0.9  # the input map is left as it was
-
-    def test_truncation_noop_below_eps(self):
-        model = chain_model(radius=5.0)
-        cm = explicit_couplings(model, {(0.0,): 0.2})
-        out = c.truncate_couplings(cm, 1.0)
-        assert np.array_equal(out.values, cm.values)
-
     def test_difference_support_empty(self):
         model = chain_model(radius=5.0)
         cm = explicit_couplings(model, {(0.0,): 0.2})
@@ -311,7 +319,7 @@ class TestSparseConstruction:
         for member, info in zip(td.members, td.member_info):
             n = info.scale
             assert member.shapes[0].radius == pytest.approx(a**n + n / 2.0)
-        assert td.validate() == []
+        assert validate_decomposition(td) == []
 
     def test_gap_reporting(self):
         model = chain_model(radius=40.0, d=1)
@@ -375,7 +383,7 @@ class TestShellSequencePP:
         shells, _, _ = self.sampled_shells()
         assert shells.kind == "sphere-shells"
         assert len(shells.members) == 5
-        assert shells.validate() == []
+        assert validate_decomposition(shells) == []
         assert shells.params["tail"] == {"kind": "volume-power", "a": 1.5, "rho": 0.5}
         for info in shells.member_info:
             assert info.clearance_bound == info.scale / 2.0 - 0.5
@@ -445,7 +453,7 @@ class TestQuasi1D:
             pts = radius * np.column_stack([np.cos(t), np.sin(t)])
             member_of_any = np.zeros(len(pts), dtype=bool)
             for member in group:
-                member_of_any |= member.contains(pts, tol=1e-9)
+                member_of_any |= member.contains(pts)
             assert member_of_any.all()
 
     def test_cap_count_bound(self):
@@ -459,7 +467,7 @@ class TestQuasi1D:
         _model, cm = self.tube_couplings()
         td = c.build_decomposition_quasi1d(cm, 0.95, a=2.0, n_range=(2, 6))
         assert {info.role for info in td.member_info} == {"cap", "cheese"}
-        assert td.validate() == []
+        assert validate_decomposition(td) == []
 
     def test_no_clearance_threshold_near_one(self):
         # 1.001^n outgrows n^2 only past n = 10000: every cheese keeps n/2 - rho

@@ -165,6 +165,55 @@ class TestValidation:
         assert (f"$.parameters.box: box {box:g} at spacing 0.1 has {nodes} grid nodes per side, "
                 "fewer than 3") in result.output
 
+    @pytest.mark.parametrize("gamma", [1e-17, 5e-324])
+    def test_gamma_whose_growth_ratio_rounds_to_one_rejected(self, tmp_path, gamma):
+        # d = 2: a = 1 + 1/ell with ell above 2/gamma, which is 1.0 in floats
+        cfg = certify_cfg(tmp_path / "out")
+        cfg["parameters"]["gammas"] = [1.0, gamma]
+        path = write_config(tmp_path, cfg)
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"config error: $.parameters.gammas: gamma {gamma} is too small: "
+            "the growth ratio 1 + 1/ell rounds to 1"]
+
+    @pytest.mark.parametrize(
+        "cfg,label",
+        [
+            (quasi1d_cfg("out", n_range=(2, 2000)), "a=2.0"),
+            (window_cfg(Path("."), "lemma-mc", {"a": 1e300, "n_range": [1, 2], "trials": 10}), "a=1e+300"),
+        ],
+        ids=["certify-quasi1d", "lemma-mc"],
+    )
+    def test_scale_beyond_the_float_range_rejected(self, tmp_path, cfg, label):
+        # a^(n+1) overflows a float: the reach of that scale is inf
+        path = write_config(tmp_path, cfg)
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert f"$.parameters.n_range: at {label}: window radius" in result.output
+        assert "does not cover radius inf needed at scale" in result.output
+
+    def test_scale_beyond_the_float_range_rejected_on_an_unbounded_window(self, tmp_path):
+        cfg = certify_cfg(tmp_path / "out")
+        cfg["model"]["sites"] = {"generator": "explicit", "points": [[0.0, 0.0], [3.0, 0.0]]}
+        # a^3001 overflows at gamma = 1 (a = 4/3), not at gamma = 0.5 (a = 6/5)
+        cfg["parameters"]["n_range"] = [1, 3000]
+        path = write_config(tmp_path, cfg)
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "config error: $.parameters.n_range: at gamma=1.0: no window covers the infinite "
+            "reach of scale n=3000 at a=1.3333333333333333"]
+
+    def test_box_beyond_the_float_range_rejected(self, tmp_path):
+        params = {"box": 1e308, "h": 1e-300}
+        path = write_config(tmp_path, window_cfg(tmp_path, "spectral-probe", params))
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "config error: $.parameters.box: box 1e+308 at spacing 1e-300 has more grid nodes "
+            "per side than a float holds"]
+
     def test_window_covering_the_scan_ok(self, tmp_path):
         # gamma=1 in d=1 gives a=2; scale 4 reaches radius 2^5 = 32
         params = {"gammas": [1.0], "n_range": [1, 4], "window": 32}
@@ -1141,6 +1190,22 @@ class TestFailuresAndWarnings:
         head = json.loads((tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()[0])
         assert head["member_count"] == 402
         assert head["params"]["clearance_threshold_n"] == math.inf
+
+    def test_overflowing_alpha_ends_in_a_verdict(self, tmp_path):
+        # n^alpha itself overflows at alpha = 1e300, so the reach is inf; a cap ball that
+        # wide covers the sphere already at alpha = 100, so the terms are the same
+        terms = {}
+        for alpha in (100.0, 1e300):
+            run_dir = tmp_path / str(alpha)
+            run_dir.mkdir()
+            path = write_config(run_dir, self.offset_tube_cfg(run_dir, alpha=alpha))
+            assert CliRunner().invoke(cli.main, ["validate", str(path)]).exit_code == 0
+            result = CliRunner().invoke(cli.main, ["run", str(path)])
+            assert result.exit_code == 0, result.output
+            certs = (run_dir / "out" / "certificates.jsonl").read_text().splitlines()
+            assert [json.loads(line)["verdict"] for line in certs] == ["inconclusive"] * 3
+            terms[alpha] = (run_dir / "out" / "certificate_terms.csv").read_text().splitlines()
+        assert len(terms[100.0]) > 1 and terms[1e300] == terms[100.0]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_integer_worker_count_is_a_config_error(self, tmp_path, monkeypatch, command):

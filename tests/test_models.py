@@ -31,17 +31,18 @@ def mass_below(law, eps):
 
 class TestCouplingLaw:
     def test_p_epsilon_bernoulli(self):
-        assert m.p_epsilon(m.CouplingLaw.bernoulli(0.3), 0.5) == pytest.approx(0.3)
+        assert m.CouplingLaw.bernoulli(0.3).tail_mass(0.5) == pytest.approx(0.3)
 
     def test_p_epsilon_uniform(self):
-        assert m.p_epsilon(m.CouplingLaw.uniform(), 0.25) == pytest.approx(0.75)
+        assert m.CouplingLaw.uniform().tail_mass(0.25) == pytest.approx(0.75)
 
     def test_p_epsilon_delta0(self):
-        assert m.p_epsilon(m.CouplingLaw.delta(0.0), 0.5) == 0.0
+        assert m.CouplingLaw.delta(0.0).tail_mass(0.5) == 0.0
 
     def test_p_epsilon_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            m.p_epsilon(m.CouplingLaw.uniform(), 0.0)
+        laws = m.LawAssignment.shared_law(m.CouplingLaw.uniform())
+        with pytest.raises(ValueError, match="eps must lie in"):
+            laws.tail_masses(np.zeros((1, 1)), np.arange(1), 0.0)
 
     def test_ac_mass(self):
         assert m.CouplingLaw.bernoulli(0.7).ac_mass() == 0.0
@@ -58,7 +59,7 @@ class TestCouplingLaw:
         ]
         for law in laws:
             for eps in [0.05, 0.1, 0.5, 0.8, 1.0]:
-                assert m.p_epsilon(law, eps) + mass_below(law, eps) == pytest.approx(1.0)
+                assert law.tail_mass(eps) + mass_below(law, eps) == pytest.approx(1.0)
 
     @given(st.floats(0.01, 1.0), st.floats(0.01, 1.0))
     @settings(max_examples=50, deadline=None)
@@ -66,11 +67,11 @@ class TestCouplingLaw:
         # half Bernoulli(0.4), half uniform on [0.1, 0.7]
         law = m.CouplingLaw("mixture", atoms=((0.0, 0.3), (1.0, 0.2)), segments=((0.1, 0.7, 0.5),))
         lo, hi = min(e1, e2), max(e1, e2)
-        assert m.p_epsilon(law, lo) >= m.p_epsilon(law, hi)
+        assert law.tail_mass(lo) >= law.tail_mass(hi)
 
     def test_jump_at_atom_is_atom_mass(self):
         law = m.CouplingLaw.point_masses([(0.5, 0.6), (1.0, 0.4)])
-        jump = m.p_epsilon(law, 0.5) - m.p_epsilon(law, 0.5 + 1e-12)
+        jump = law.tail_mass(0.5) - law.tail_mass(0.5 + 1e-12)
         assert jump == pytest.approx(0.6)
 
     def test_support_outside_unit_interval_rejected(self):
@@ -83,11 +84,6 @@ class TestCouplingLaw:
         with pytest.raises(ValueError):
             m.CouplingLaw("point_masses", atoms=((0.0, 0.5),))
 
-    def test_moments(self):
-        assert m.CouplingLaw.uniform().second_moment() == pytest.approx(1.0 / 3.0)
-        assert m.CouplingLaw.bernoulli(0.3).second_moment() == pytest.approx(0.3)
-        assert m.CouplingLaw.uniform().mean() == pytest.approx(0.5)
-
     @pytest.mark.parametrize(
         "law",
         [
@@ -99,13 +95,13 @@ class TestCouplingLaw:
         ],
     )
     def test_sampling_frequency_matches_tail_mass(self, law):
-        # 4-standard-error agreement between empirical tail and p_epsilon
+        # 4-standard-error agreement between empirical tail and p_eps = mu([eps, 1])
         n = 10_000
         u = np.random.default_rng(7).random(n)
         draws = law.quantile(u)
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         for eps in [0.1, 0.5, 0.85]:
-            p = m.p_epsilon(law, eps)
+            p = law.tail_mass(eps)
             freq = np.mean(draws >= eps)
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(freq - p) <= 4 * se + 1e-12
@@ -423,70 +419,6 @@ class TestPairsWithin:
         assert assert_pairs_equal(np.zeros((4, 2)), np.empty((0, 2)), 1.0) == 0
         rows, cols = m._pairs_within(np.empty((0, 2)), np.zeros((3, 2)), 1.0)
         assert rows.size == cols.size == 0
-
-
-def tree_loop_second_moment(model, pts):
-    """second_moment_profile as a loop over each node's k-d tree neighbours: the
-    bit-level oracle."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = np.zeros(pts.shape[0])
-    lists = cKDTree(model.sites.points).query_ball_point(pts, model.max_support_radius())
-    for row, neighbors in enumerate(lists):
-        mean_sum = var_sum = 0.0
-        for j in neighbors:
-            law = model.laws.law_for(model.sites.points[j], j)
-            f = model.potential.evaluate(pts[row] - model.sites.points[j])[0]
-            m1, m2 = law.mean(), law.second_moment()
-            mean_sum += m1 * f
-            var_sum += (m2 - m1 * m1) * f * f
-        out[row] = math.sqrt(max(mean_sum * mean_sum + var_sum, 0.0))
-    return out
-
-
-class TestSecondMoment:
-    def test_uniform_law_single_site(self):
-        model = m.RandomPotentialModel(
-            sites=m.SiteSet.explicit([[0.0]]),
-            potential=m.SingleSitePotential.indicator(1.0, 1.0),
-            laws=m.LawAssignment.shared_law(m.CouplingLaw.uniform()),
-        )
-        assert m.second_moment_profile(model, [0.0]) == pytest.approx(math.sqrt(1.0 / 3.0))
-
-    def test_bernoulli_single_site(self):
-        model = m.RandomPotentialModel(
-            sites=m.SiteSet.explicit([[0.0]]),
-            potential=m.SingleSitePotential.indicator(1.0, 1.0),
-            laws=m.LawAssignment.shared_law(m.CouplingLaw.bernoulli(0.4)),
-        )
-        assert m.second_moment_profile(model, [0.0]) == pytest.approx(math.sqrt(0.4))
-
-    def test_all_delta0_zero(self):
-        model = lattice_model(d=1, radius=5.0, law=m.CouplingLaw.delta(0.0))
-        assert m.second_moment_profile(model, [0.0]) == 0.0
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_equals_tree_loop(self, d):
-        model = m.RandomPotentialModel(
-            sites=m.SiteSet.lattice(d, 7.0),
-            potential=TestEvaluatePotentialPairOracle.wavy(2.2, 0.6),
-            laws=m.LawAssignment.radial_bernoulli(1.5),
-        )
-        axis = np.arange(-4.0, 4.0, 0.173 if d == 1 else 0.41)
-        pts = axis[:, None] if d == 1 else np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
-        assert np.array_equal(m.second_moment_profile(model, pts), tree_loop_second_moment(model, pts))
-        assert m.second_moment_profile(model, pts[3]) == tree_loop_second_moment(model, pts[3])[0]
-
-    def test_decay_fit_detects_fast_decay(self):
-        model = m.RandomPotentialModel(
-            sites=m.SiteSet.lattice(1, 60.0),
-            potential=m.SingleSitePotential.indicator(1.0, 0.4),
-            laws=m.LawAssignment.radial_bernoulli(3.0),
-        )
-        # Bernoulli(p_i) second moment = p_i ~ |i|^-3, so W ~ |i|^-1.5
-        exponent, quality, fast = m.second_moment_decay_fit(model, np.arange(4.0, 55.0, 1.0))
-        assert fast
-        assert exponent == pytest.approx(1.5, abs=0.3)
-        assert quality > 0.9
 
 
 class TestQuasiDimension:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import free_operator
 from sparseloc import cli
 from sparseloc import models as m
 from sparseloc import spectral as sp
@@ -20,32 +21,32 @@ def free_chain_eigenvalues(n, h=1.0):
 
 class TestGridOperator:
     def test_three_node_chain(self):
-        op = sp.GridOperator.free(1, 3, 1.0)
+        op = free_operator(1, 3, 1.0)
         vals = np.sort(op.all_eigenvalues())
         want = np.sort([2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
         assert np.allclose(vals, want, atol=1e-12)
 
     def test_symmetry_exact(self):
-        op = sp.GridOperator.free(2, (7, 5), 0.5)
+        op = free_operator(2, (7, 5), 0.5)
         op.potential = np.sin(np.arange(op.n_unknowns) * 0.7)
         a = op.matrix().toarray()
         assert np.max(np.abs(a - a.T)) == 0.0
 
     def test_free_spectrum_range(self):
         for d, shape in [(1, 30), (2, (9, 9))]:
-            op = sp.GridOperator.free(d, shape, 1.0)
+            op = free_operator(d, shape, 1.0)
             vals = op.all_eigenvalues()
             assert vals.min() >= 0.0
             assert vals.max() <= 4.0 * d
 
     def test_constant_shift_exact(self):
-        op = sp.GridOperator.free(1, 50, 1.0)
+        op = free_operator(1, 50, 1.0)
         shifted = sp.GridOperator(1, op.shape, 1.0, op.origin, op.potential + 3.5)
         a, b = np.sort(op.all_eigenvalues()), np.sort(shifted.all_eigenvalues())
         assert np.allclose(b - a, 3.5, atol=1e-10)
 
     def test_2d_separable_sum(self):
-        op = sp.GridOperator.free(2, (4, 6), 1.0)
+        op = free_operator(2, (4, 6), 1.0)
         vals = np.sort(op.all_eigenvalues())
         ex = free_chain_eigenvalues(4)
         ey = free_chain_eigenvalues(6)
@@ -89,7 +90,7 @@ class TestDiscretize:
         assert sp.discretize(model, cm, box=0.2, h=0.1).shape == (3,)
 
     def test_deep_well_single_bound_state(self):
-        op = sp.GridOperator.free(1, 100, 1.0)
+        op = free_operator(1, 100, 1.0)
         op.potential[50] = -10.0
         op._matrix_cache = None
         vals = op.all_eigenvalues()
@@ -104,7 +105,7 @@ class TestDenseLimit:
 
     def test_all_eigenvalues_refuses_above_the_limit(self):
         with pytest.raises(ValueError, match="3001 unknowns exceed the dense limit 3000"):
-            sp.GridOperator.free(1, 3001).all_eigenvalues()
+            free_operator(1, 3001).all_eigenvalues()
 
     def test_discretize_accepts_a_grid_above_the_limit(self):
         # discretize builds such a grid; every spectral query on it refuses with one message
@@ -125,7 +126,7 @@ class TestGridDimension:
         with pytest.raises(ValueError, match=message):
             sp.require_grid_dimension(d)
         with pytest.raises(ValueError, match=message):
-            sp.GridOperator.free(d, 5)
+            free_operator(d, 5)
 
     def test_discretize_refuses_d3(self):
         model = m.RandomPotentialModel(
@@ -139,12 +140,13 @@ class TestGridDimension:
 
 class TestEigenpairs:
     def test_free_chain_closed_form(self):
-        op = sp.GridOperator.free(1, 100, 1.0)
+        op = free_operator(1, 100, 1.0)
         result = sp.eigenpairs(op)
         want = np.sort(free_chain_eigenvalues(100))
         assert np.max(np.abs(np.sort(result.eigenvalues) - want)) < 1e-10
         assert result.residual_ok
-        assert result.orthonormality_defect < 1e-8
+        gram = result.eigenvectors.T @ result.eigenvectors
+        assert np.max(np.abs(gram - np.eye(100))) < 1e-8
         assert result.method == "dense"
         assert result.solver == "stemr"
 
@@ -162,7 +164,7 @@ def chain(n, h, kind, seed):
         potential = values[(np.arange(n) // period) % values.size]
     else:
         potential = rng.uniform(-4.0, 4.0, n)
-    free = sp.GridOperator.free(1, n, h)
+    free = free_operator(1, n, h)
     return sp.GridOperator(1, free.shape, h, free.origin, potential)
 
 
@@ -228,7 +230,7 @@ class TestTridiagonalPath:
     def test_rescaled_matrix_takes_the_dense_path(self, spacing, scale, tridiagonal_calls):
         # dsyevr rescales a matrix whose largest |entry| is above 8.19e76 or below 1.0e-146
         potential = scale * np.random.default_rng(3).uniform(0.5, 1.0, 40)
-        free = sp.GridOperator.free(1, 40, spacing)
+        free = free_operator(1, 40, spacing)
         op = sp.GridOperator(1, free.shape, spacing, free.origin, potential)
         top = np.abs(op.matrix().toarray()).max()
         assert top > 8.19e76 or 0.0 < top < 1e-146
@@ -243,7 +245,7 @@ class TestTridiagonalPath:
         top = sp._UNSCALED[edge]
         rng = np.random.default_rng(5)
         spacing = 1.0 / math.sqrt(top * 0.25)  # off-diagonal about -top/4
-        free = sp.GridOperator.free(1, 30, spacing)
+        free = free_operator(1, 30, spacing)
         laplacian = free.matrix().diagonal()
         potential = top * rng.uniform(-0.5, 0.5, 30) - laplacian
         potential[11] = top - laplacian[11]
@@ -267,7 +269,7 @@ class TestTridiagonalPath:
         self.assert_dense_bits(op, result)
 
     def test_d2_takes_the_dense_path(self, tridiagonal_calls):
-        op = sp.GridOperator.free(2, (6, 9), 0.5)
+        op = free_operator(2, (6, 9), 0.5)
         op.potential = np.random.default_rng(2).uniform(-2.0, 2.0, op.n_unknowns)
         result = sp.eigenpairs(op)
         assert result.solver == "syevr"
@@ -277,7 +279,7 @@ class TestTridiagonalPath:
 
 class TestSpectrumGaps:
     def test_free_chain_principal_gap(self):
-        op = sp.GridOperator.free(1, 200, 1.0)
+        op = free_operator(1, 200, 1.0)
         gaps = sp.spectrum_gaps(op, resolution=0.5)
         lo, hi = gaps[0]
         assert lo == -math.inf
@@ -286,7 +288,7 @@ class TestSpectrumGaps:
     def test_dimer_band_gap(self):
         # alternating 0/3 potential: Bloch bands [1,2] and [5,6], gap (2,5)
         n = 400
-        op = sp.GridOperator.free(1, n, 1.0)
+        op = free_operator(1, n, 1.0)
         op.potential = np.where(np.arange(n) % 2 == 0, 0.0, 3.0)
         op._matrix_cache = None
         gaps = sp.spectrum_gaps(op, resolution=0.5)
@@ -297,7 +299,7 @@ class TestSpectrumGaps:
         assert 4.9 < hi < 5.1
 
     def test_constant_shift_moves_principal_gap(self):
-        free = sp.GridOperator.free(1, 100, 1.0)
+        free = free_operator(1, 100, 1.0)
         op = sp.GridOperator(1, free.shape, 1.0, free.origin, np.full(100, 5.0))
         gaps = sp.spectrum_gaps(op, resolution=0.5)
         assert gaps[0][1] == pytest.approx(5.0, abs=0.01)
@@ -322,7 +324,7 @@ class TestIPR:
             sp.ipr(np.array([1.0, 1.0]))
 
     def test_matrix_rows_equal_vector_ipr(self):
-        rows = np.ascontiguousarray(sp.eigenpairs(sp.GridOperator.free(2, (5, 7), 0.5)).eigenvectors.T)
+        rows = np.ascontiguousarray(sp.eigenpairs(free_operator(2, (5, 7), 0.5)).eigenvectors.T)
         got = sp.ipr(rows)
         assert isinstance(got, np.ndarray) and got.shape == (35,)
         assert got.tolist() == [sp.ipr(row) for row in rows]
@@ -469,25 +471,25 @@ class TestLoglinearFitBits:
 class TestResolventDecay:
     def test_lattice_green_function_rate(self):
         # 1-D lattice Green function decays at arccosh(1 + |E|/2)
-        op = sp.GridOperator.free(1, 100, 1.0)
+        op = free_operator(1, 100, 1.0)
         fit = sp.resolvent_decay(op, -2.0)
         assert fit.rate == pytest.approx(math.acosh(2.0), rel=0.10)
 
     def test_rate_at_half(self):
-        op = sp.GridOperator.free(1, 100, 1.0)
+        op = free_operator(1, 100, 1.0)
         fit = sp.resolvent_decay(op, -0.5)
         assert fit.rate == pytest.approx(math.acosh(1.25), rel=0.10)
         assert fit.rate == pytest.approx(math.log(2.0), rel=0.10)
 
     def test_monotone_in_gap_depth(self):
-        op = sp.GridOperator.free(1, 100, 1.0)
+        op = free_operator(1, 100, 1.0)
         fits = [sp.resolvent_decay(op, e) for e in (-1.0, -2.0, -0.5)]
         by_distance = sorted(fits, key=lambda f: f.spectrum_distance)
         assert [f.energy for f in by_distance] == [-0.5, -1.0, -2.0]
         assert by_distance[0].rate < by_distance[1].rate < by_distance[2].rate
 
     def test_refuses_energy_in_spectrum(self):
-        op = sp.GridOperator.free(1, 100, 1.0)
+        op = free_operator(1, 100, 1.0)
         e0 = float(np.sort(op.all_eigenvalues())[0])
         with pytest.raises(ValueError):
             sp.resolvent_decay(op, e0)
@@ -561,7 +563,7 @@ class TestLocalizationReportBits:
         )
         cm = m.sample_couplings(model, seed=0)
         h, box = 1.0, 10.0
-        free = sp.GridOperator.free(1, sp.grid_side(box, h), h)
+        free = free_operator(1, sp.grid_side(box, h), h)
         report = sp.localization_report(model, cm, box, h, free)
         op = sp.discretize(model, cm, box, h)
         result = sp.eigenpairs(op)
@@ -693,7 +695,7 @@ class TestLocalizationReport:
         model, cm = self.single_well()
         h, box = 0.25, 25.0
         n_side = sp.grid_side(box, h)
-        free = sp.GridOperator.free(1, n_side, h)
+        free = free_operator(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, free)
         gap_states = [s for s in report.states if s.in_gap]
         assert len(gap_states) >= 1
@@ -720,7 +722,7 @@ class TestLocalizationReport:
     def test_residual_beyond_the_bound_raises(self, monkeypatch):
         model, cm = self.single_well()
         h, box = 0.5, 15.0
-        free = sp.GridOperator.free(1, sp.grid_side(box, h), h)
+        free = free_operator(1, sp.grid_side(box, h), h)
         self.perturb(monkeypatch, "eigh_tridiagonal")  # the d=1 path
         with pytest.raises(ValueError, match=r"eigenpair residual \S+ exceeds 1e-8 times the norm bound"):
             sp.localization_report(model, cm, box, h, free)
@@ -733,7 +735,7 @@ class TestLocalizationReport:
         )
         cm = m.sample_couplings(model, seed=0)
         h, box = 0.5, 4.0
-        free = sp.GridOperator.free(2, (sp.grid_side(box, h),) * 2, h)
+        free = free_operator(2, (sp.grid_side(box, h),) * 2, h)
         self.perturb(monkeypatch, "eigh")  # the dense path
         with pytest.raises(ValueError, match=r"eigenpair residual \S+ exceeds 1e-8 times the norm bound"):
             sp.localization_report(model, cm, box, h, free)
@@ -747,7 +749,7 @@ class TestLocalizationReport:
         cm = m.sample_couplings(model, seed=0)
         h, box = 0.5, 20.0
         n_side = sp.grid_side(box, h)
-        free = sp.GridOperator.free(1, n_side, h)
+        free = free_operator(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, free)
         assert report.verdict == "no-gap-states"
 
@@ -755,7 +757,7 @@ class TestLocalizationReport:
         model, cm = self.single_well()
         h, box = 0.5, 15.0
         n_side = sp.grid_side(box, h)
-        free = sp.GridOperator.free(1, n_side, h)
+        free = free_operator(1, n_side, h)
         report = sp.localization_report(model, cm, box, h, free)
         cli.run({
             "pipeline": "spectral-probe",
