@@ -35,7 +35,6 @@ from .geometry import (
     distance_between,
     make_annulus,
     sphere_shell_decomposition,
-    spherical_cap,
 )
 from .models import (
     BackgroundPotential,
@@ -77,7 +76,6 @@ __all__ = [
     "RegionSet",
     "TotalDecomposition",
     "make_annulus",
-    "spherical_cap",
     "sphere_shell_decomposition",
     "distance_between",
     "SiteSet",

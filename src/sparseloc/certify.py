@@ -26,12 +26,12 @@ from .geometry import (
     PuncturedSphere,
     RegionSet,
     Sphere,
+    SphericalCap,
     TotalDecomposition,
     ball_volume,
     closed_form_sigma,
     distance_between,
     sanity_bound,
-    spherical_cap,
     surface_volume_bound,
 )
 from .models import (
@@ -351,25 +351,46 @@ def build_shell_sequence_pp(
 
 
 def quasi1d_clearance_threshold(a: float, alpha: float) -> float:
-    """Smallest scale from which cheese points provably clear n^alpha.
+    """Smallest scale from which cheese points provably clear n^alpha, there
+    and at every larger scale.
 
     A site outside the free annulus but inside its n^alpha-neighborhood
     sits at radius within n^alpha + n/2 of the sphere radius while the
     cheese point is at least n^alpha away from the cap center, giving
-    dist^2 >= n^2/4 + (1 - (n^alpha + n/2)/a^n) n^(2 alpha).  The
-    threshold is where that right side reaches n^(2 alpha); inf when no
-    n below 10000 qualifies (a near 1) or the terms overflow first (large
-    alpha), so every cheese keeps n/2 - rho.
+    dist^2 >= n^2/4 + (1 - (n^alpha + n/2)/a^n) n^(2 alpha).  That right
+    side reaches n^(2 alpha) exactly when a^n n^2/4 >= (n^alpha + n/2) n^(2 alpha),
+    that is, in logarithms, when
+
+        f(n) = n ln a - (3 alpha - 2) ln n - ln 4 - ln(1 + n^(1-alpha)/2) >= 0.
+
+    f is not monotone: at a = 6, alpha = 3 it holds at n = 1, fails at
+    n = 2..9 and holds from n = 10.  But its last term decreases for
+    alpha > 1, so f'(x) > ln a - (3 alpha - 2)/x >= 0 from
+    x0 = (3 alpha - 2)/ln a on, and once f holds at a scale at or past x0
+    it holds at every larger one.  The threshold is one past the last
+    failure below the first such scale.  inf when no n below 10000
+    qualifies (a near 1, large alpha) or a^n overflows there, past every
+    scale a run reaches; every cheese then keeps n/2 - rho.
     """
-    for n in range(1, 10_000):
-        try:
-            shrink = 1.0 - (n**alpha + n / 2.0) / a**n
-            lhs = n**2 / 4.0 + shrink * n ** (2.0 * alpha)
-            if shrink > 0.0 and lhs >= n ** (2.0 * alpha):
-                return n
-        except OverflowError:
-            break
-    return math.inf
+    if not a > 1.0:
+        return math.inf
+    log_a = math.log(a)
+
+    def holds(n: int) -> bool:
+        gain = n * log_a + 2.0 * math.log(n) - math.log(4.0)
+        return gain >= 3.0 * alpha * math.log(n) + math.log1p(n ** (1.0 - alpha) / 2.0)
+
+    x0 = (3.0 * alpha - 2.0) / log_a
+    if not x0 < 10_000:  # also NaN
+        return math.inf
+    n = max(1, math.ceil(x0))
+    while n < 10_000 and not holds(n):
+        n += 1
+    if n >= 10_000 or _power(float(a), n) == math.inf:
+        return math.inf
+    while n > 1 and holds(n - 1):
+        n -= 1
+    return n
 
 
 def quasi1d_threshold(delta: float, c_quasi: float) -> float:
@@ -450,25 +471,16 @@ def build_decomposition_quasi1d(
             # a site at the origin has no direction; the scale is unusable
             gaps.append(n)
             continue
-        # distinct directions, in order of first appearance
+        # distinct directions, in order of first appearance, and their unit vectors
         directions = list(dict.fromkeys(map(tuple, (neighbors / neighbor_norms[:, None]).tolist())))
-        for u in directions:
-            cap = spherical_cap(radius, u, reach)
-            members.append(cap)
-            info.append(
-                MemberInfo(
-                    scale=n,
-                    role="cap",
-                    clearance_bound=n / 2.0 - rho,
-                    site=u,
-                )
-            )
-        exclusions = tuple((u, reach) for u in directions)
-        if exclusions:
-            cheese = RegionSet(d, (PuncturedSphere(d, radius, exclusions),))
-        else:
-            cheese = RegionSet(d, (Sphere(tuple(np.zeros(d)), radius),))
-        members.append(cheese)
+        units = [tuple(np.divide(u, float(np.linalg.norm(u)))) for u in directions]
+        sphere = Sphere(tuple(np.zeros(d)), radius)
+        for u, unit in zip(directions, units):
+            cap = sphere if reach >= 2.0 * radius else SphericalCap(radius, unit, reach)
+            members.append(RegionSet(d, (cap,)))
+            info.append(MemberInfo(scale=n, role="cap", clearance_bound=n / 2.0 - rho, site=u))
+        cheese = PuncturedSphere(d, radius, tuple((unit, reach) for unit in units)) if units else sphere
+        members.append(RegionSet(d, (cheese,)))
         cheese_bound = (reach - rho) if n >= n_threshold else (n / 2.0 - rho)
         info.append(MemberInfo(scale=n, role="cheese", clearance_bound=cheese_bound))
         cap_counts.append(

@@ -28,7 +28,6 @@ __all__ = [
     "TotalDecomposition",
     "ball_volume",
     "make_annulus",
-    "spherical_cap",
     "sphere_shell_decomposition",
     "distance_between",
     "closed_form_sigma",
@@ -76,6 +75,20 @@ def _axis_dot(points: np.ndarray, axis: np.ndarray) -> np.ndarray:
     single-point one bit for bit; vecdot runs the same kernel on every row.
     """
     return np.vecdot(points, axis)
+
+
+def _angles(points: np.ndarray, r: np.ndarray, axes) -> np.ndarray:
+    """Angle between each point, of norm r, and each of a stack of unit axes,
+    as a (points, axes) array; every pair rounds as one `_axis_dot`."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosang = _axis_dot(points[:, None, :], np.asarray(axes)) / np.where(r > 0, r, 1.0)[:, None]
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
+def _require_unit(direction) -> None:
+    """Refuse a direction whose norm is off 1 by more than 1e-12, a zero vector too."""
+    if not abs(float(np.linalg.norm(direction)) - 1.0) <= 1e-12:
+        raise ValueError(f"direction {direction!r} is not a unit vector")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +225,7 @@ class SphericalCap(_Surface):
     """Cap on an origin-centered sphere, cut out by a ball centered on it.
 
     The cap is {|x| = R} intersected with the closed ball of radius
-    `ball_radius` centered at R * direction.
+    `ball_radius` centered at R * direction, a unit vector.
     """
 
     sphere_radius: float
@@ -224,13 +237,7 @@ class SphericalCap(_Surface):
             raise ValueError("cap requires sphere_radius > 0")
         if self.ball_radius < 0:
             raise ValueError("cap requires ball_radius >= 0")
-        norm = float(np.linalg.norm(self.direction))
-        if norm == 0.0:
-            raise ValueError("cap direction must be nonzero")
-        if abs(norm - 1.0) > 1e-12:
-            object.__setattr__(
-                self, "direction", tuple(float(c) / norm for c in self.direction)
-            )
+        _require_unit(self.direction)
 
     @property
     def dimension(self) -> int:
@@ -240,17 +247,10 @@ class SphericalCap(_Surface):
     def half_angle(self) -> float:
         return _cap_half_angle(self.sphere_radius, self.ball_radius)
 
-    def _angles_to_axis(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = _norm(points)
-        u = np.asarray(self.direction)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = np.clip(_axis_dot(points, u) / np.where(r > 0, r, 1.0), -1.0, 1.0)
-        ang = np.arccos(cosang)
-        return r, ang
-
     def point_distance(self, points: np.ndarray) -> np.ndarray:
         R = self.sphere_radius
-        r, ang = self._angles_to_axis(points)
+        r = _norm(points)
+        ang = _angles(points, r, [self.direction])[:, 0]
         inside = ang <= self.half_angle
         # chord to the cap rim within the plane span(x, axis); the
         # half-angle form avoids cancellation at small separations
@@ -272,7 +272,7 @@ class SphericalCap(_Surface):
 class PuncturedSphere(_Surface):
     """Origin-centered sphere with open caps removed (closure kept).
 
-    `exclusions` holds (direction, ball_radius) pairs in the same
+    `exclusions` holds (unit direction, ball_radius) pairs in the same
     convention as :class:`SphericalCap`.  In d=2 point distances are exact
     (interval arithmetic on kept arcs); in d>=3 the returned value is a
     lower bound on the true distance (the bound is tight when the nearest
@@ -287,13 +287,8 @@ class PuncturedSphere(_Surface):
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("punctured sphere requires radius > 0")
-        cleaned = []
-        for direction, ball_radius in self.exclusions:
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                raise ValueError("exclusion direction must be nonzero")
-            cleaned.append((tuple(float(c) / norm for c in direction), float(ball_radius)))
-        object.__setattr__(self, "exclusions", tuple(cleaned))
+        for direction, _b in self.exclusions:
+            _require_unit(direction)
 
     @property
     def dimension(self) -> int:
@@ -376,21 +371,16 @@ class PuncturedSphere(_Surface):
         return np.where(r == 0.0, R, best)
 
     def _point_distance_lower_bound(self, points: np.ndarray) -> np.ndarray:
+        """|r - R|, or the farthest rim among the caps that shadow the point."""
         R = self.radius
         r = _norm(points)
-        base = np.abs(r - R)
+        best = np.abs(r - R)
         if not self.exclusions:
-            return base
-        best = base.copy()
-        for (direction, _b), theta in zip(self.exclusions, self._half_angles):
-            u = np.asarray(direction)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cosang = np.clip(_axis_dot(points, u) / np.where(r > 0, r, 1.0), -1.0, 1.0)
-            ang = np.arccos(cosang)
-            shadowed = ang < theta
-            rim = _chord_distance(r, R, theta - ang)
-            best = np.where(shadowed, np.maximum(best, rim), best)
-        return np.where(r == 0.0, R, best)
+            return best
+        theta = self._half_angles
+        ang = _angles(points, r, [u for u, _b in self.exclusions])
+        rim = np.where(ang < theta, _chord_distance(r[:, None], R, theta - ang), -math.inf)
+        return np.where(r == 0.0, R, np.maximum(best, rim.max(axis=1)))
 
     def circumradius(self) -> float:
         return self.radius
@@ -543,31 +533,6 @@ def primitive_to_dict(shape: Primitive) -> dict:
 def make_annulus(inner: float, outer: float, dimension: int) -> RegionSet:
     """Solid origin-centered annulus with exact volume accessor."""
     return RegionSet(dimension, (Annulus(dimension, float(inner), float(outer)),))
-
-
-def spherical_cap(sphere_radius: float, direction, cap_ball_radius: float) -> RegionSet:
-    """Cap of the origin-centered sphere cut by a ball sitting on it.
-
-    Degenerates to the full sphere when the ball swallows it and to a
-    single point when the ball radius is zero.
-    """
-    direction = np.atleast_1d(np.asarray(direction, dtype=float))
-    if sphere_radius <= 0:
-        raise ValueError("sphere_radius must be > 0")
-    if cap_ball_radius < 0:
-        raise ValueError("cap_ball_radius must be >= 0")
-    nrm = float(np.linalg.norm(direction))
-    if nrm == 0.0:
-        raise ValueError("direction must be a nonzero vector")
-    d = direction.size
-    unit = direction / nrm
-    if cap_ball_radius >= 2.0 * sphere_radius:
-        return RegionSet(d, (Sphere(tuple(np.zeros(d)), float(sphere_radius)),))
-    if cap_ball_radius == 0.0:
-        return RegionSet(d, (Point(tuple(sphere_radius * unit)),))
-    return RegionSet(
-        d, (SphericalCap(float(sphere_radius), tuple(unit), float(cap_ball_radius)),)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ exact rules for a point, a ball, a d=1 sphere (two points), an
 origin-radial set (annulus or centred sphere) and a pair of spheres.  It
 is the judge of the batched clearance kernel in `geometry.distance_between`.
 
+`punctured_lower_bound` takes the d >= 3 lower bound of a punctured
+sphere one excluded cap at a time, the judge of the one-pass
+`geometry.PuncturedSphere._point_distance_lower_bound`.
+
 `coverage_sweep`, a float covered-interval sweep over a sites x columns
 boolean matrix, is the judge of the packed-bit kernel
 `stochastic._coverage_sweep`, which must agree with it column by column.
@@ -85,6 +89,21 @@ def pair_distance(p, q) -> float:
 def region_distance(a: g.RegionSet, b: g.RegionSet) -> float:
     """Least pair_distance over the primitives of two regions, clamped at 0."""
     return max(min((pair_distance(p, q) for p in a.shapes for q in b.shapes), default=math.inf), 0.0)
+
+
+def punctured_lower_bound(shape: g.PuncturedSphere, points: np.ndarray) -> np.ndarray:
+    """|r - R| at each point, raised to the rim distance of every excluded cap
+    that shadows it, one cap at a time."""
+    R = shape.radius
+    r = np.sqrt(np.einsum("ij,ij->i", points, points))
+    best = np.abs(r - R)
+    for (direction, _b), theta in zip(shape.exclusions, shape._half_angles):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosang = np.clip(np.vecdot(points, np.asarray(direction)) / np.where(r > 0, r, 1.0), -1.0, 1.0)
+        ang = np.arccos(cosang)
+        rim = np.sqrt((r - R) ** 2 + 4.0 * R * r * np.sin((theta - ang) / 2.0) ** 2)
+        best = np.where(ang < theta, np.maximum(best, rim), best)
+    return np.where(r == 0.0, R, best)
 
 
 def coverage_sweep(norms_sorted, active, lo, hi, width):

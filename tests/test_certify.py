@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -469,13 +470,31 @@ class TestQuasi1D:
         assert {info.role for info in td.member_info} == {"cap", "cheese"}
         assert validate_decomposition(td) == []
 
+    def test_a_cap_ball_that_swallows_the_sphere_builds_the_sphere(self):
+        # at alpha = 10 every cap ball n^10 reaches across its sphere, so each
+        # cap member is the whole sphere and the cheese is empty
+        cm = m.sample_couplings(tube_model(2, 0.5, 70.0), seed=1)
+        td = c.build_decomposition_quasi1d(cm, 0.95, alpha=10.0, a=2.0, n_range=(2, 4))
+        caps = 0
+        for scale in {info.scale for info in td.member_info}:
+            group = [(mb.shapes[0], info) for mb, info in zip(td.members, td.member_info) if info.scale == scale]
+            (cheese, _), = [(shape, info) for shape, info in group if info.role == "cheese"]
+            assert isinstance(cheese, PuncturedSphere) and cheese.is_empty()
+            for shape, info in group:
+                if info.role == "cap":
+                    assert shape == Sphere((0.0, 0.0), cheese.radius)
+                    assert scale**10 >= 2.0 * shape.radius
+                    caps += 1
+        assert caps == sum(row["distinct_caps"] for row in td.params["cap_counts"]) > 0
+
     def test_no_clearance_threshold_near_one(self):
         # 1.001^n outgrows n^2 only past n = 10000: every cheese keeps n/2 - rho
         assert c.quasi1d_clearance_threshold(1.001, 2.0) == math.inf
 
     @pytest.mark.parametrize("a,alpha", [(2.0, 100.0), (3.0, 200.0)])
     def test_no_clearance_threshold_when_terms_overflow(self, a, alpha):
-        # n^(2 alpha) overflows a float long before a^n outgrows n^alpha
+        # a^n outgrows n^(3 alpha) only once a^n has left the float range (near
+        # n = 3512 and 4591), past every scale whose a^(n+1) validate accepts
         assert c.quasi1d_clearance_threshold(a, alpha) == math.inf
 
     def test_cheese_clearance_beyond_threshold(self):
@@ -512,6 +531,78 @@ class TestQuasi1D:
         )
         with pytest.warns(UserWarning):
             c.build_decomposition_quasi1d(cm2, 0.5, a=2.0, n_range=(2, 4))
+
+
+def clears_exactly(a, alpha, n) -> bool:
+    """n^2/4 + (1 - (n^alpha + n/2)/a^n) n^(2 alpha) >= n^(2 alpha), in 80 digits."""
+    with mpmath.workdps(80):
+        a, alpha, n = mpmath.mpf(a), mpmath.mpf(alpha), mpmath.mpf(n)
+        full = n ** (2 * alpha)
+        return n**2 / 4 + (1 - (n**alpha + n / 2) / a**n) * full >= full
+
+
+def tube_model(d, offset, radius):
+    """A d-dimensional tube with one cross-section offset and uniform couplings."""
+    return m.model_from_dict({
+        "dimension": d,
+        "sites": {"generator": "tube", "radius": radius, "offsets": [[offset] * (d - 1)]},
+        "law": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
+    })
+
+
+def assert_members_clear_their_floors(model, cm, eps, td):
+    diff = c.difference_support(model, cm, eps)
+    for i, (member, info) in enumerate(zip(td.members, td.member_info)):
+        clearance = g.distance_between(diff, member)
+        assert clearance >= info.clearance_bound, (i, info, clearance)
+
+
+class TestClearanceFloors:
+    """Every member that a builder writes clears the difference support by at
+    least its clearance_bound, the floor that the certificate's trend reads."""
+
+    @given(st.sampled_from([2, 3]), st.sampled_from([0.0, 0.5]), st.sampled_from([2.0, 3.0, 6.0]),
+           st.sampled_from([1.5, 2.0, 3.0]), st.integers(2, 4), st.integers(1, 8))
+    # a = 6, alpha = 3: the inequality holds at n = 1 and fails at n = 2..9; seed 4's
+    # scale-4 cheese clears 63.487, below the n^alpha - rho = 63.5 of the first-n rule
+    @example(2, 0.0, 6.0, 3.0, 4, 4)
+    @settings(max_examples=25, deadline=None)
+    def test_quasi1d(self, d, offset, a, alpha, n_hi, seed):
+        model = tube_model(d, offset, a ** (n_hi + 1) + 14.0)
+        cm = m.sample_couplings(model, seed)
+        td = c.build_decomposition_quasi1d(cm, 0.95, alpha=alpha, a=a, n_range=(2, n_hi))
+        assert_members_clear_their_floors(model, cm, 0.95, td)
+
+    @given(st.sampled_from([1, 2]), st.sampled_from([0.5, 1.0, 4.0]), st.floats(0.5, 3.0), st.integers(1, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_sparse(self, d, gamma, tau, seed):
+        model = m.model_from_dict({
+            "dimension": d,
+            "sites": {"generator": "lattice", "radius": 140.0 if d == 1 else 40.0},
+            "law": {"kind": "radial_bernoulli", "tau": tau},
+            "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
+        })
+        cm = m.sample_couplings(model, seed)
+        n_hi = 6 if d == 1 else 4  # a = 2 at gamma = 4 needs a window of 2^(n_hi + 1)
+        td = c.build_decomposition_sparse(cm, 0.1, gamma, n_range=(1, n_hi))
+        assert_members_clear_their_floors(model, cm, 0.1, td)
+
+
+class TestClearanceThreshold:
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 6.0, 10.0])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 5.0, 10.0])
+    def test_matches_an_80_digit_oracle(self, a, alpha):
+        # the inequality fails just below the threshold and holds at every scale
+        # from it, checked 300 scales on; at a = 6 it also holds at n = 1, so a
+        # first-n rule reads 1 there
+        n0 = c.quasi1d_clearance_threshold(a, alpha)
+        assert n0 == 1 or not clears_exactly(a, alpha, n0 - 1)
+        assert all(clears_exactly(a, alpha, n) for n in range(n0, n0 + 301))
+
+    def test_golden_tubes_keep_20(self):
+        # every golden and CI tube has a = 2 and alpha = 2
+        assert c.quasi1d_clearance_threshold(2.0, 2.0) == 20
 
 
 class TestCertifyAC:

@@ -1179,7 +1179,7 @@ class TestFailuresAndWarnings:
         assert head["params"]["clearance_threshold_n"] == math.inf
 
     def test_large_alpha_ends_in_a_verdict(self, tmp_path):
-        # the clearance threshold's n^(2 alpha) overflows a float at alpha = 100
+        # the clearance threshold lies where 2^n overflows a float at alpha = 100
         cfg = self.offset_tube_cfg(tmp_path, alpha=100.0)
         path = write_config(tmp_path, cfg)
         assert CliRunner().invoke(cli.main, ["validate", str(path)]).exit_code == 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     closed_form_shell_measure,
     generalized_surface_area,
+    punctured_lower_bound,
     region_distance,
     shell_measure,
     validate_decomposition,
@@ -85,7 +86,7 @@ class TestDistance:
         assert region_distance(ann, sph) == pytest.approx(4.0)
 
     def test_cap_to_ball_exact(self):
-        cap = g.spherical_cap(10.0, [1, 0], 2.0)
+        cap = g.RegionSet(2, (g.SphericalCap(10.0, (1.0, 0.0), 2.0),))
         ball = g.RegionSet.ball([12.0, 0.0], 1.0)
         assert g.distance_between(ball, cap) == region_distance(cap, ball) == pytest.approx(1.0)
 
@@ -141,8 +142,13 @@ def vectors(d, bound=20.0):
     return st.tuples(*[st.floats(-bound, bound) for _ in range(d)])
 
 
+def unit(v):
+    """v scaled to norm 1, as the quasi-1D builder scales a site direction."""
+    return tuple(np.divide(v, float(np.linalg.norm(v))))
+
+
 def directions(d):
-    return vectors(d, 1.0).filter(lambda v: math.hypot(*v) > 0.1)
+    return vectors(d, 1.0).filter(lambda v: math.hypot(*v) > 0.1).map(unit)
 
 
 @st.composite
@@ -239,7 +245,7 @@ class TestNoExactRule:
     overshoot, and a clearance must be a lower bound."""
 
     R = 10.0
-    CAP = g.SphericalCap(R, (1.0, 0.2), 4.0)
+    CAP = g.SphericalCap(R, unit((1.0, 0.2)), 4.0)
     CHEESE = g.PuncturedSphere(2, R, (((1.0, 0.0), 4.0), ((0.0, 1.0), 4.0)))
 
     def refused(self, a, b, kinds):
@@ -254,7 +260,7 @@ class TestNoExactRule:
         g.Sphere((0.0, 0.0), 4.0),
     ], ids=["point", "sphere", "centred-sphere"])
     def test_a_union_of_other_shapes_is_refused(self, other):
-        member = g.spherical_cap(5.0, [0.0, 1.0], 1.0)
+        member = g.RegionSet(2, (g.SphericalCap(5.0, (0.0, 1.0), 1.0),))
         for shapes in ((other,), (g.Ball((9.0, 0.0), 0.5), other)):
             with pytest.raises(TypeError, match="distance_between measures from a union of balls"):
                 g.distance_between(g.RegionSet(2, shapes), member)
@@ -286,7 +292,7 @@ class TestBallArrays:
 
     def test_a_union_that_holds_a_point_is_refused_on_every_call(self):
         union = g.RegionSet(2, (g.Ball((9.0, 0.0), 0.5), g.Point((0.0, 4.0))))
-        member = g.spherical_cap(5.0, [0.0, 1.0], 1.0)
+        member = g.RegionSet(2, (g.SphericalCap(5.0, (0.0, 1.0), 1.0),))
         for _ in range(2):
             with pytest.raises(TypeError, match="not one that holds a point$"):
                 g.distance_between(union, member)
@@ -695,23 +701,23 @@ class TestSurfaceVolumeBound:
 
 
 class TestSphericalCap:
-    def test_ball_swallows_sphere(self):
-        region = g.spherical_cap(10.0, [1, 0], 25.0)
-        assert isinstance(region.shapes[0], g.Sphere)
-        assert region.shapes[0].radius == 10.0
+    @pytest.mark.parametrize("direction", [(0.0, 0.0), (1.0, 0.2), (0.6, 0.8 + 2e-12), (math.nan, 0.0)],
+                             ids=["zero", "long", "off-by-2e-12", "nan"])
+    def test_a_direction_that_is_not_unit_is_refused(self, direction):
+        # caps and cheese take unit directions as they are; neither scales one
+        with pytest.raises(ValueError, match="is not a unit vector"):
+            g.SphericalCap(10.0, direction, 1.0)
+        with pytest.raises(ValueError, match="is not a unit vector"):
+            g.PuncturedSphere(2, 10.0, (((1.0, 0.0), 1.0), (direction, 1.0)))
 
-    def test_zero_cap_is_point(self):
-        region = g.spherical_cap(10.0, [1.0, 0.0], 0.0)
-        assert isinstance(region.shapes[0], g.Point)
-        assert region.shapes[0].center == (10.0, 0.0)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            g.spherical_cap(10.0, [0.0, 0.0], 1.0)
+    def test_a_direction_within_1e12_of_unit_is_kept_as_it_is(self):
+        direction = (0.6, 0.8 + 5e-13)
+        assert g.SphericalCap(10.0, direction, 1.0).direction == direction
+        assert g.PuncturedSphere(2, 10.0, ((direction, 1.0),)).exclusions == ((direction, 1.0),)
 
     def test_cap_membership_boundary(self):
-        region = g.spherical_cap(5.0, [0, 1], 3.0)
-        cap = region.shapes[0]
+        cap = g.SphericalCap(5.0, (0.0, 1.0), 3.0)
+        region = g.RegionSet(2, (cap,))
         theta = cap.half_angle
         on_rim = 5.0 * np.array([[math.sin(theta), math.cos(theta)]])
         assert region.contains(on_rim)[0]
@@ -726,7 +732,7 @@ class TestPuncturedSphere:
         cheese = g.RegionSet(
             2, (g.PuncturedSphere(2, 5.0, tuple((tuple(d), b) for d, b in caps)),)
         )
-        cap_regions = [g.spherical_cap(5.0, d, b) for d, b in caps]
+        cap_regions = [g.RegionSet(2, (g.SphericalCap(5.0, tuple(d), b),)) for d, b in caps]
         t = np.linspace(0.0, 2.0 * math.pi, 5000, endpoint=False)
         pts = 5.0 * np.column_stack([np.cos(t), np.sin(t)])
         member = cheese.contains(pts)
@@ -751,6 +757,20 @@ class TestPuncturedSphere:
     def test_full_exclusion_empty(self):
         gone = g.PuncturedSphere(2, 1.0, (((1.0, 0.0), 5.0),))
         assert gone.is_empty()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lower_bound_matches_a_loop_over_exclusions(self, data):
+        # d >= 3: one (points x exclusions) pass gives the per-cap loop's bits
+        d = data.draw(st.integers(3, 5))
+        R = data.draw(st.floats(0.5, 30.0))
+        cuts = data.draw(st.lists(st.tuples(directions(d), st.floats(0.0, 2.5 * R)), max_size=6))
+        shape = g.PuncturedSphere(d, R, tuple(cuts))
+        on_sphere = directions(d).map(lambda u: tuple(R * np.asarray(u)))
+        points = np.array(data.draw(st.lists(st.one_of(vectors(d, 40.0), on_sphere, st.just((0.0,) * d)),
+                                             min_size=1, max_size=30)))
+        got = shape.point_distance(points)
+        assert np.array_equal(got, punctured_lower_bound(shape, points))
 
 
 def _sphere_points(radius, d, count, seed):
@@ -826,7 +846,7 @@ class TestSphereShellDecomposition:
     def test_validate_judges_members_by_volume_under_every_kind(self, kind):
         point_ball = g.RegionSet.ball([5.0, 0.0], 0.0)
         solid = g.RegionSet.ball([5.0, 0.0], 1.0)
-        cap = g.spherical_cap(5.0, [0.0, 1.0], 1.0)
+        cap = g.RegionSet(2, (g.SphericalCap(5.0, (0.0, 1.0), 1.0),))
         assert validate_decomposition(g.TotalDecomposition(2, (cap, point_ball), kind=kind)) == []
         td = g.TotalDecomposition(2, (cap, point_ball, solid), kind=kind)
         assert validate_decomposition(td) == ["member 2: has positive volume"]

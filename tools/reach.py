@@ -6,8 +6,9 @@ Run from the root of a source checkout.  Under one `sys.settrace` tracer,
 in this process, it first runs the pipelines:
 
 - `validate`, `run` and `plotdata` on the four benchmark workload configs
-  of `perfbench/workloads.py` at base seed 0, and on a `spectral-probe`
-  and a d=1 `certify-sparse` variant of full-report-d1;
+  of `perfbench/workloads.py` at base seed 0, on a `spectral-probe` and a
+  d=1 `certify-sparse` variant of full-report-d1, and on a d=3 variant of
+  certify-quasi1d-tube, whose cheese takes the d>=3 lower bound;
 - `oracle an --dimension 1 --p 0.5 --radius 16 --a 2 --n 2 --eps 0.5`;
 
 then the tier-1 suite (`tests/`) through `pytest.main`.  A statement is
@@ -102,6 +103,11 @@ def pipeline_configs() -> dict[str, dict]:
         variant.update(pipeline=pipeline, parameters={k: full["parameters"][k] for k in keys})
         configs[name] = variant
     configs["spectral-probe-d1"]["parameters"]["energies"] = [-1.0, 3.5]
+    tube3 = copy.deepcopy(configs["certify-quasi1d-tube"])
+    tube3["model"]["dimension"] = 3
+    tube3["model"]["sites"]["offsets"] = [[0.0, 0.0], [0.5, 0.5]]
+    tube3["parameters"]["n_range"] = [2, 5]
+    configs["certify-quasi1d-tube-d3"] = tube3
     return configs
 
 
