@@ -254,57 +254,46 @@ def growth_ratio(power: int, gamma: float) -> tuple[int, float]:
     return ell, a
 
 
-def _free_scan(
-    couplings: CouplingMap, eps: float, a: float, n_range: tuple[int, int]
-) -> list[FreeAnnulusRecord]:
-    """find_free_subannulus at every scale of `n_range` (both ends included), in scale order."""
-    return [find_free_subannulus(couplings, eps, a, n) for n in range(n_range[0], n_range[1] + 1)]
+def _shells(couplings, eps, rule, n_range, members_at, kind, **params) -> TotalDecomposition:
+    """The decomposition of `rule`'s kind over the scales of `n_range` (both ends included).
 
-
-def _sphere_shells(
-    couplings: CouplingMap,
-    eps: float,
-    ratio: tuple[int, float],
-    tail_kind: str,
-    n_range: tuple[int, int],
-) -> TotalDecomposition:
-    """Spheres through the middles of the eps-free annuli at growth ratio (ell, a).
-
-    Each member at scale n keeps the clearance n/2 - rho; scales with no
-    free annulus are reported as gaps.
+    Each free scale's sphere runs through the middle of its eps-free annulus,
+    and `members_at(rec, radius)` gives the scale's (shape, MemberInfo) pairs,
+    or None when the scale is unusable.  Scales with no free annulus and
+    unusable ones are reported as gaps.  `params` join the shared ones.
     """
-    model = couplings.model
-    d = model.dimension
-    ell, a = ratio
-    rho = model.max_support_radius()
+    d = couplings.model.dimension
     members: list[RegionSet] = []
     info: list[MemberInfo] = []
     gaps: list[int] = []
-    origin = tuple(np.zeros(d))
-    records = _free_scan(couplings, eps, a, n_range)
+    scales = range(n_range[0], n_range[1] + 1)
+    records = [find_free_subannulus(couplings, eps, rule.a, n) for n in scales]
     for rec in records:
-        n = rec.scale
-        if not rec.free:
-            gaps.append(n)
+        built = members_at(rec, rec.inner_radius + rec.scale / 2.0) if rec.free else None
+        if built is None:
+            gaps.append(rec.scale)
             continue
-        radius = rec.inner_radius + n / 2.0
-        members.append(RegionSet(d, (Sphere(origin, radius),)))
-        info.append(MemberInfo(scale=n, role="shell", clearance_bound=n / 2.0 - rho))
+        for shape, meta in built:
+            members.append(RegionSet(d, (shape,)))
+            info.append(meta)
     return TotalDecomposition(
         dimension=d,
         members=tuple(members),
-        kind="sphere-shells",
+        kind=kind,
         member_info=tuple(info),
-        params={
-            "a": a,
-            "ell": ell,
-            "eps": eps,
-            "rho": rho,
-            "gaps": gaps,
-            "free_records": [r.to_dict() for r in records],
-            "tail": {"kind": tail_kind, "a": a, "rho": rho},
-        },
+        params=dict(a=rule.a, eps=eps, rho=rule.rho, gaps=gaps, tail=rule.record(),
+                    free_records=[r.to_dict() for r in records], **params),
     )
+
+
+def _sphere_shells(couplings, eps, rule, n_range, **params) -> TotalDecomposition:
+    """One sphere per free scale, each keeping the floor of `rule`'s shells."""
+    origin = tuple(np.zeros(couplings.model.dimension))
+
+    def sphere(rec, radius):
+        return [(Sphere(origin, radius), MemberInfo(rec.scale, "shell", rule.floor(rec.scale, "shell")))]
+
+    return _shells(couplings, eps, rule, n_range, sphere, "sphere-shells", **params)
 
 
 def build_decomposition_sparse(
@@ -321,8 +310,10 @@ def build_decomposition_sparse(
     a^(n(d-1)) loses to exp(-gamma n/2) and the series certifies for
     every gamma > 0.  Scales with no free annulus are reported as gaps.
     """
-    ratio = growth_ratio(couplings.model.dimension - 1, gamma)
-    return _sphere_shells(couplings, eps, ratio, "sphere-power", n_range)
+    model = couplings.model
+    ell, a = growth_ratio(model.dimension - 1, gamma)
+    rule = _TailRule("sphere-power", model.dimension, a, model.max_support_radius())
+    return _sphere_shells(couplings, eps, rule, n_range, ell=ell)
 
 
 def build_shell_sequence_pp(
@@ -345,9 +336,9 @@ def build_shell_sequence_pp(
     keep = couplings.site_indices != excluded_site  # all True when excluded_site is None
     scan = CouplingMap(model, couplings.site_indices[keep], couplings.values[keep], couplings.seed,
                        couplings.window_radius)
-    shells = _sphere_shells(scan, eps, growth_ratio(model.dimension, gamma), "volume-power", n_range)
-    shells.params["excluded_site"] = excluded_site
-    return shells
+    ell, a = growth_ratio(model.dimension, gamma)
+    rule = _TailRule("volume-power", model.dimension, a, model.max_support_radius())
+    return _sphere_shells(scan, eps, rule, n_range, ell=ell, excluded_site=excluded_site)
 
 
 def quasi1d_clearance_threshold(a: float, alpha: float) -> float:
@@ -414,7 +405,8 @@ def build_decomposition_quasi1d(
 
     Each sphere S_n splits into spherical caps around the directions of
     nearby sites (clearance only n/2 - rho) and the remaining cheese,
-    whose clearance grows like n^alpha.  Refuses site sets that are not
+    whose clearance grows like n^alpha; a scale whose cap balls swallow
+    the sphere is one cap member, the sphere.  Refuses site sets that are not
     quasi-1D; warns when `a` is at or below the summability threshold
     (1 - delta)^(-C).
     """
@@ -441,23 +433,13 @@ def build_decomposition_quasi1d(
             "free annuli may fail to appear at large scales",
             stacklevel=2,
         )
-    rho = model.max_support_radius()
-    # below this scale only the free-annulus clearance n/2 - rho is
-    # guaranteed for the cheese; the n^alpha - rho bound needs large n
-    n_threshold = quasi1d_clearance_threshold(a, alpha)
+    rule = _TailRule("cap-cheese", d, a, model.max_support_radius(), alpha, c_quasi)
     norms = couplings.norms
-    members: list[RegionSet] = []
-    info: list[MemberInfo] = []
-    gaps: list[int] = []
-    cap_counts: list[dict] = []
-    records = _free_scan(couplings, eps, a, n_range)
-    for rec in records:
-        n = rec.scale
-        if not rec.free:
-            gaps.append(n)
-            continue
-        r_n = rec.inner_radius
-        radius = r_n + n / 2.0
+    origin = tuple(np.zeros(d))
+    cap_counts: list[dict] = []  # one row per usable scale, filled as _shells scans
+
+    def caps_and_cheese(rec, radius):
+        n, r_n = rec.scale, rec.inner_radius
         # a cap ball at least the sphere's diameter already covers the sphere, so an
         # infinite reach builds what a large finite one does
         reach = _power(float(n), alpha)
@@ -468,56 +450,29 @@ def build_decomposition_quasi1d(
         neighbors = couplings.points[near]
         neighbor_norms = norms[near]
         if np.any(neighbor_norms == 0.0):
-            # a site at the origin has no direction; the scale is unusable
-            gaps.append(n)
-            continue
+            return None  # a site at the origin has no direction; the scale is unusable
         # distinct directions, in order of first appearance, and their unit vectors
         directions = list(dict.fromkeys(map(tuple, (neighbors / neighbor_norms[:, None]).tolist())))
         units = [tuple(np.divide(u, float(np.linalg.norm(u)))) for u in directions]
-        sphere = Sphere(tuple(np.zeros(d)), radius)
-        for u, unit in zip(directions, units):
-            cap = sphere if reach >= 2.0 * radius else SphericalCap(radius, unit, reach)
-            members.append(RegionSet(d, (cap,)))
-            info.append(MemberInfo(scale=n, role="cap", clearance_bound=n / 2.0 - rho, site=u))
-        cheese = PuncturedSphere(d, radius, tuple((unit, reach) for unit in units)) if units else sphere
-        members.append(RegionSet(d, (cheese,)))
-        cheese_bound = (reach - rho) if n >= n_threshold else (n / 2.0 - rho)
-        info.append(MemberInfo(scale=n, role="cheese", clearance_bound=cheese_bound))
-        cap_counts.append(
-            {
-                "scale": n,
-                "sites_near": int(np.count_nonzero(near)),
-                "distinct_caps": len(directions),
-                "raw_bound": 2.0 * reach + 2.0,
-                "scaled_bound": 2.0 * c_quasi * (reach + 1.0),
-            }
-        )
-    return TotalDecomposition(
-        dimension=d,
-        members=tuple(members),
-        kind="cap-cheese",
-        member_info=tuple(info),
-        params={
-            "a": a,
-            "alpha": alpha,
-            "eps": eps,
-            "rho": rho,
-            "gaps": gaps,
-            "quasi1d_constant": c_quasi,
-            "sup_p_eps": delta_sup,
-            "threshold_a": threshold,
-            "clearance_threshold_n": n_threshold,
-            "cap_counts": cap_counts,
-            "free_records": [r.to_dict() for r in records],
-            "tail": {
-                "kind": "cap-cheese",
-                "a": a,
-                "alpha": alpha,
-                "rho": rho,
-                "quasi1d_constant": c_quasi,
-            },
-        },
-    )
+        cap_counts.append({"scale": n, "sites_near": int(np.count_nonzero(near)),
+                           "distinct_caps": len(directions), "raw_bound": 2.0 * reach + 2.0,
+                           "scaled_bound": 2.0 * c_quasi * (reach + 1.0)})
+        sphere = Sphere(origin, radius)
+        if not units:
+            return [(sphere, MemberInfo(n, "cheese", rule.floor(n, "cheese")))]
+        if reach >= 2.0 * radius:
+            # every cap ball swallows the sphere: one cap is the whole sphere, no cheese is left
+            return [(sphere, MemberInfo(n, "cap", rule.floor(n, "cap")))]
+        members = [
+            (SphericalCap(radius, unit, reach), MemberInfo(n, "cap", rule.floor(n, "cap"), site=u))
+            for u, unit in zip(directions, units)
+        ]
+        cheese = PuncturedSphere(d, radius, tuple((unit, reach) for unit in units))
+        return members + [(cheese, MemberInfo(n, "cheese", rule.floor(n, "cheese")))]
+
+    return _shells(couplings, eps, rule, n_range, caps_and_cheese, "cap-cheese", alpha=alpha,
+                   quasi1d_constant=c_quasi, sup_p_eps=delta_sup, threshold_a=threshold,
+                   clearance_threshold_n=rule.clearance_threshold_n, cap_counts=cap_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +488,10 @@ def sphere_sigma_bound(radius: float, dimension: int) -> float:
 
 @dataclass(frozen=True)
 class _TailRule:
+    """The rule of one decomposition kind (`sphere-power`, `volume-power` or
+    `cap-cheese`): the clearance floor that a member keeps at scale n, and
+    the bound on the terms past the stored scales."""
+
     kind: str
     dimension: int
     a: float
@@ -540,15 +499,34 @@ class _TailRule:
     alpha: float = 2.0
     quasi1d_constant: float = 1.0
 
+    @functools.cached_property
+    def clearance_threshold_n(self) -> float:
+        """The scale from which a cheese keeps n^alpha - rho."""
+        return quasi1d_clearance_threshold(self.a, self.alpha)
+
+    def floor(self, n: int, role: str) -> float:
+        """The clearance a member of `role` keeps at scale n: the free annulus's
+        n/2 - rho, or n^alpha - rho for a cheese from clearance_threshold_n on."""
+        if role == "cheese" and n >= self.clearance_threshold_n:
+            return _power(float(n), self.alpha) - self.rho
+        return n / 2.0 - self.rho
+
+    def record(self) -> dict:
+        """The `tail` entry of a builder's params, which _tail_rule_from_params reads."""
+        rec = {"kind": self.kind, "a": self.a, "rho": self.rho}
+        if self.kind == "cap-cheese":
+            rec.update(alpha=self.alpha, quasi1d_constant=self.quasi1d_constant)
+        return rec
+
     def term_bound(self, n: int, gamma: float) -> float:
         d = self.dimension
         a = self.a
         if self.kind == "sphere-power":
             radius = a ** (n + 1) + n / 2.0
-            return sphere_sigma_bound(radius, d) * math.exp(-gamma * (n / 2.0 - self.rho))
+            return sphere_sigma_bound(radius, d) * math.exp(-gamma * self.floor(n, "shell"))
         if self.kind == "volume-power":
             radius = a ** (n + 2) + (n + 1) / 2.0
-            return ball_volume(radius, d) * math.exp(-gamma * (n / 2.0 - self.rho))
+            return ball_volume(radius, d) * math.exp(-gamma * self.floor(n, "shell"))
         if self.kind == "cap-cheese":
             reach = float(n) ** self.alpha
             caps = (
@@ -556,8 +534,11 @@ class _TailRule:
                 * self.quasi1d_constant
                 * (reach + 1.0)
                 * surface_volume_bound(2.0 * reach, d)
-                * math.exp(-gamma * (n / 2.0 - self.rho))
+                * math.exp(-gamma * self.floor(n, "cap"))
             )
+            # the cheese term takes n^alpha - rho at every n, though below
+            # clearance_threshold_n its floor is only n/2 - rho; reading the
+            # floor here would move every cap-cheese sum_bound
             cheese_radius = a ** (n + 1) + n / 2.0
             cheese = surface_volume_bound(2.0 * cheese_radius, d) * math.exp(
                 -gamma * (reach - self.rho)
@@ -566,14 +547,9 @@ class _TailRule:
         raise ValueError(f"unknown tail rule kind {self.kind!r}")
 
     def ratio_limit(self, gamma: float) -> float:
-        d = self.dimension
-        if self.kind == "sphere-power":
-            return self.a ** (d - 1) * math.exp(-gamma / 2.0)
-        if self.kind == "volume-power":
-            return self.a**d * math.exp(-gamma / 2.0)
-        if self.kind == "cap-cheese":
-            return math.exp(-gamma / 2.0)
-        raise ValueError(self.kind)
+        """a^k exp(-gamma/2), k the power of a at which the kind's surface grows."""
+        k = {"sphere-power": self.dimension - 1, "volume-power": self.dimension, "cap-cheese": 0}
+        return self.a ** k[self.kind] * math.exp(-gamma / 2.0)
 
     def _finite_term_bound(self, n: int, gamma: float) -> float | None:
         """term_bound, or None when it overflows or is not finite."""
@@ -619,16 +595,7 @@ class _TailRule:
 
 def _tail_rule_from_params(params: dict, dimension: int) -> _TailRule | None:
     rec = params.get("tail")
-    if not rec:
-        return None
-    return _TailRule(
-        kind=rec["kind"],
-        dimension=dimension,
-        a=rec["a"],
-        rho=rec.get("rho", 0.0),
-        alpha=rec.get("alpha", 2.0),
-        quasi1d_constant=rec.get("quasi1d_constant", 1.0),
-    )
+    return _TailRule(dimension=dimension, **rec) if rec else None
 
 
 # ---------------------------------------------------------------------------

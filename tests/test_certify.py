@@ -15,7 +15,6 @@ from sparseloc import cli
 from sparseloc import geometry as g
 from sparseloc import models as m
 from sparseloc.geometry import (
-    PuncturedSphere,
     RegionSet,
     TotalDecomposition,
     Sphere,
@@ -471,21 +470,17 @@ class TestQuasi1D:
         assert validate_decomposition(td) == []
 
     def test_a_cap_ball_that_swallows_the_sphere_builds_the_sphere(self):
-        # at alpha = 10 every cap ball n^10 reaches across its sphere, so each
-        # cap member is the whole sphere and the cheese is empty
+        # at alpha = 10 every cap ball n^10 reaches across its sphere, so each scale
+        # is one cap member, the whole sphere, with no site and no cheese left over
         cm = m.sample_couplings(tube_model(2, 0.5, 70.0), seed=1)
         td = c.build_decomposition_quasi1d(cm, 0.95, alpha=10.0, a=2.0, n_range=(2, 4))
-        caps = 0
-        for scale in {info.scale for info in td.member_info}:
-            group = [(mb.shapes[0], info) for mb, info in zip(td.members, td.member_info) if info.scale == scale]
-            (cheese, _), = [(shape, info) for shape, info in group if info.role == "cheese"]
-            assert isinstance(cheese, PuncturedSphere) and cheese.is_empty()
-            for shape, info in group:
-                if info.role == "cap":
-                    assert shape == Sphere((0.0, 0.0), cheese.radius)
-                    assert scale**10 >= 2.0 * shape.radius
-                    caps += 1
-        assert caps == sum(row["distinct_caps"] for row in td.params["cap_counts"]) > 0
+        rows = td.params["cap_counts"]
+        assert [info.scale for info in td.member_info] == [row["scale"] for row in rows] == [2, 3, 4]
+        for (member,), info, row in zip((mb.shapes for mb in td.members), td.member_info, rows):
+            assert row["distinct_caps"] > 1
+            assert isinstance(member, Sphere) and member.center == (0.0, 0.0)
+            assert info.scale**10 >= 2.0 * member.radius
+            assert (info.role, info.clearance_bound, info.site) == ("cap", info.scale / 2.0 - 0.5, None)
 
     def test_no_clearance_threshold_near_one(self):
         # 1.001^n outgrows n^2 only past n = 10000: every cheese keeps n/2 - rho
@@ -577,16 +572,71 @@ class TestClearanceFloors:
     @given(st.sampled_from([1, 2]), st.sampled_from([0.5, 1.0, 4.0]), st.floats(0.5, 3.0), st.integers(1, 8))
     @settings(max_examples=25, deadline=None)
     def test_sparse(self, d, gamma, tau, seed):
-        model = m.model_from_dict({
-            "dimension": d,
-            "sites": {"generator": "lattice", "radius": 140.0 if d == 1 else 40.0},
-            "law": {"kind": "radial_bernoulli", "tau": tau},
-            "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
-        })
+        model = lattice_model(d, tau)
         cm = m.sample_couplings(model, seed)
         n_hi = 6 if d == 1 else 4  # a = 2 at gamma = 4 needs a window of 2^(n_hi + 1)
         td = c.build_decomposition_sparse(cm, 0.1, gamma, n_range=(1, n_hi))
         assert_members_clear_their_floors(model, cm, 0.1, td)
+
+    @given(st.sampled_from([1, 2]), st.sampled_from([0.5, 1.0, 4.0]), st.floats(0.5, 3.0), st.integers(1, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_pp(self, d, gamma, tau, seed):
+        # no distinguished site, so the spheres avoid every bad site, as the sparse ones do
+        model = lattice_model(d, tau)
+        cm = m.sample_couplings(model, seed)
+        n_hi = 6 if d == 1 else 4  # at gamma = 4, a = 2 in d = 1 and 1.5 in d = 2
+        td = c.build_shell_sequence_pp(cm, 0.1, gamma, n_range=(1, n_hi))
+        assert_members_clear_their_floors(model, cm, 0.1, td)
+
+
+def lattice_model(d, tau):
+    """A d-dimensional lattice with radial Bernoulli couplings and no distinguished site."""
+    return m.model_from_dict({
+        "dimension": d,
+        "sites": {"generator": "lattice", "radius": 140.0 if d == 1 else 40.0},
+        "law": {"kind": "radial_bernoulli", "tau": tau},
+        "potential": {"kind": "indicator", "amplitude": 1.0, "radius": 0.5},
+    })
+
+
+class TestTailRule:
+    """Each decomposition kind has one rule: the floors its members keep and its tail."""
+
+    @pytest.mark.parametrize("kind,role,n,floor", [
+        ("sphere-power", "shell", 9, 4.0),
+        ("volume-power", "shell", 10, 4.5),
+        ("cap-cheese", "cap", 9, 4.0),
+        ("cap-cheese", "cap", 10, 4.5),
+        ("cap-cheese", "cheese", 9, 4.0),  # one below clearance_threshold_n: n/2 - rho
+        ("cap-cheese", "cheese", 10, 999.5),  # from it on: n^alpha - rho
+    ])
+    def test_floor(self, kind, role, n, floor):
+        rule = c._TailRule(kind, 2, 6.0, 0.5, alpha=3.0)
+        assert rule.clearance_threshold_n == 10
+        assert rule.floor(n, role) == floor
+
+    @pytest.mark.parametrize("kind", ["sparse", "pp", "quasi1d"])
+    def test_params_give_back_the_rule_that_built_the_members(self, kind):
+        if kind == "quasi1d":
+            model = tube_model(2, 0.5, 2.0**5 + 14.0)
+            td = c.build_decomposition_quasi1d(m.sample_couplings(model, 3), 0.95, alpha=1.5, n_range=(2, 4))
+            want = c._TailRule("cap-cheese", 2, 2.0, 0.5, 1.5, td.params["quasi1d_constant"])
+        else:
+            model = lattice_model(2, 3.0)
+            build = c.build_decomposition_sparse if kind == "sparse" else c.build_shell_sequence_pp
+            td = build(m.sample_couplings(model, 3), 0.1, 4.0, n_range=(1, 4))
+            want = c._TailRule("sphere-power" if kind == "sparse" else "volume-power", 2, td.params["a"], 0.5)
+        rule = c._tail_rule_from_params(td.params, 2)
+        assert rule == want
+        assert td.params["tail"] == rule.record()
+        assert td.member_info and all(
+            info.clearance_bound == rule.floor(info.scale, info.role) for info in td.member_info
+        )
+
+    def test_ratio_limit(self):
+        # a^k exp(-gamma/2), k = d - 1, d and 0 for the three kinds
+        for kind, k in [("sphere-power", 2), ("volume-power", 3), ("cap-cheese", 0)]:
+            assert c._TailRule(kind, 3, 1.25, 0.5).ratio_limit(1.0) == 1.25**k * math.exp(-0.5)
 
 
 class TestClearanceThreshold:

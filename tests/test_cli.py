@@ -1175,7 +1175,9 @@ class TestFailuresAndWarnings:
         certs = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
         assert [json.loads(line)["verdict"] for line in certs] == ["certified"] * 3
         head = json.loads((tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()[0])
-        assert head["member_count"] == 64
+        # scale 2's caps and cheese, then one sphere for each of scales 3 and 4, whose
+        # cap balls n^2 reach across the sphere
+        assert head["member_count"] == 12
         assert head["params"]["clearance_threshold_n"] == math.inf
 
     def test_large_alpha_ends_in_a_verdict(self, tmp_path):
@@ -1188,7 +1190,8 @@ class TestFailuresAndWarnings:
         certs = (tmp_path / "out" / "certificates.jsonl").read_text().splitlines()
         assert [json.loads(line)["verdict"] for line in certs] == ["inconclusive"] * 3
         head = json.loads((tmp_path / "out" / "decompositions.jsonl").read_text().splitlines()[0])
-        assert head["member_count"] == 402
+        # every cap ball n^100 swallows its sphere: one sphere member per scale
+        assert head["member_count"] == 3
         assert head["params"]["clearance_threshold_n"] == math.inf
 
     def test_overflowing_alpha_ends_in_a_verdict(self, tmp_path):
