@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "TailBound",
     "DecompositionCertificate",
     "find_free_subannulus",
-    "free_intervals",
     "difference_support",
     "build_decomposition_sparse",
     "build_shell_sequence_pp",
@@ -71,63 +70,22 @@ _TINY = 1e-300
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreePiece:
-    """One maximal free interval of inner radii, with endpoint attainability."""
+def _first_free(bad: np.ndarray, lo: float, hi: float, width: float) -> tuple[float, float, float] | None:
+    """(lo, hi, representative) of the first free piece of inner radii in [lo, hi], or None.
 
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-
-    @property
-    def representative(self) -> float:
-        return self.lo if self.lo_closed else (self.lo + self.hi) / 2.0
-
-
-def free_intervals(bad_norms, lo: float, hi: float, width: float) -> list[FreePiece]:
-    """Maximal r-intervals in [lo, hi] whose annulus [r, r+width] avoids all bad norms.
-
-    A bad site at norm v blocks exactly r in [v - width, v] (the annulus
-    is closed), so the free set is [lo, hi] minus a finite union of
-    closed intervals; the scan is exact, no sampling.
+    A bad norm v blocks exactly r in [v - width, v] (the annulus [r, r + width]
+    is closed), so the scan is exact.  The representative is the piece's left
+    end when nothing blocks it, else its midpoint.
     """
-    if hi < lo:
-        return []
-    bad = np.asarray(bad_norms, dtype=float)
-    # duplicates need no np.unique: a repeated norm's block merges into its twin's
-    bad = np.sort(bad[(bad >= lo) & (bad - width <= hi)])
-    if bad.size == 0:
-        return [FreePiece(lo, hi, True, True)]
-    blocks: list[list[float]] = []
-    for v in bad:
+    cursor, blocked = lo, False
+    for v in np.sort(bad[(bad >= lo) & (bad - width <= hi)]):
         start = v - width
-        if blocks and start <= blocks[-1][1]:
-            blocks[-1][1] = max(blocks[-1][1], v)
-        else:
-            blocks.append([start, v])
-    pieces: list[FreePiece] = []
-    cursor = lo
-    cursor_blocked = False
-    for start, end in blocks:
         if cursor < start:
-            pieces.append(FreePiece(cursor, min(start, hi), not cursor_blocked, False))
-        cursor = max(cursor, end)
-        cursor_blocked = True
-        if cursor >= hi:
-            break
-    if cursor < hi:
-        pieces.append(FreePiece(cursor, hi, not cursor_blocked, True))
-    elif cursor == hi and not cursor_blocked:
-        pieces.append(FreePiece(hi, hi, True, True))
-    out = []
-    for piece in pieces:
-        if piece.hi < piece.lo:
-            continue
-        if piece.hi == piece.lo and not (piece.lo_closed and piece.hi_closed):
-            continue
-        out.append(piece)
-    return out
+            return cursor, start, (cursor + start) / 2.0 if blocked else cursor
+        cursor, blocked = max(cursor, v), True
+    if cursor < hi or (cursor == hi and not blocked):
+        return cursor, hi, (cursor + hi) / 2.0 if blocked else cursor
+    return None
 
 
 @dataclass(frozen=True)
@@ -206,13 +164,10 @@ def find_free_subannulus(
     host = (lo, a ** (n + 1))
     degenerate = hi < lo
     bad = couplings.norms[couplings.values >= eps]
-    pieces = free_intervals(bad, lo, max(hi, lo), float(n))
-    if not pieces:
+    first = _first_free(bad, lo, max(hi, lo), float(n))
+    if first is None:
         return FreeAnnulusRecord(n, math.nan, float(n), host, False, None, degenerate)
-    first = pieces[0]
-    return FreeAnnulusRecord(
-        n, float(first.representative), float(n), host, True, (first.lo, first.hi), degenerate
-    )
+    return FreeAnnulusRecord(n, float(first[2]), float(n), host, True, first[:2], degenerate)
 
 
 def difference_support(
@@ -642,7 +597,6 @@ class DecompositionCertificate:
     tail: TailBound | None
     verdict: str  # certified | not-certified | inconclusive
     witnesses: tuple[str, ...] = ()
-    params: dict = field(default_factory=dict)
 
     def to_records(self) -> list[dict]:
         head = {
@@ -748,7 +702,6 @@ def _build_certificate(
     gamma: float,
     rows: Iterable[tuple],
     tail_rule: _TailRule | None,
-    params: dict,
 ) -> DecompositionCertificate:
     """The certificate of the gamma-free `rows` (scale, member, role, clearance,
     surface, floor): each adds surface * exp(-gamma clearance), 0 at infinite clearance."""
@@ -805,7 +758,6 @@ def _build_certificate(
         tail=tail,
         verdict=verdict,
         witnesses=tuple(witnesses),
-        params=params,
     )
 
 
@@ -841,9 +793,7 @@ def certify_ac(
         yield from _ac_rows(decomposition, diff_support)
 
     tail_rule = _tail_rule_from_params(decomposition.params, decomposition.dimension)
-    return _build_certificate(
-        "ac", gamma, rows(), tail_rule, {"decomposition_kind": decomposition.kind}
-    )
+    return _build_certificate("ac", gamma, rows(), tail_rule)
 
 
 def certify_pp(
@@ -868,7 +818,7 @@ def certify_pp(
         volume = ball_volume(radii[i + 1], d) - ball_volume(radii[i - 1], d)
         rows.append((infos[i].scale, i, "shell", clearance, volume, infos[i].clearance_bound))
     tail_rule = _tail_rule_from_params(shells.params, d)
-    return _build_certificate("pp", gamma, rows, tail_rule, {"radii": radii})
+    return _build_certificate("pp", gamma, rows, tail_rule)
 
 
 def certify_series(clearances, surfaces, gamma: float) -> DecompositionCertificate:
@@ -885,4 +835,4 @@ def certify_series(clearances, surfaces, gamma: float) -> DecompositionCertifica
         (i, i, "series", delta, sigma, None)
         for i, (delta, sigma) in enumerate(zip(clearances, surfaces))
     )
-    return _build_certificate("series", gamma, rows, None, {})
+    return _build_certificate("series", gamma, rows, None)

@@ -539,6 +539,9 @@ def evaluate_potential(
     sites outside the sampled window could contribute.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
+    d = model.dimension
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"expected points in R^{d}, got shape {pts.shape}")
     scalar = np.asarray(x).ndim == 1
     rho = model.max_support_radius()
     safe = couplings.window_radius - rho
@@ -568,7 +571,6 @@ def evaluate_potential(
 class QuasiDimensionReport:
     """Annulus-count bound #(Sigma cap A_{R,R+1}) <= C R^(m-1) on a window."""
 
-    m: float
     constant: float
     passed: bool
 
@@ -591,7 +593,7 @@ def quasi_dimension_bound(sites: SiteSet, m: float, r_max: float) -> QuasiDimens
     denom = np.maximum(radii, 1.0) ** (m - 1.0)
     normalized = counts / denom
     constant = float(np.max(normalized)) if normalized.size else 0.0
-    return QuasiDimensionReport(m, constant, _no_growth_trend(radii, normalized))
+    return QuasiDimensionReport(constant, _no_growth_trend(radii, normalized))
 
 
 def _no_growth_trend(x: np.ndarray, y: np.ndarray) -> bool:

@@ -444,13 +444,11 @@ class StateDiagnostics:
 @dataclass(frozen=True, eq=False)
 class LocalizationReport:
     states: tuple[StateDiagnostics, ...]
-    gaps: tuple[tuple[float, float], ...]
     gap_median_ipr: float
     bulk_median_ipr: float
     verdict: str  # gap-states-localized | no-gap-states | not-localized
     boundary_max_amplitude: float
     resolvent_checks: tuple[tuple[float, float, float], ...]  # (energy, state rate, resolvent rate)
-    params: dict = field(default_factory=dict)
 
 
 def localization_report(
@@ -524,11 +522,9 @@ def localization_report(
         checks.append((s.energy, s.decay_rate, ref_fit.rate))
     return LocalizationReport(
         states=tuple(states),
-        gaps=tuple(gaps),
         gap_median_ipr=gap_median,
         bulk_median_ipr=bulk_median,
         verdict=verdict,
         boundary_max_amplitude=boundary_max,
         resolvent_checks=tuple(checks),
-        params={"box": box, "h": h, "gap_resolution": gap_resolution},
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +54,13 @@ class EstimateRecord:
     value: float
     trials: int
     std_error: float
-    seed: int
     exact: float | None = None
 
 
-def _binomial_record(hits: int, trials: int, seed: int, exact: float | None) -> EstimateRecord:
+def _binomial_record(hits: int, trials: int, exact: float | None) -> EstimateRecord:
     p = hits / trials
     se = math.sqrt(p * (1.0 - p) / trials)
-    return EstimateRecord(p, trials, se, seed, exact)
+    return EstimateRecord(p, trials, se, exact)
 
 
 def estimate_free_probability(
@@ -82,14 +81,14 @@ def estimate_free_probability(
     p_eps = model.tail_masses(indices, eps)
     exact = float(np.prod(1.0 - p_eps))
     if indices.size == 0:
-        return EstimateRecord(1.0, trials, 0.0, seed, 1.0)
+        return EstimateRecord(1.0, trials, 0.0, 1.0)
     points = model.sites.points[indices]
     hits = 0
     batch = max(_TRIAL_BATCH, _BLOCK_DRAWS // indices.size)
     for _offset, block in _rng.site_uniform_batches(seed, indices, trials, batch):
         bad = model.laws.bad_mask(points, indices, block, eps)
         hits += int(np.count_nonzero(~bad.any(axis=0)))
-    return _binomial_record(hits, trials, seed, exact)
+    return _binomial_record(hits, trials, exact)
 
 
 def _relevant_site_indices(model: RandomPotentialModel, a: float, n: int) -> np.ndarray:
@@ -117,10 +116,10 @@ def estimate_a_n(
         raise ValueError("trials must be positive")
     lo, hi, _ = require_scale_window(model.sites.window_radius, a, n)
     if hi < lo:
-        return EstimateRecord(0.0, trials, 0.0, seed, 0.0)
+        return EstimateRecord(0.0, trials, 0.0, 0.0)
     indices = _relevant_site_indices(model, a, n)
     if indices.size == 0:
-        return EstimateRecord(0.0, trials, 0.0, seed, 0.0)
+        return EstimateRecord(0.0, trials, 0.0, 0.0)
     # rows in norm order, as the coverage sweep needs; draws are keyed by site
     indices = indices[np.argsort(model.sites.norms[indices], kind="stable")]
     points = model.sites.points[indices]
@@ -143,7 +142,7 @@ def estimate_a_n(
             blocked = _coverage_sweep(norms, packed[:, :filled], lo, hi, float(n))
             hits += int(np.bitwise_count(blocked).sum())
             filled = 0
-    return _binomial_record(hits, trials, seed, None)
+    return _binomial_record(hits, trials, None)
 
 
 def brute_force_a_n(
@@ -221,8 +220,9 @@ def _coverage_sweep(
     per site in norm order): is [lo, hi] fully covered by the blockers
     [v - width, v] of the sites whose bit is set?  Returns the packed columns.
 
-    The rule is that of ``not free_intervals(...)`` for hi >= lo.  The swept
-    rows are those with v >= lo and v - width <= hi.  Their blockers start in
+    For hi >= lo, a column is blocked iff its sites leave no free piece, as
+    judged by the all-pieces scan in ``tests/oracles.py``.  The swept rows are
+    those with v >= lo and v - width <= hi.  Their blockers start in
     nondecreasing order, so a gap left behind (touching blockers leave none)
     can never be filled later: a swept row whose blocker starts past lo kills
     its columns unless an earlier swept row with norm >= v - width is set
@@ -293,7 +293,6 @@ class ANSeriesReport:
 
     rows: tuple[ANSeriesRow, ...]
     verdict: str  # summable | not-summable | inconclusive
-    params: dict = field(default_factory=dict)
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -348,17 +347,7 @@ def borel_cantelli_report(
             )
         )
     verdict = _summability_verdict(rows)
-    return ANSeriesReport(
-        tuple(rows),
-        verdict,
-        params={
-            "eps": eps,
-            "a": a,
-            "n_range": list(n_range),
-            "trials": trials,
-            "seed": seed,
-        },
-    )
+    return ANSeriesReport(tuple(rows), verdict)
 
 
 def _summability_verdict(rows: list[ANSeriesRow]) -> str:

@@ -10,6 +10,11 @@ is the judge of the batched clearance kernel in `geometry.distance_between`.
 sphere one excluded cap at a time, the judge of the one-pass
 `geometry.PuncturedSphere._point_distance_lower_bound`.
 
+`free_intervals` lists every maximal free piece of inner radii, with its
+endpoints' closure, where a bad site at norm v blocks the inner radii
+[v - width, v].  Its first piece judges `certify._first_free`, and its
+emptiness judges both coverage sweeps.
+
 `coverage_sweep`, a float covered-interval sweep over a sites x columns
 boolean matrix, is the judge of the packed-bit kernel
 `stochastic._coverage_sweep`, which must agree with it column by column.
@@ -106,11 +111,63 @@ def punctured_lower_bound(shape: g.PuncturedSphere, points: np.ndarray) -> np.nd
     return np.where(r == 0.0, R, best)
 
 
+@dataclass(frozen=True)
+class FreePiece:
+    """One maximal free interval of inner radii, with endpoint attainability."""
+
+    lo: float
+    hi: float
+    lo_closed: bool
+    hi_closed: bool
+
+    @property
+    def representative(self) -> float:
+        return self.lo if self.lo_closed else (self.lo + self.hi) / 2.0
+
+
+def free_intervals(bad_norms, lo, hi, width) -> list[FreePiece]:
+    """Maximal r-intervals in [lo, hi] whose annulus [r, r + width] avoids every
+    bad norm: a norm v blocks the closed r-interval [v - width, v].  It makes
+    the norms unique before it filters them and merges the blocks before it
+    cuts the pieces, two steps that the library's one-pass scan skips."""
+    if hi < lo:
+        return []
+    bad = np.unique(np.asarray(bad_norms, dtype=float))
+    bad = bad[(bad >= lo) & (bad - width <= hi)]
+    if bad.size == 0:
+        return [FreePiece(lo, hi, True, True)]
+    blocks = []
+    for v in bad:
+        start = v - width
+        if blocks and start <= blocks[-1][1]:
+            blocks[-1][1] = max(blocks[-1][1], v)
+        else:
+            blocks.append([start, v])
+    pieces = []
+    cursor = lo
+    cursor_blocked = False
+    for start, end in blocks:
+        if cursor < start:
+            pieces.append(FreePiece(cursor, min(start, hi), not cursor_blocked, False))
+        cursor = max(cursor, end)
+        cursor_blocked = True
+        if cursor >= hi:
+            break
+    if cursor < hi:
+        pieces.append(FreePiece(cursor, hi, not cursor_blocked, True))
+    elif cursor == hi and not cursor_blocked:
+        pieces.append(FreePiece(hi, hi, True, True))
+    return [
+        p for p in pieces
+        if p.lo < p.hi or (p.lo == p.hi and p.lo_closed and p.hi_closed)
+    ]
+
+
 def coverage_sweep(norms_sorted, active, lo, hi, width):
     """Per column of `active` (sites x columns, rows in norm order): is
     [lo, hi] fully covered by the blockers [v - width, v] of its active sites?
 
-    The rule is that of ``not free_intervals(...)`` for hi >= lo.  Blockers
+    The rule is that of ``not free_intervals(...)`` above, for hi >= lo.  Blockers
     are swept in norm order, so their left endpoints are nondecreasing and a
     gap left behind (touching blockers leave none) can never be filled later.
     """

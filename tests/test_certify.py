@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import is_epsilon_free, validate_decomposition
+from oracles import free_intervals, is_epsilon_free, validate_decomposition
 from sparseloc import certify as c
 from sparseloc import cli
 from sparseloc import geometry as g
@@ -100,91 +100,44 @@ class TestScaleRule:
                 c.growth_ratio(1, gamma)
 
 
+def first_free(bad, lo, hi, width):
+    return c._first_free(np.asarray(bad, dtype=float), lo, hi, width)
+
+
 class TestFreeIntervals:
     def test_no_blockers(self):
-        pieces = c.free_intervals([], 4.0, 6.0, 2.0)
-        assert len(pieces) == 1
-        assert (pieces[0].lo, pieces[0].hi) == (4.0, 6.0)
-        assert pieces[0].representative == 4.0
+        assert first_free([], 4.0, 6.0, 2.0) == (4.0, 6.0, 4.0)
 
     def test_spec_configuration(self):
         # bad norms {4, 5}, width 2: blocked [2,4] u [3,5]; free in [4,6] is (5, 6]
-        pieces = c.free_intervals([4.0, 4.0, 5.0], 4.0, 6.0, 2.0)
-        assert len(pieces) == 1
-        piece = pieces[0]
-        assert (piece.lo, piece.hi) == (5.0, 6.0)
-        assert not piece.lo_closed and piece.hi_closed
-        assert 5.0 < piece.representative <= 6.0
+        assert first_free([4.0, 4.0, 5.0], 4.0, 6.0, 2.0) == (5.0, 6.0, 5.5)
 
     def test_fully_blocked(self):
-        assert c.free_intervals([5.0, 6.5, 8.0], 4.0, 6.0, 2.5) == []
+        assert first_free([5.0, 6.5, 8.0], 4.0, 6.0, 2.5) is None
 
     def test_open_gap_between_blocks(self):
-        pieces = c.free_intervals([4.0, 6.5], 2.0, 7.0, 2.0)
-        # blocked [2,4] u [4.5,6.5]; free (4,4.5) and (6.5,7]
-        assert [(p.lo, p.hi) for p in pieces] == [(4.0, 4.5), (6.5, 7.0)]
-        assert pieces[0].representative == pytest.approx(4.25)
+        # blocked [2,4] u [4.5,6.5]; free (4,4.5) and (6.5,7], the scan stops at the first
+        assert first_free([4.0, 6.5], 2.0, 7.0, 2.0) == (4.0, 4.5, 4.25)
 
     @pytest.mark.parametrize("trial", range(25))
     def test_matches_dense_grid_oracle(self, trial):
         rng = np.random.default_rng(trial)
         bad = np.sort(rng.uniform(3.0, 12.0, rng.integers(0, 8)))
         lo, hi, width = 4.0, 10.0, 1.5
-        pieces = c.free_intervals(bad, lo, hi, width)
+        first = first_free(bad, lo, hi, width)
         rs, free = scan_free_by_brute_force(bad, lo, hi, width)
-        in_piece = np.zeros_like(free)
-        for p in pieces:
-            inside = (rs >= p.lo) & (rs <= p.hi)
-            if not p.lo_closed:
-                inside &= rs > p.lo
-            if not p.hi_closed:
-                inside &= rs < p.hi
-            in_piece |= inside
-        # agree except possibly at exact block endpoints hit by the grid
-        disagree = np.flatnonzero(in_piece != free)
-        boundary = set(np.concatenate([bad, bad - width]))
-        for idx in disagree:
-            assert any(abs(rs[idx] - b) < 1e-9 for b in boundary)
-
-
-def free_intervals_unique_first(bad_norms, lo, hi, width):
-    """`free_intervals` as it was when it ran np.unique over every norm before
-    filtering; the oracle for the filter-then-sort version."""
-    if hi < lo:
-        return []
-    bad = np.unique(np.asarray(bad_norms, dtype=float))
-    bad = bad[(bad >= lo) & (bad - width <= hi)]
-    if bad.size == 0:
-        return [c.FreePiece(lo, hi, True, True)]
-    blocks = []
-    for v in bad:
-        start = v - width
-        if blocks and start <= blocks[-1][1]:
-            blocks[-1][1] = max(blocks[-1][1], v)
+        # grid points before the piece are blocked and those inside it are free,
+        # except possibly at exact block endpoints hit by the grid
+        if first is None:
+            wrong = np.flatnonzero(free)
         else:
-            blocks.append([start, v])
-    pieces = []
-    cursor = lo
-    cursor_blocked = False
-    for start, end in blocks:
-        if cursor < start:
-            pieces.append(c.FreePiece(cursor, min(start, hi), not cursor_blocked, False))
-        cursor = max(cursor, end)
-        cursor_blocked = True
-        if cursor >= hi:
-            break
-    if cursor < hi:
-        pieces.append(c.FreePiece(cursor, hi, not cursor_blocked, True))
-    elif cursor == hi and not cursor_blocked:
-        pieces.append(c.FreePiece(hi, hi, True, True))
-    out = []
-    for piece in pieces:
-        if piece.hi < piece.lo:
-            continue
-        if piece.hi == piece.lo and not (piece.lo_closed and piece.hi_closed):
-            continue
-        out.append(piece)
-    return out
+            piece_lo, piece_hi, rep = first
+            assert piece_lo <= rep <= piece_hi and not any(v - width <= rep <= v for v in bad)
+            before, inside = rs < piece_lo, (rs > piece_lo) & (rs < piece_hi)
+            wrong = np.flatnonzero((before & free) | (inside & ~free))
+        boundary = set(np.concatenate([bad, bad - width]))
+        for idx in wrong:
+            assert any(abs(rs[idx] - b) < 1e-9 for b in boundary)
 
 
 # quarter steps, so that norms repeat and land exactly on lo, hi and hi + width
@@ -210,12 +163,22 @@ class TestFreeIntervalsUniqueFirstOracle:
     @example(([5.0], 6.0, 4.0, 1.0))  # hi < lo
     @example(([], 4.0, 6.0, 2.0))  # empty
     @example(([], 4.0, 4.0, 0.0))
+    @example(([], 4.0, 4.0, 2.0))  # lo == hi, unblocked
+    @example(([5.0], 4.0, 4.0, 2.0))  # lo == hi, blocked
     @settings(max_examples=400, deadline=None)
     def test_pieces_equal(self, case):
+        """`_first_free` gives the oracle's first piece, bit for bit, and None iff it has none."""
         norms, lo, hi, width = case
-        assert c.free_intervals(norms, lo, hi, width) == free_intervals_unique_first(
-            norms, lo, hi, width
-        )
+        pieces = free_intervals(norms, lo, hi, width)
+        first = first_free(norms, lo, hi, width)
+        if not pieces:
+            assert first is None
+        else:
+            want = pieces[0]
+            assert first is not None
+            assert [repr(float(x)) for x in first] == [
+                repr(float(x)) for x in (want.lo, want.hi, want.representative)
+            ]
 
 
 class TestFindFreeSubannulus:
@@ -764,9 +727,9 @@ class TestCertifyAC:
         # the term sums grow by 4/e per scale, so only a symbolic tail could certify
         rows = [(n, n, "cheese", float(n), 10.0 * 4.0**n, None) for n in range(1, 7)]
         finite = c._TailRule("cap-cheese", dimension=2, a=2.0, rho=0.5)
-        assert c._build_certificate("ac", 1.0, rows, finite, {}).verdict == "certified"
+        assert c._build_certificate("ac", 1.0, rows, finite).verdict == "certified"
         huge = c._TailRule("cap-cheese", dimension=2, a=2.0, rho=0.5, alpha=1000.0)
-        cert = c._build_certificate("ac", 1.0, rows, huge, {})
+        cert = c._build_certificate("ac", 1.0, rows, huge)
         assert cert.tail.sum_bound == math.inf
         assert cert.empirical_tail_ratio > 1.0
         assert cert.verdict == "inconclusive"

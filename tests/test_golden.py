@@ -1,4 +1,4 @@
-"""Golden digests of the CLI's data files for three small pipeline runs.
+"""Golden digests of the CLI's data files for four small pipeline runs.
 
 The bytes of every data file the CLI and `plotdata` write are pinned by
 sha256, so a refactor of the output path shows that it keeps them.  The
@@ -75,6 +75,21 @@ CERTIFY_QUASI1D_D3 = {
     },
 }
 
+# a d=2 sparse run whose every scale is degenerate (a^n (a - 1) < n): the scan
+# tries r = a^n alone and finds it free at 19 of 20 scales; in 3 of the 4
+# certificates the scale-1 sphere has clearance 0, so they read not-certified
+CERTIFY_SPARSE_D2 = {
+    "pipeline": "certify-sparse",
+    "model": {
+        "dimension": 2,
+        "sites": {"generator": "lattice", "radius": 30.0},
+        "law": {"kind": "radial_bernoulli", "tau": 6.0},
+        "potential": {"kind": "indicator", "amplitude": -1.0, "radius": 1.0},
+    },
+    "seeds": [1, 2],
+    "parameters": {"eps": 0.1, "gammas": [0.5, 2.0], "n_range": [1, 5]},
+}
+
 FULL_REPORT_SHA256 = {
     "an_rows.csv": "6dff3a84b6902a92d505dbdba7fcd4dfbf071c8bde62597f37475eaa8ed2affe",
     "an_series.csv": "0db4509ad2b148e8c553d66a889f91d181c2000d02740167ddffe4bd0e8c2b8f",
@@ -102,6 +117,14 @@ CERTIFY_QUASI1D_D3_SHA256 = {
     "free_annuli.csv": "bbf7abb0c127049de775983136fa98b1d6eac122dd5d84d1f69db0d956327c8e",
     "member_counts.csv": "35a605c5de1f1ab4e8821694a1ca7189ca9de4063e89bb173978db8d21c864c1",
     "terms_vs_n.csv": "529a2651a8157df188fc14a55f75238e8f13636585ea47034131dbbbaea1b9d7",
+}
+
+CERTIFY_SPARSE_D2_SHA256 = {
+    "certificate_terms.csv": "a1df76493da550ea8fba9715f119f6637d8ff7b8c38dddee7df4780de302033f",
+    "certificates.jsonl": "6047b62f2e66a9887b265abbefd72b8b38442a6756feebdd01ab9ec3674414fa",
+    "decompositions.jsonl": "56bcef8588f7e0fa371f8975b0a37df37658f0a1ce9e48a204b29e35c7db45ce",
+    "free_annuli.csv": "4e01647f89e54167e8e6ab5687a0e1f2f8c8a7f37459e37747b08cbf88285c75",
+    "terms_vs_n.csv": "9a764fe9c329afc188c749762131289aab003917592c10fee05fb6ebf988a404",
 }
 
 EIGEN_HEADERS = {
@@ -158,3 +181,13 @@ def test_certify_quasi1d_d3_bytes(tmp_path, workers):
     assert _digests(out, CERTIFY_QUASI1D_D3_SHA256) == CERTIFY_QUASI1D_D3_SHA256
     records = [json.loads(line) for line in (out / "certificates.jsonl").read_text().splitlines()]
     assert [r["verdict"] for r in records] == ["certified"] * 4
+
+
+def test_certify_sparse_d2_bytes(tmp_path, workers):
+    out = _run(tmp_path, CERTIFY_SPARSE_D2)
+    assert {p.name for p in out.iterdir()} == {"manifest.jsonl"} | set(CERTIFY_SPARSE_D2_SHA256)
+    assert _digests(out, CERTIFY_SPARSE_D2_SHA256) == CERTIFY_SPARSE_D2_SHA256
+    rows = (out / "free_annuli.csv").read_text().splitlines()[1:]
+    assert len(rows) == 20 and all(row.endswith(",1") for row in rows)  # all degenerate
+    records = [json.loads(line) for line in (out / "certificates.jsonl").read_text().splitlines()]
+    assert [r["verdict"] for r in records] == ["certified"] + ["not-certified"] * 3

@@ -315,6 +315,20 @@ class TestEvaluatePotential:
         assert m.evaluate_potential(model, cm, [0.2]) == pytest.approx(5.0)
         assert m.evaluate_potential(model, cm, [0.2], include_background=False) == 0.0
 
+    def test_points_of_the_wrong_dimension_are_refused(self):
+        one = lattice_model(d=1, radius=20.0, law=m.CouplingLaw.bernoulli(1.0), rho=0.5)
+        cm = m.sample_couplings(one, seed=0)
+        assert m.evaluate_potential(one, cm, [0.2]) == 1.0
+        assert m.evaluate_potential(one, cm, [[0.2], [7.7]]).tolist() == [1.0, 1.0]
+        # one point in R^2, not two in R^1
+        with pytest.raises(ValueError, match=r"R\^1, got shape \(1, 2\)"):
+            m.evaluate_potential(one, cm, [0.2, 7.7])
+        two = lattice_model(d=2, radius=10.0)
+        cm = m.sample_couplings(two, seed=0)
+        for x in ([0.2], [0.2, 0.3, 0.4], [[[0.2, 0.3]]]):
+            with pytest.raises(ValueError, match=r"R\^2"):
+                m.evaluate_potential(two, cm, x)
+
 
 def pair_loop_potential(model, couplings, pts, include_background=True):
     """evaluate_potential as a loop over (node, site) pairs: the bit-level oracle."""

@@ -12,10 +12,9 @@ from hypothesis.extra import numpy as hnp
 from sparseloc import _rng, cli
 from sparseloc import models as m
 from sparseloc import stochastic as st
-from sparseloc.certify import free_intervals
 from sparseloc.geometry import make_annulus
 
-from oracles import coverage_sweep
+from oracles import coverage_sweep, free_intervals
 
 
 def within(rec, target, n_sigma=3.0):
